@@ -8,28 +8,38 @@ import (
 
 	"hcompress/internal/analyzer"
 	"hcompress/internal/bufpool"
+	"hcompress/internal/codec"
 	"hcompress/internal/core"
 	"hcompress/internal/manager"
 	"hcompress/internal/readcache"
-	"hcompress/internal/stats"
 	"hcompress/internal/telemetry"
 )
 
-// batchGroupKey identifies one HCDP planning equivalence class within a
-// batch: tasks with the same analyzed type, distribution, and size get
-// the same schema, so the engine is consulted once per group.
-type batchGroupKey struct {
-	typ  stats.DataType
-	dist stats.Dist
-	size int64
+// This file is the shard's data path: one write pipeline (compress) and
+// one read pipeline (decompress), each written once over a per-call slice
+// of task records that carry their inputs and outputs in place. Compress
+// and Decompress are the same code with one record; a batch only adds
+// what a burst can share — one analysis fan-out, one codec fan-out, one
+// virtual-clock reading, one predictor feedback flush.
+
+// writeOp is one task's record in a compress call. The manager's half of
+// the record — attributes, schema, result — is the WriteReq at the same
+// index of the call's request slice.
+type writeOp struct {
+	Task
+	rep *Report
+	err error // the task's final outcome; nil once rep is set
+
+	analyzeSecs, planSecs float64 // wall seconds, measured only with telemetry on
+	replanned             bool
+	degraded              *DegradedError
 }
 
 // CompressBatch writes many tasks as one schedule. All tasks are
-// analyzed up front (fanned across the shared worker pool), grouped by
-// analyzed {type, distribution, size} so the HCDP engine plans once per
-// group instead of once per task, and every sub-task of the batch is
-// submitted to the pool as a single job — one submission, one
-// directory pass, one virtual-clock round-trip for the whole burst.
+// analyzed up front (fanned across the shared worker pool), planned
+// against one clock reading, and every sub-task of the batch is
+// submitted to the pool as a single job — one submission, one virtual-
+// clock round-trip, one feedback flush for the whole burst.
 //
 // Tasks fail independently: the returned slice has one report per task
 // in input order, nil where that task failed, and the error joins every
@@ -48,29 +58,76 @@ func (c *Shard) CompressBatchContext(ctx context.Context, tasks []Task) ([]*Repo
 	if len(tasks) == 0 {
 		return nil, nil
 	}
-	if err := ctx.Err(); err != nil {
+	ops := make([]writeOp, len(tasks))
+	for i := range tasks {
+		ops[i].Task = tasks[i]
+	}
+	if err := c.compress(ctx, "compress_batch", ops); err != nil {
 		return nil, err
 	}
+	c.cm.batchTasks.Observe(float64(len(ops)))
+	reps := make([]*Report, len(ops))
+	errs := make([]error, len(ops))
+	for i := range ops {
+		reps[i], errs[i] = ops[i].rep, batchErr(i, ops[i].Key, ops[i].err)
+	}
+	return reps, errors.Join(errs...)
+}
+
+// batchErr names the failing task in a batch's joined error.
+func batchErr(i int, key string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("hcompress: task %d (%q): %w", i, key, err)
+}
+
+// compress is the write pipeline. Stages, each existing exactly once:
+// validate → analyze (pure CPU over the callers' buffers, no lock held,
+// fanned across the pool) → plan (HCDP engine, one schema per task, all
+// against one clock reading) → execute (the manager's single codec
+// fan-out and serial replay) → rescue (the replan/degrade ladder, per
+// failed task) → invalidate → report → stage/trace/slow-op telemetry.
+// Concurrent callers only synchronize on the component each stage
+// actually touches.
+//
+// The returned error is call-level (cancelled before starting, shard
+// closed); per-task outcomes land in ops.
+func (c *Shard) compress(ctx context.Context, label string, ops []writeOp) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	timed := c.tel != nil
 	var wall time.Time
-	if c.tel != nil {
+	if timed {
 		wall = time.Now()
 	}
-	reps := make([]*Report, len(tasks))
-	errs := make([]error, len(tasks))
-	attrs := make([]analyzer.Result, len(tasks))
-	for i := range tasks {
-		if tasks[i].Key == "" {
-			errs[i] = fmt.Errorf("hcompress: task %d: task key required", i)
-		} else if len(tasks[i].Data) == 0 {
-			errs[i] = fmt.Errorf("hcompress: task %d (%q): empty task data", i, tasks[i].Key)
+	reqs := make([]manager.WriteReq, len(ops))
+	for i := range ops {
+		o, r := &ops[i], &reqs[i]
+		switch {
+		case o.Key == "":
+			o.err = errors.New("hcompress: task key required")
+		case len(o.Data) == 0:
+			o.err = errors.New("hcompress: empty task data")
 		}
+		// An invalid task rides along with its error set, which every
+		// later stage — and the manager — skips.
+		r.Key, r.Data, r.Size, r.Err = o.Key, o.Data, int64(len(o.Data)), o.err
 	}
 
-	// Stage 1: analyze every task up front. No lock held; the scans fan
-	// across the shared pool like codec work.
-	_ = c.pool.Run(len(tasks), func(_ *bufpool.Scratch, i int) error {
-		if errs[i] == nil {
-			attrs[i] = c.attrFor(tasks[i])
+	_ = c.pool.Run(len(ops), func(_ *bufpool.Scratch, i int) error {
+		o := &ops[i]
+		if o.err != nil {
+			return nil
+		}
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		reqs[i].Attr = c.attrFor(o.Task)
+		if timed {
+			o.analyzeSecs = time.Since(t0).Seconds()
 		}
 		return nil
 	})
@@ -78,117 +135,155 @@ func (c *Shard) CompressBatchContext(ctx context.Context, tasks []Task) ([]*Repo
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	start := c.clock.Now()
-
-	// Stage 2: plan once per {type, dist, size} group. A group leader's
-	// planning failure marks only that task; the next member retries.
-	schemas := make(map[batchGroupKey]core.Schema, len(tasks))
-	reqs := make([]manager.WriteReq, 0, len(tasks))
-	reqIdx := make([]int, 0, len(tasks))
-	for i := range tasks {
-		if errs[i] != nil {
+	for i := range ops {
+		if ops[i].err != nil {
 			continue
 		}
-		size := int64(len(tasks[i].Data))
-		gk := batchGroupKey{typ: attrs[i].Type, dist: attrs[i].Dist, size: size}
-		schema, ok := schemas[gk]
-		if !ok {
-			var err error
-			schema, err = c.eng.Plan(start, attrs[i], size)
-			if err != nil {
-				errs[i] = fmt.Errorf("hcompress: planning %q: %w", tasks[i].Key, err)
-				continue
-			}
-			schemas[gk] = schema
+		if err := c.plan(start, &ops[i], &reqs[i]); err != nil {
+			reqs[i].Err = fmt.Errorf("hcompress: planning %q: %w", ops[i].Key, err)
 		}
-		reqs = append(reqs, manager.WriteReq{
-			Key: tasks[i].Key, Data: tasks[i].Data, Size: size,
-			Attr: attrs[i], Schema: schema,
-		})
-		reqIdx = append(reqIdx, i)
 	}
+	c.mgr.ExecuteWrites(ctx, start, reqs)
 
-	// Stage 3: execute the whole batch as one pool schedule.
-	results, rerrs := c.mgr.ExecuteWriteBatchCtx(ctx, start, reqs)
 	maxEnd := start
 	var ri telemetry.ReqInfo
-	if c.tel != nil {
-		// One identity per batch call: every task's span tree shares the
-		// propagated (or synthesized) trace ID, so the whole burst is
-		// groupable as one request.
-		ri = c.reqInfo(ctx)
-	}
-	for r := range reqs {
-		i := reqIdx[r]
-		res := results[r]
-		var degraded *DegradedError
-		replanned := false
-		if rerrs[r] != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = fmt.Errorf("hcompress: %q: %w", tasks[i].Key, cerr)
-				continue
-			}
-			// The monitor's view may have been stale; refresh and replan
-			// this task once, then degrade to an uncompressed write on
-			// any healthy tier — mirroring Compress.
-			c.mon.ForceRefresh()
-			c.cm.replans.Inc()
-			replanned = true
-			err2 := rerrs[r]
-			if schema2, perr := c.eng.Plan(start, attrs[i], reqs[r].Size); perr == nil {
-				res, err2 = c.mgr.ExecuteWriteCtx(ctx, start, reqs[r].Key, reqs[r].Data, reqs[r].Size, attrs[i], schema2)
-				if err2 == nil {
-					reqs[r].Schema = schema2
-				}
-			}
-			if err2 != nil {
-				schema2 := degradedSchema(reqs[r].Size)
-				var derr error
-				res, derr = c.mgr.ExecuteWriteCtx(ctx, start, reqs[r].Key, reqs[r].Data, reqs[r].Size, attrs[i], schema2)
-				if derr != nil {
-					errs[i] = fmt.Errorf("hcompress: executing %q: %w", tasks[i].Key, err2)
-					continue
-				}
-				reqs[r].Schema = schema2
-				degraded = &DegradedError{
-					Key:   tasks[i].Key,
-					Tier:  c.hier.Tiers[res.SubResults[0].Tier].Name,
-					Cause: err2,
-				}
-				c.cm.degradedWrites.Inc()
-			}
+	done := 0
+	for i := range ops {
+		o, r := &ops[i], &reqs[i]
+		if o.err == nil && r.Err != nil {
+			c.rescue(ctx, start, o, reqs[i:i+1])
+			o.err = r.Err
 		}
-		if res.End > maxEnd {
-			maxEnd = res.End
+		if o.err != nil {
+			c.cm.opErrs[label].Inc()
+			continue
 		}
-		rep := c.report(tasks[i].Key, reqs[r].Size, attrs[i], res, start)
-		rep.PredictedSeconds = reqs[r].Schema.PredTime
-		rep.Degraded = degraded
-		reps[i] = rep
+		done++
+		maxEnd = max(maxEnd, r.Res.End)
 		if c.cache != nil {
-			// Strict invalidation on overwrite: the placement above made any
-			// cached payload for this key stale.
-			c.cache.Invalidate(tasks[i].Key)
+			// Strict invalidation on overwrite: drop any cached payload for
+			// this key and revoke in-flight fills that may carry the old bytes.
+			c.cache.Invalidate(o.Key)
 		}
-		if c.tel != nil {
-			c.cm.observeStages(res)
-			c.compressTrace(ri, tasks[i].Key, attrs[i], reqs[r].Size, reqs[r].Schema, res, start, replanned)
+		o.rep = c.report(o.Key, r.Size, r.Attr, r.Res, start)
+		o.rep.PredictedSeconds = r.Schema.PredTime
+		o.rep.Degraded = o.degraded
+		if timed {
+			c.cm.stageAnalyze.Observe(o.analyzeSecs)
+			c.cm.stagePlan.Observe(o.planSecs)
+			c.cm.observeStages(r.Res)
+			c.resolveReq(ctx, &ri)
+			audits := c.compressTrace(ri, o.Key, r.Attr, r.Size, r.Schema, r.Res, start, o.replanned)
+			if wallSecs := time.Since(wall).Seconds(); c.slow.shouldRecord(wallSecs) {
+				c.slowOp(ri, "compress", o.Key, r.Res, wallSecs, o.analyzeSecs, o.planSecs, o.replanned, o.degraded != nil, audits)
+			}
 		}
 	}
 	c.clock.AdvanceTo(maxEnd)
+	if timed && done > 0 {
+		c.cm.ops[label].Inc()
+		c.cm.opSeconds[label].Observe(time.Since(wall).Seconds())
+	}
+	return nil
+}
+
+// resolveReq fills ri with the identity the call runs under, once, at
+// its first completed task: every task of a call shares one propagated
+// (or synthesized) trace ID, so a burst is groupable as one request, and
+// a call that completes nothing consumes no ID.
+func (c *Shard) resolveReq(ctx context.Context, ri *telemetry.ReqInfo) {
+	if ri.Class == "" { // reqInfo always names the class
+		*ri = c.reqInfo(ctx)
+	}
+}
+
+// plan asks the HCDP engine for r's schema at virtual time start,
+// charging the wall time to the task's plan stage.
+func (c *Shard) plan(start float64, o *writeOp, r *manager.WriteReq) error {
+	var t0 time.Time
 	if c.tel != nil {
-		c.cm.batchTasks.Observe(float64(len(tasks)))
-		c.cm.ops["compress_batch"].Inc()
-		c.cm.opSeconds["compress_batch"].Observe(time.Since(wall).Seconds())
-		for i := range errs {
-			if errs[i] != nil {
-				c.cm.opErrs["compress_batch"].Inc()
+		t0 = time.Now()
+	}
+	schema, err := c.eng.Plan(start, r.Attr, r.Size)
+	if c.tel != nil {
+		o.planSecs += time.Since(t0).Seconds()
+	}
+	if err == nil {
+		r.Schema = schema
+	}
+	return err
+}
+
+// rescue is the write failure ladder, run for one task whose planned
+// path failed, at planning or at execution. First the stale-view repair:
+// the monitor's view may have been stale, or a tier just went offline
+// and the health machine masked it, so refresh and replan once — the new
+// plan cannot target a masked tier. Then, if no compressing schema can
+// execute at all (tiers offline, capacity gone), graceful degradation:
+// the data must land, so store it as one uncompressed sub-task and let
+// the manager's spill chain walk the hierarchy until some healthy tier
+// takes it. A degraded write succeeds, with o.degraded explaining why
+// the planned path failed. A cancelled context ends the ladder with
+// ctx.Err(). req is the task's one-element window of the call's request
+// slice; the outcome is left in req[0].
+func (c *Shard) rescue(ctx context.Context, start float64, o *writeOp, req []manager.WriteReq) {
+	r := &req[0]
+	if ctx.Err() == nil {
+		c.mon.ForceRefresh()
+		c.cm.replans.Inc()
+		o.replanned = true
+		if err := c.plan(start, o, r); err != nil {
+			r.Err = fmt.Errorf("hcompress: replanning %q: %w (after %v)", r.Key, err, r.Err)
+		} else {
+			r.Err = nil
+			c.mgr.ExecuteWrites(ctx, start, req)
+			if r.Err == nil {
+				return
 			}
+			r.Err = fmt.Errorf("hcompress: executing %q: %w", r.Key, r.Err)
 		}
 	}
-	return reps, errors.Join(errs...)
+	if err := ctx.Err(); err != nil {
+		r.Err = err
+		return
+	}
+	cause := r.Err // the planned path's failure names the root cause
+	r.Schema, r.Err = degradedSchema(r.Size), nil
+	c.mgr.ExecuteWrites(ctx, start, req)
+	if r.Err != nil {
+		r.Err = cause
+		return
+	}
+	o.degraded = &DegradedError{
+		Key:   r.Key,
+		Tier:  c.hier.Tiers[r.Res.SubResults[0].Tier].Name,
+		Cause: cause,
+	}
+	c.cm.degradedWrites.Inc()
+}
+
+// degradedSchema is the last-resort write plan: the whole task as one
+// uncompressed sub-task, nominally on the fastest tier — the manager's
+// spill chain walks it down to whatever tier actually accepts it.
+func degradedSchema(size int64) core.Schema {
+	return core.Schema{SubTasks: []core.SubTask{{
+		Offset: 0, Length: size, Tier: 0, Codec: codec.None, PredSize: size,
+	}}}
+}
+
+// readOp is one key's record in a decompress call.
+type readOp struct {
+	key string
+	rep *Report
+	err error // the key's final outcome; nil once rep is set
+
+	size int64           // write-time size and analysis, for the report
+	attr analyzer.Result //
+	fill *readcache.Fill // open cache fill, nil when the key will not cache
+	req  int             // index of the key's request in the call's manager requests
 }
 
 // DecompressBatch reads many tasks as one schedule: one directory pass
@@ -207,105 +302,142 @@ func (c *Shard) DecompressBatchContext(ctx context.Context, keys []string) ([]*R
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if err := ctx.Err(); err != nil {
+	ops := make([]readOp, len(keys))
+	for i := range keys {
+		ops[i].key = keys[i]
+	}
+	if err := c.decompress(ctx, "decompress_batch", ops); err != nil {
 		return nil, err
 	}
+	c.cm.batchTasks.Observe(float64(len(ops)))
+	reps := make([]*Report, len(ops))
+	errs := make([]error, len(ops))
+	for i := range ops {
+		reps[i], errs[i] = ops[i].rep, batchErr(i, ops[i].key, ops[i].err)
+	}
+	return reps, errors.Join(errs...)
+}
+
+// decompress is the read pipeline. Stages, each existing exactly once:
+// cache (a hit is a complete operation that never reaches the manager,
+// so a fully warm call performs no store work at all) → resolve (the
+// write-time size and analysis, and the cache fill token, per miss) →
+// execute (the manager's single directory pass, decompression fan-out
+// and serial replay over the misses) → commit/abort the fills → report →
+// stage/trace/slow-op telemetry.
+//
+// The returned error is call-level (cancelled before starting, shard
+// closed); per-key outcomes land in ops.
+func (c *Shard) decompress(ctx context.Context, label string, ops []readOp) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	timed := c.tel != nil
 	var wall time.Time
-	if c.tel != nil {
+	if timed {
 		wall = time.Now()
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	reps := make([]*Report, len(keys))
-	errs := make([]error, len(keys))
-	sizes := make([]int64, len(keys))
-	attrs := make([]analyzer.Result, len(keys))
 	var ri telemetry.ReqInfo
-	if c.tel != nil {
-		ri = c.reqInfo(ctx)
-	}
-
-	// Cache hits short-circuit before grouping: a hit never enters the
-	// manager's directory pass or the pool schedule, so a fully warm
-	// batch performs no store work at all. Only the misses go on to the
-	// batch read below (opening their fill tokens first, same ordering
-	// discipline as the single-op path).
-	var fills []*readcache.Fill
+	misses := len(ops)
 	if c.cache != nil {
-		fills = make([]*readcache.Fill, len(keys))
-		for i, key := range keys {
-			if rep, meta, ok := c.cacheGet(key); ok {
-				reps[i] = rep
-				if c.tel != nil {
-					c.cacheHitTrace(ri, key, meta)
+		for i := range ops {
+			o := &ops[i]
+			rep, meta, ok := c.cacheGet(o.key)
+			if !ok {
+				continue
+			}
+			o.rep = rep
+			misses--
+			if timed {
+				c.resolveReq(ctx, &ri)
+				c.cacheHitTrace(ri, o.key, meta)
+				if wallSecs := time.Since(wall).Seconds(); c.slow.shouldRecord(wallSecs) {
+					// Zero virtual anatomy: a hit is off the modeled timeline.
+					c.slowOp(ri, "decompress", o.key, manager.Result{Stored: meta.Stored}, wallSecs, 0, 0, false, false, nil)
 				}
 			}
 		}
 		c.kickPrefetch()
 	}
-	missKeys := make([]string, 0, len(keys))
-	missIdx := make([]int, 0, len(keys))
-	for i, key := range keys {
-		if reps[i] != nil {
+
+	var reqs []manager.ReadReq
+	if misses > 0 {
+		reqs = make([]manager.ReadReq, 0, misses)
+	}
+	for i := range ops {
+		o := &ops[i]
+		if o.rep != nil {
 			continue
 		}
-		size, attr, ok := c.mgr.TaskInfo(key)
-		if !ok {
-			errs[i] = fmt.Errorf("hcompress: unknown task %q: %w", key, ErrNotFound)
+		var ok bool
+		if o.size, o.attr, ok = c.mgr.TaskInfo(o.key); !ok {
+			o.err = fmt.Errorf("hcompress: unknown task %q: %w", o.key, ErrNotFound)
 			continue
 		}
-		sizes[i], attrs[i] = size, attr
+		// Open the fill before touching the store: a concurrent overwrite or
+		// delete then lands after the token exists and aborts it, so bytes
+		// read from the pre-overwrite world can never enter the cache.
 		if c.cache != nil {
-			fills[i] = c.cache.BeginFill(key)
+			o.fill = c.cache.BeginFill(o.key)
 		}
-		missKeys = append(missKeys, key)
-		missIdx = append(missIdx, i)
+		o.req = len(reqs)
+		reqs = append(reqs, manager.ReadReq{Key: o.key})
+	}
+	start := c.clock.Now()
+	if len(reqs) > 0 {
+		c.mgr.ExecuteReads(ctx, start, reqs)
 	}
 
-	start := c.clock.Now()
-	results, rerrs := c.mgr.ExecuteReadBatchCtx(ctx, start, missKeys)
 	maxEnd := start
-	for j, i := range missIdx {
-		if rerrs[j] != nil {
-			errs[i] = rerrs[j]
-			if fills != nil && fills[i] != nil {
-				c.cache.Abort(fills[i], false)
+	done := len(ops) - misses
+	for i := range ops {
+		o := &ops[i]
+		if o.rep != nil {
+			continue // served from the cache above
+		}
+		if o.err == nil {
+			o.err = reqs[o.req].Err
+			if o.err != nil && o.fill != nil {
+				c.cache.Abort(o.fill, false)
 			}
+		}
+		if o.err != nil {
+			c.cm.opErrs[label].Inc()
 			continue
 		}
-		res := results[j]
-		if res.End > maxEnd {
-			maxEnd = res.End
-		}
-		rep := c.report(keys[i], sizes[i], attrs[i], res, start)
-		rep.Data = res.Data
-		if fills != nil && fills[i] != nil {
-			if release, ok := c.cache.Commit(fills[i], res.Data, readcache.Meta{
-				Size: sizes[i], Stored: res.Stored,
-				DataType: rep.DataType, Distribution: rep.Distribution,
+		done++
+		res := reqs[o.req].Res
+		maxEnd = max(maxEnd, res.End)
+		o.rep = c.report(o.key, o.size, o.attr, res, start)
+		o.rep.Data = res.Data
+		if o.fill != nil {
+			// Zero-copy admission: the cache and the report share the buffer
+			// under one refcount; the report's pin comes back as release.
+			if release, ok := c.cache.Commit(o.fill, res.Data, readcache.Meta{
+				Size: o.size, Stored: res.Stored,
+				DataType: o.rep.DataType, Distribution: o.rep.Distribution,
 			}); ok {
-				rep.release = release
+				o.rep.release = release
 			}
 		}
-		reps[i] = rep
-		if c.tel != nil {
+		if timed {
 			c.cm.observeStages(res)
-			c.decompressTrace(ri, keys[i], res, start)
+			c.resolveReq(ctx, &ri)
+			c.decompressTrace(ri, o.key, res, start)
+			if wallSecs := time.Since(wall).Seconds(); c.slow.shouldRecord(wallSecs) {
+				c.slowOp(ri, "decompress", o.key, res, wallSecs, 0, 0, false, false, nil)
+			}
 		}
 	}
 	c.clock.AdvanceTo(maxEnd)
-	if c.tel != nil {
-		c.cm.batchTasks.Observe(float64(len(keys)))
-		c.cm.ops["decompress_batch"].Inc()
-		c.cm.opSeconds["decompress_batch"].Observe(time.Since(wall).Seconds())
-		for i := range errs {
-			if errs[i] != nil {
-				c.cm.opErrs["decompress_batch"].Inc()
-			}
-		}
+	if timed && done > 0 {
+		c.cm.ops[label].Inc()
+		c.cm.opSeconds[label].Observe(time.Since(wall).Seconds())
 	}
-	return reps, errors.Join(errs...)
+	return nil
 }

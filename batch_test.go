@@ -2,6 +2,8 @@ package hcompress
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -152,5 +154,126 @@ func TestBatchOnClosedClient(t *testing.T) {
 	}
 	if _, err := c.CompressBatch(nil); err != nil {
 		t.Errorf("empty batch: %v, want nil", err)
+	}
+}
+
+// sameErrIdentity reports whether a and b are the same failure as far as
+// a caller can tell: both nil, or both matching the same sentinels.
+func sameErrIdentity(a, b error) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for _, s := range []error{context.Canceled, context.DeadlineExceeded, ErrClosed,
+		ErrNotFound, ErrNoCapacity, ErrTierOffline, ErrCorrupted, ErrDegraded} {
+		if errors.Is(a, s) != errors.Is(b, s) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameReport compares two reports modulo what the real oracle measures
+// with a wall clock (codec seconds, and the virtual times offset by them).
+func sameReport(t *testing.T, what string, s, b *Report) {
+	t.Helper()
+	if (s == nil) != (b == nil) {
+		t.Fatalf("%s: single report %v, batch report %v", what, s, b)
+	}
+	if s == nil {
+		return
+	}
+	if s.Key != b.Key || s.OriginalBytes != b.OriginalBytes || s.StoredBytes != b.StoredBytes ||
+		s.Ratio != b.Ratio || s.PredictedSeconds != b.PredictedSeconds ||
+		s.DataType != b.DataType || s.Distribution != b.Distribution ||
+		s.CacheHit != b.CacheHit || !bytes.Equal(s.Data, b.Data) || len(s.SubTasks) != len(b.SubTasks) {
+		t.Fatalf("%s: batch report differs from single-op:\nsingle %+v\nbatch  %+v", what, s, b)
+	}
+	for i := range s.SubTasks {
+		x, y := s.SubTasks[i], b.SubTasks[i]
+		x.CodecSeconds, y.CodecSeconds = 0, 0
+		x.IOSeconds, y.IOSeconds = 0, 0
+		if x != y {
+			t.Fatalf("%s: sub-task %d differs: single %+v batch %+v", what, i, x, y)
+		}
+	}
+	if (s.Degraded == nil) != (b.Degraded == nil) {
+		t.Fatalf("%s: single Degraded %v, batch Degraded %v", what, s.Degraded, b.Degraded)
+	}
+	if s.Degraded != nil && (s.Degraded.Key != b.Degraded.Key || s.Degraded.Tier != b.Degraded.Tier ||
+		!sameErrIdentity(s.Degraded.Cause, b.Degraded.Cause)) {
+		t.Fatalf("%s: single Degraded %v, batch Degraded %v", what, s.Degraded, b.Degraded)
+	}
+}
+
+// TestBatchOfOneEqualsSingle: a single op is the batch pipeline with one
+// record, so on identically configured clients Compress(t) and
+// CompressBatch([]Task{t}) — and the read pair — must be the same
+// operation in every way a caller or an operator can observe: report,
+// degradation, error identity, per-stage latency samples, slow-op
+// eligibility. Healthy and faulted alike, because the failure ladder is
+// part of the pipeline, not of one entry point.
+func TestBatchOfOneEqualsSingle(t *testing.T) {
+	lie := func(tier string) FaultWindow {
+		return FaultWindow{Tier: tier, Mode: FaultCapacityLie, CapacityFraction: 0}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, sc := range []struct {
+		name    string
+		ctx     context.Context
+		windows []FaultWindow
+	}{
+		{name: "healthy"},
+		{name: "capacity lie on every tier", windows: []FaultWindow{lie("ram"), lie("pfs")}},
+		{name: "sticky ram outage", windows: []FaultWindow{{Tier: "ram", Mode: FaultOutage}}},
+		{name: "transient blip", windows: []FaultWindow{{Tier: "ram", EndSec: 0.002, Mode: FaultTransient}}},
+		{name: "every tier out", windows: []FaultWindow{{Tier: "ram", Mode: FaultOutage}, {Tier: "pfs", Mode: FaultOutage}}},
+		{name: "pre-cancelled ctx", ctx: cancelled},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			ctx := sc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			cfg := Config{Tiers: faultTiers(), EnableTelemetry: true, SlowOpSampleEvery: 1}
+			if sc.windows != nil {
+				cfg.FaultInjector = &FaultInjector{Windows: sc.windows}
+			}
+			single, batch := newClient(t, cfg), newClient(t, cfg)
+			task := Task{Key: "k", Data: faultPayload(5000)}
+
+			first := func(reps []*Report) *Report {
+				if len(reps) == 0 {
+					return nil
+				}
+				return reps[0]
+			}
+			srep, serr := single.CompressContext(ctx, task)
+			breps, berr := batch.CompressBatchContext(ctx, []Task{task})
+			if !sameErrIdentity(serr, berr) {
+				t.Fatalf("write: single err %v, batch err %v", serr, berr)
+			}
+			sameReport(t, "write", srep, first(breps))
+
+			for _, key := range []string{"k", "missing"} {
+				srep, serr := single.DecompressContext(ctx, key)
+				breps, berr := batch.DecompressBatchContext(ctx, []string{key})
+				if !sameErrIdentity(serr, berr) {
+					t.Fatalf("read %q: single err %v, batch err %v", key, serr, berr)
+				}
+				sameReport(t, "read "+key, srep, first(breps))
+			}
+
+			ss, bs := single.Snapshot(), batch.Snapshot()
+			for _, stage := range []string{"queue", "analyze", "plan", "codec", "io", "retry"} {
+				series := fmt.Sprintf("hc_stage_seconds{stage=%q}", stage)
+				if s, b := ss.Histograms[series].Count, bs.Histograms[series].Count; s != b {
+					t.Errorf("%s: %d samples after single ops, %d after batches of one", series, s, b)
+				}
+			}
+			if s, b := len(single.SlowOps()), len(batch.SlowOps()); s != b {
+				t.Errorf("slow-op ring: %d records after single ops, %d after batches of one", s, b)
+			}
+		})
 	}
 }

@@ -124,7 +124,7 @@ func BenchmarkTable2Priorities(b *testing.B) {
 	} {
 		b.Run(pr.name, func(b *testing.B) {
 			h := tier.Ares(tier.GB, tier.GB, tier.GB, tier.TB)
-			st, _ := store.New(h, false)
+			st, _ := store.Open(h, store.Options{})
 			eng, err := core.New(predictor.New(seed.Builtin(h)), monitor.New(st, 1e9),
 				core.Config{Weights: pr.w})
 			if err != nil {
@@ -154,7 +154,7 @@ func BenchmarkAblationMemo(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			h := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
-			st, _ := store.New(h, false)
+			st, _ := store.Open(h, store.Options{})
 			eng, err := core.New(predictor.New(seed.Builtin(h)), monitor.New(st, 1e9),
 				core.Config{Weights: seed.WeightsEqual, DisableMemo: !memo})
 			if err != nil {
@@ -177,7 +177,7 @@ func BenchmarkAblationMemo(b *testing.B) {
 // size granularity instead, which controls memo reuse the same way.)
 func BenchmarkAblationAlignment(b *testing.B) {
 	h := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
-	st, _ := store.New(h, false)
+	st, _ := store.Open(h, store.Options{})
 	eng, err := core.New(predictor.New(seed.Builtin(h)), monitor.New(st, 1e9),
 		core.Config{Weights: seed.WeightsEqual})
 	if err != nil {
@@ -293,7 +293,7 @@ func BenchmarkAblationLoadAware(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			h := tier.Ares(tier.GB, tier.GB, tier.GB, tier.TB)
-			st, _ := store.New(h, false)
+			st, _ := store.Open(h, store.Options{})
 			eng, err := core.New(predictor.New(seed.Builtin(h)), monitor.New(st, 0),
 				core.Config{Weights: seed.WeightsEqual, LoadAware: la})
 			if err != nil {

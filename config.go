@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"hcompress/internal/codec"
 	"hcompress/internal/seed"
 	"hcompress/internal/telemetry"
 	"hcompress/internal/tier"
@@ -308,6 +309,46 @@ func (c Config) hierarchy() (tier.Hierarchy, error) {
 	}
 	if err := h.Validate(); err != nil {
 		return tier.Hierarchy{}, fmt.Errorf("hcompress: %w", err)
+	}
+	return h, nil
+}
+
+// demotionWatermarks resolves the demoter's high and low occupancy
+// fractions, defaults applied.
+func (c Config) demotionWatermarks() (high, low float64) {
+	high, low = c.DemotionHighWater, c.DemotionLowWater
+	if high == 0 {
+		high = 0.85
+	}
+	if low == 0 {
+		low = 0.70
+	}
+	return high, low
+}
+
+// validate runs every check that needs no resource, so a pipeline is
+// never half-built around a setting that was wrong from the start. It
+// returns the hierarchy it validated.
+func (c Config) validate() (tier.Hierarchy, error) {
+	h, err := c.hierarchy()
+	if err != nil {
+		return h, err
+	}
+	if c.ReadCacheFraction < 0 || c.ReadCacheFraction > 1 {
+		return h, fmt.Errorf("hcompress: ReadCacheFraction %v: need 0 <= fraction <= 1", c.ReadCacheFraction)
+	}
+	if c.DemotionInterval > 0 {
+		if high, low := c.demotionWatermarks(); !(0 < low && low < high && high <= 1) {
+			return h, fmt.Errorf("hcompress: demotion watermarks low=%v high=%v: need 0 < low < high <= 1", low, high)
+		}
+	}
+	if c.RetryBackoffSec < 0 {
+		return h, fmt.Errorf("hcompress: RetryBackoffSec %v: need >= 0", c.RetryBackoffSec)
+	}
+	for _, name := range c.Codecs {
+		if _, err := codec.ByName(name); err != nil {
+			return h, fmt.Errorf("hcompress: %w", err)
+		}
 	}
 	return h, nil
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func durableCfg(dir string) Config {
@@ -162,5 +166,71 @@ func TestCloudTierConfig(t *testing.T) {
 	st := c.Status()
 	if got := st[len(st)-1].Backend; got != "cloud" {
 		t.Fatalf("last tier backend = %q, want cloud", got)
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd on this platform: %v", err)
+	}
+	return len(ents)
+}
+
+// TestFailedNewReleasesEverything: a constructor that fails must leave
+// the process as it found it — no journal file descriptors, no pool or
+// listener goroutines — whichever check fails and however late, and the
+// DataDir it touched must open cleanly afterwards.
+func TestFailedNewReleasesEverything(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"demotion watermarks inverted", func(c *Config) {
+			c.DemotionInterval = time.Millisecond
+			c.DemotionHighWater, c.DemotionLowWater = 0.5, 0.9
+		}},
+		{"metrics address in use", func(c *Config) { c.MetricsAddr = taken.Addr().String() }},
+		{"unknown codec", func(c *Config) { c.Codecs = []string{"zstd"} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableCfg(dir)
+			cfg.Parallelism = 4 // a pool with worker goroutines to leak
+			tc.mutate(&cfg)
+			fds, goroutines := openFDs(t), runtime.NumGoroutine()
+			for i := 0; i < 20; i++ {
+				if c, err := New(cfg); err == nil {
+					c.Close()
+					t.Fatal("New accepted the broken config")
+				}
+			}
+			if got := openFDs(t); got > fds {
+				t.Errorf("20 failed New calls left %d file descriptors open", got-fds)
+			}
+			// Pool.Close waits for its workers' wg.Done, which a goroutine
+			// calls a moment before it is gone from the count.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > goroutines {
+				t.Errorf("20 failed New calls left %d goroutines running", got-goroutines)
+			}
+			c, err := New(durableCfg(dir))
+			if err != nil {
+				t.Fatalf("DataDir does not open cleanly after failed constructions: %v", err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

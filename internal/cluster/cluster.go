@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"hcompress/internal/analyzer"
@@ -36,21 +37,26 @@ func (h *HCClient) Write(now float64, key string, data []byte, size int64, attr 
 	if err != nil {
 		return manager.Result{}, err
 	}
-	res, err := h.Mgr.ExecuteWrite(now, key, data, size, attr, schema)
-	if err != nil {
+	reqs := []manager.WriteReq{{Key: key, Data: data, Size: size, Attr: attr, Schema: schema}}
+	r := &reqs[0]
+	h.Mgr.ExecuteWrites(context.Background(), now, reqs)
+	if r.Err != nil {
 		h.Mon.ForceRefresh()
-		schema, err2 := h.Eng.Plan(now, attr, size)
-		if err2 != nil {
-			return manager.Result{}, fmt.Errorf("cluster: replan: %w (after %v)", err2, err)
+		first := r.Err
+		if r.Schema, err = h.Eng.Plan(now, attr, size); err != nil {
+			return manager.Result{}, fmt.Errorf("cluster: replan: %w (after %v)", err, first)
 		}
-		return h.Mgr.ExecuteWrite(now, key, data, size, attr, schema)
+		r.Err = nil
+		h.Mgr.ExecuteWrites(context.Background(), now, reqs)
 	}
-	return res, nil
+	return r.Res, r.Err
 }
 
 // Read delegates to the Compression Manager.
 func (h *HCClient) Read(now float64, key string) (manager.Result, error) {
-	return h.Mgr.ExecuteRead(now, key)
+	reqs := []manager.ReadReq{{Key: key}}
+	h.Mgr.ExecuteReads(context.Background(), now, reqs)
+	return reqs[0].Res, reqs[0].Err
 }
 
 // PhaseStats aggregates one phase across all ranks.

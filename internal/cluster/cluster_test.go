@@ -17,7 +17,7 @@ import (
 
 func modeledHC(t *testing.T, h tier.Hierarchy) *HCClient {
 	t.Helper()
-	st, err := store.New(h, false)
+	st, err := store.Open(h, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestHCClientReplansOnStaleCapacity(t *testing.T) {
 		{Name: "ram", Capacity: 8 << 20, Latency: 1e-6, Bandwidth: 1e9, Lanes: 1},
 		{Name: "pfs", Capacity: 1 << 40, Latency: 1e-3, Bandwidth: 1e8, Lanes: 1},
 	}}
-	st, _ := store.New(h, false)
+	st, _ := store.Open(h, store.Options{})
 	truth := seed.Builtin(h)
 	pred := predictor.New(truth)
 	mon := monitor.New(st, 1e9) // effectively never refreshes on its own
@@ -110,7 +110,7 @@ func workload0(i int) string { return "t" + string(rune('a'+i)) }
 
 func TestBaselineAsIOClient(t *testing.T) {
 	h := tier.Ares(tier.GB, tier.GB, tier.GB, tier.TB)
-	st, _ := store.New(h, false)
+	st, _ := store.Open(h, store.Options{})
 	truth := seed.Builtin(h)
 	b, err := hermes.New(st, "snappy", manager.ModelOracle{Truth: truth})
 	if err != nil {

@@ -24,7 +24,7 @@ func costHier() tier.Hierarchy {
 func planTiers(t *testing.T, w seed.Weights) map[int]int64 {
 	t.Helper()
 	h := costHier()
-	st, err := store.New(h, false)
+	st, err := store.Open(h, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type fixture struct {
 func newFixture(t *testing.T, ramCap, nvmeCap, bbCap, pfsCap int64) *fixture {
 	t.Helper()
 	h := tier.Ares(ramCap, nvmeCap, bbCap, pfsCap)
-	st, err := store.New(h, false)
+	st, err := store.Open(h, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestPlanHeavyCompressionOnFasterTier(t *testing.T) {
 	// the chosen codec ratio on the RAM placement is >= the ratio it
 	// picks when only the PFS is available.
 	h := tier.Ares(tier.GB, tier.GB, tier.GB, tier.TB)
-	stFull, _ := store.New(h, false)
+	stFull, _ := store.Open(h, store.Options{})
 	pred := predictor.New(seed.Builtin(h))
 
 	eAll, _ := New(pred, monitor.New(stFull, 0), Config{Weights: seed.WeightsEqual})
@@ -401,7 +401,7 @@ func TestPlanHeavyCompressionOnFasterTier(t *testing.T) {
 	}
 
 	pfsOnly := tier.PFSOnly(tier.TB)
-	stPFS, _ := store.New(pfsOnly, false)
+	stPFS, _ := store.Open(pfsOnly, store.Options{})
 	ePFS, _ := New(predictor.New(seed.Builtin(pfsOnly)), monitor.New(stPFS, 0), Config{Weights: seed.WeightsEqual})
 	scPFS, err := ePFS.Plan(0, textAttr(), 16<<20)
 	if err != nil {
@@ -427,7 +427,7 @@ func TestPlanHeavyCompressionOnFasterTier(t *testing.T) {
 
 func BenchmarkPlanMemoized(b *testing.B) {
 	h := tier.Ares(tier.GB, tier.GB, tier.GB, tier.TB)
-	st, _ := store.New(h, false)
+	st, _ := store.Open(h, store.Options{})
 	e, _ := New(predictor.New(seed.Builtin(h)), monitor.New(st, 1e9), Config{Weights: seed.WeightsEqual})
 	attr := analyzer.Result{Type: stats.TypeFloat, Dist: stats.Gamma}
 	b.ReportAllocs()
@@ -440,7 +440,7 @@ func BenchmarkPlanMemoized(b *testing.B) {
 
 func BenchmarkPlanUnmemoized(b *testing.B) {
 	h := tier.Ares(tier.GB, tier.GB, tier.GB, tier.TB)
-	st, _ := store.New(h, false)
+	st, _ := store.Open(h, store.Options{})
 	e, _ := New(predictor.New(seed.Builtin(h)), monitor.New(st, 1e9), Config{Weights: seed.WeightsEqual, DisableMemo: true})
 	attr := analyzer.Result{Type: stats.TypeFloat, Dist: stats.Gamma}
 	b.ReportAllocs()

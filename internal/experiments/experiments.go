@@ -95,7 +95,7 @@ type stack struct {
 // measured cost table the oracle charges; the predictor bootstraps from
 // the same seed (the profiler ran first, as in the paper).
 func newHCStack(hier tier.Hierarchy, truth *seed.Seed, w seed.Weights, cfg core.Config) (*stack, error) {
-	st, err := store.New(hier, false)
+	st, err := store.Open(hier, store.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func newHCStack(hier tier.Hierarchy, truth *seed.Seed, w seed.Weights, cfg core.
 // newBaselineStack builds a modeled Hermes-style baseline with a fixed
 // codec ("" / "none" disables compression).
 func newBaselineStack(hier tier.Hierarchy, truth *seed.Seed, codecName string) (*stack, error) {
-	st, err := store.New(hier, false)
+	st, err := store.Open(hier, store.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func Fig3Anatomy(o Fig3Options) (Table, error) {
 		o.TaskSize = 1 << 20
 	}
 	hier := tier.Ares(tier.GB, 2*tier.GB, 8*tier.GB, tier.TB)
-	st, err := store.New(hier, true)
+	st, err := store.Open(hier, store.Options{KeepData: true})
 	if err != nil {
 		return Table{}, err
 	}
@@ -214,7 +214,7 @@ func Fig4aEngine(o Fig4aOptions) (Table, error) {
 		o.Sizes = PaperFig4a().Sizes
 	}
 	hier := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
-	st, err := store.New(hier, false)
+	st, err := store.Open(hier, store.Options{})
 	if err != nil {
 		return Table{}, err
 	}

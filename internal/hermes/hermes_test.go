@@ -15,7 +15,7 @@ import (
 
 func realBaseline(t *testing.T, codecName string, h tier.Hierarchy) *Baseline {
 	t.Helper()
-	st, err := store.New(h, true)
+	st, err := store.Open(h, store.Options{KeepData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWriteReadWithFixedCodec(t *testing.T) {
 }
 
 func TestUnknownCodecRejected(t *testing.T) {
-	st, _ := store.New(tier.PFSOnly(tier.GB), true)
+	st, _ := store.Open(tier.PFSOnly(tier.GB), store.Options{KeepData: true})
 	if _, err := New(st, "zstd", nil); err == nil {
 		t.Fatal("unknown codec accepted")
 	}
@@ -176,7 +176,7 @@ func TestDeleteReleasesReservations(t *testing.T) {
 
 func TestModeledBaseline(t *testing.T) {
 	h := tier.Ares(tier.GB, tier.GB, tier.GB, tier.TB)
-	st, _ := store.New(h, false)
+	st, _ := store.Open(h, store.Options{})
 	truth := seed.Builtin(h)
 	b, err := New(st, "snappy", manager.ModelOracle{Truth: truth})
 	if err != nil {
@@ -217,7 +217,7 @@ func TestDrainFreesReservations(t *testing.T) {
 		{Name: "ram", Capacity: 1 << 20, Latency: 1e-6, Bandwidth: 1e9, Lanes: 1},
 		{Name: "ssd", Capacity: 1 << 30, Latency: 1e-4, Bandwidth: 1e8, Lanes: 1},
 	}}
-	st, _ := store.New(h, false)
+	st, _ := store.Open(h, store.Options{})
 	truth := seed.Builtin(h)
 	b, err := New(st, "", manager.ModelOracle{Truth: truth})
 	if err != nil {

@@ -25,13 +25,12 @@ func textishAttr() analyzer.Result {
 // the payload lands on the planned tier.
 func TestPutSubRetriesTransientBlip(t *testing.T) {
 	h := tier.Ares(64*tier.MB, 256*tier.MB, tier.GB, tier.TB)
-	st, err := store.New(h, true)
+	st, err := store.Open(h, store.Options{KeepData: true, FaultInjector: &fault.Schedule{Windows: []fault.Window{
+		{Tier: 0, Start: 0, End: 0.002, Mode: fault.Transient},
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultInjector(&fault.Schedule{Windows: []fault.Window{
-		{Tier: 0, Start: 0, End: 0.002, Mode: fault.Transient},
-	}})
 	m := New(st, nil, RealOracle{})
 	payload := bufpool.Get(4096)
 	end, tierIdx, retrySecs, retries, err := m.putSub(0, 0, "k#0", payload, 4096)
@@ -56,13 +55,12 @@ func TestPutSubRetriesTransientBlip(t *testing.T) {
 // dead tier — the payload spills down the hierarchy immediately.
 func TestPutSubSpillsOnStickyOutage(t *testing.T) {
 	h := tier.Ares(64*tier.MB, 256*tier.MB, tier.GB, tier.TB)
-	st, err := store.New(h, true)
+	st, err := store.Open(h, store.Options{KeepData: true, FaultInjector: &fault.Schedule{Windows: []fault.Window{
+		{Tier: 0, Start: 0, Mode: fault.Outage},
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultInjector(&fault.Schedule{Windows: []fault.Window{
-		{Tier: 0, Start: 0, Mode: fault.Outage},
-	}})
 	m := New(st, nil, RealOracle{})
 	payload := bufpool.Get(4096)
 	_, tierIdx, _, retries, err := m.putSub(0, 0, "k#0", payload, 4096)
@@ -81,13 +79,12 @@ func TestPutSubSpillsOnStickyOutage(t *testing.T) {
 // every backoff attempt behaves like an outage — spill, don't fail.
 func TestPutSubExhaustsRetriesThenSpills(t *testing.T) {
 	h := tier.Ares(64*tier.MB, 256*tier.MB, tier.GB, tier.TB)
-	st, err := store.New(h, true)
+	st, err := store.Open(h, store.Options{KeepData: true, FaultInjector: &fault.Schedule{Windows: []fault.Window{
+		{Tier: 0, Start: 0, End: 100, Mode: fault.Transient},
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFaultInjector(&fault.Schedule{Windows: []fault.Window{
-		{Tier: 0, Start: 0, End: 100, Mode: fault.Transient},
-	}})
 	m := New(st, nil, RealOracle{})
 	payload := bufpool.Get(4096)
 	_, tierIdx, retrySecs, retries, err := m.putSub(0, 0, "k#0", payload, 4096)
@@ -105,33 +102,29 @@ func TestPutSubExhaustsRetriesThenSpills(t *testing.T) {
 // TestReadDetectsCorruption: a read that hands back flipped bits must
 // fail with ErrCorrupted from the CRC gate, not garbage from a codec.
 func TestReadDetectsCorruption(t *testing.T) {
-	env := newRealEnv(t)
-	env.st.SetFaultInjector(&fault.Schedule{Windows: []fault.Window{
-		{Tier: 0, Start: 1, Mode: fault.CorruptReads},
-	}})
+	env := newRealEnv(t, fault.Window{Tier: 0, Start: 1, End: 2.5, Mode: fault.CorruptReads})
 	data := bytes.Repeat([]byte("corruption test payload line\n"), 2048)
 	attr := textishAttr()
 	schema, err := env.eng.Plan(0, attr, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.mgr.ExecuteWrite(0, "k", data, int64(len(data)), attr, schema); err != nil {
+	if _, err := writeOne(env.mgr, 0, "k", data, int64(len(data)), attr, schema); err != nil {
 		t.Fatal(err)
 	}
 	// Reads decided before the window are clean; inside it they corrupt.
-	if res, err := env.mgr.ExecuteRead(0.5, "k"); err != nil {
+	if res, err := readOne(env.mgr, 0.5, "k"); err != nil {
 		t.Fatalf("pre-window read: %v", err)
 	} else {
 		bufpool.Put(res.Data)
 	}
-	_, err = env.mgr.ExecuteRead(2, "k")
+	_, err = readOne(env.mgr, 2, "k")
 	if !errors.Is(err, hcerr.ErrCorrupted) {
 		t.Fatalf("want ErrCorrupted, got %v", err)
 	}
 	// The stored bytes are intact (the corruption was a read-side copy):
 	// a read after the window succeeds again.
-	env.st.SetFaultInjector(nil)
-	if res, err := env.mgr.ExecuteRead(3, "k"); err != nil {
+	if res, err := readOne(env.mgr, 3, "k"); err != nil {
 		t.Fatalf("post-window read: %v", err)
 	} else {
 		if !bytes.Equal(res.Data, data) {
@@ -141,9 +134,9 @@ func TestReadDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestExecuteWriteCtxCancelled: a cancelled context aborts before the
+// TestExecuteWritesCancelled: a cancelled context aborts before the
 // store is touched; nothing is stored and the context error surfaces.
-func TestExecuteWriteCtxCancelled(t *testing.T) {
+func TestExecuteWritesCancelled(t *testing.T) {
 	env := newRealEnv(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -153,10 +146,12 @@ func TestExecuteWriteCtxCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := env.mgr.ExecuteWriteCtx(ctx, 0, "k", data, int64(len(data)), attr, schema); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	reqs := []WriteReq{{Key: "k", Data: data, Size: int64(len(data)), Attr: attr, Schema: schema}}
+	env.mgr.ExecuteWrites(ctx, 0, reqs)
+	if !errors.Is(reqs[0].Err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", reqs[0].Err)
 	}
-	if _, err := env.mgr.ExecuteRead(0, "k"); !errors.Is(err, hcerr.ErrNotFound) {
+	if _, err := readOne(env.mgr, 0, "k"); !errors.Is(err, hcerr.ErrNotFound) {
 		t.Fatalf("cancelled write must leave no task, got %v", err)
 	}
 }
@@ -165,7 +160,7 @@ func TestExecuteWriteCtxCancelled(t *testing.T) {
 // read and delete paths.
 func TestUnknownTaskIsErrNotFound(t *testing.T) {
 	env := newRealEnv(t)
-	if _, err := env.mgr.ExecuteRead(0, "nope"); !errors.Is(err, hcerr.ErrNotFound) {
+	if _, err := readOne(env.mgr, 0, "nope"); !errors.Is(err, hcerr.ErrNotFound) {
 		t.Fatalf("read: want ErrNotFound, got %v", err)
 	}
 	if err := env.mgr.Delete("nope"); !errors.Is(err, hcerr.ErrNotFound) {

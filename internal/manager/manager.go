@@ -281,18 +281,18 @@ type Manager struct {
 // mgrMetrics are the Compression Manager's instruments, indexed by codec
 // ID where per-codec. All slices are nil when telemetry is off.
 type mgrMetrics struct {
-	inBytes   []*telemetry.Counter   // original bytes entering each codec (writes)
-	outBytes  []*telemetry.Counter   // stored bytes leaving each codec (writes)
-	readBytes []*telemetry.Counter   // original bytes recovered per codec (reads)
-	ratio     []*telemetry.Histogram // achieved compression ratio per codec
-	queueWait  *telemetry.Histogram // wall seconds a sub-task waited for a pool worker
-	stageQueue *telemetry.Histogram // the same wait as hc_stage_seconds{stage="queue"}
+	inBytes    []*telemetry.Counter   // original bytes entering each codec (writes)
+	outBytes   []*telemetry.Counter   // stored bytes leaving each codec (writes)
+	readBytes  []*telemetry.Counter   // original bytes recovered per codec (reads)
+	ratio      []*telemetry.Histogram // achieved compression ratio per codec
+	queueWait  *telemetry.Histogram   // wall seconds a sub-task waited for a pool worker
+	stageQueue *telemetry.Histogram   // the same wait as hc_stage_seconds{stage="queue"}
 	writes     *telemetry.Counter
-	reads     *telemetry.Counter
-	spills    *telemetry.Counter // placements that fell below the planned tier
-	retries   *telemetry.Counter // transient-fault retries (reads and writes)
-	drained   *telemetry.Counter // bytes trickled down by Drain
-	demoted   *telemetry.Counter // bytes trickled down by DemoteSlice
+	reads      *telemetry.Counter
+	spills     *telemetry.Counter // placements that fell below the planned tier
+	retries    *telemetry.Counter // transient-fault retries (reads and writes)
+	drained    *telemetry.Counter // bytes trickled down by Drain
+	demoted    *telemetry.Counter // bytes trickled down by DemoteSlice
 }
 
 // SetTelemetry registers the manager's instruments on reg: per-codec
@@ -319,12 +319,12 @@ func (m *Manager) SetTelemetry(reg *telemetry.Registry) {
 		queueWait: reg.Histogram("hc_fanout_queue_wait_seconds", "wall time a sub-task waited for a pool worker", telemetry.SecondsBuckets),
 		stageQueue: reg.Histogram("hc_stage_seconds", "per-stage latency attribution",
 			telemetry.SecondsBuckets, telemetry.L("stage", "queue")),
-		writes: reg.Counter("hc_manager_writes_total", "tasks written"),
-		reads:     reg.Counter("hc_manager_reads_total", "tasks read"),
-		spills:    reg.Counter("hc_manager_spills_total", "sub-tasks placed below their planned tier"),
-		retries:   reg.Counter("hc_retries_total", "transient store faults retried with backoff"),
-		drained:   reg.Counter("hc_manager_drained_bytes_total", "bytes trickled down by Drain"),
-		demoted:   reg.Counter("hc_manager_demoted_bytes_total", "bytes trickled down by the background demoter"),
+		writes:  reg.Counter("hc_manager_writes_total", "tasks written"),
+		reads:   reg.Counter("hc_manager_reads_total", "tasks read"),
+		spills:  reg.Counter("hc_manager_spills_total", "sub-tasks placed below their planned tier"),
+		retries: reg.Counter("hc_retries_total", "transient store faults retried with backoff"),
+		drained: reg.Counter("hc_manager_drained_bytes_total", "bytes trickled down by Drain"),
+		demoted: reg.Counter("hc_manager_demoted_bytes_total", "bytes trickled down by the background demoter"),
 	}
 	for _, c := range all {
 		l := telemetry.L("codec", c.Name())
@@ -424,7 +424,7 @@ func (m *Manager) Parallelism() int { return m.par }
 
 // leaseScratches borrows one codec workspace per fan-out worker from the
 // process-wide pool. Scratches must be leased per call — concurrent
-// ExecuteWrite/ExecuteRead fan-outs reuse worker indexes, so workspaces
+// ExecuteWrites/ExecuteReads fan-outs reuse worker indexes, so workspaces
 // cached on the Manager would be shared across goroutines.
 func leaseScratches(n, par int) []*bufpool.Scratch {
 	if par > n {
@@ -697,10 +697,30 @@ func (m *Manager) AdoptRecovered() (int, error) {
 	return adopted, nil
 }
 
-// compOut carries one sub-task's stage-1 codec output into the serial
-// stage-2 replay. err is only populated on the batch path, where one
-// failing task must not abort its siblings' fan-out.
+// WriteReq is one task of an ExecuteWrites call: a fully planned write
+// going in — analysis and schema already resolved by the caller — and
+// its outcome coming back in place.
+type WriteReq struct {
+	Key    string
+	Data   []byte // nil in modeled mode
+	Size   int64
+	Attr   analyzer.Result
+	Schema core.Schema
+
+	// Res and Err are the outcome. A request that arrives with Err set is
+	// skipped and left untouched, so a caller's own per-task failures
+	// (validation, planning) ride along in its record slice.
+	Res Result
+	Err error
+
+	off int // start of this request's span in the call's flattened sub-tasks
+}
+
+// compOut carries one sub-task's codec output from the fan-out into the
+// serial replay. Every sub-task of every request of a call shares one
+// flattened slice; req names the owning request.
 type compOut struct {
+	req     int32
 	c       codec.Codec
 	hdr     Header
 	payload []byte
@@ -709,82 +729,121 @@ type compOut struct {
 	err     error
 }
 
-// compressOne runs stage-1 codec work for a single sub-task.
-func (m *Manager) compressOne(s *bufpool.Scratch, data []byte, attr analyzer.Result, st *core.SubTask) (compOut, error) {
+// compressSub runs the codec work for one sub-task of r and records the
+// output, or the failure, in o.
+func (m *Manager) compressSub(s *bufpool.Scratch, r *WriteReq, st *core.SubTask, o *compOut) {
 	c, err := codec.ByID(st.Codec)
 	if err != nil {
-		return compOut{}, err
+		o.err = err
+		return
 	}
-	hdr := Header{Offset: st.Offset, Length: st.Length, Codec: st.Codec}
+	o.c = c
+	o.hdr = Header{Offset: st.Offset, Length: st.Length, Codec: st.Codec}
 	var piece []byte
-	if data != nil {
-		piece = data[st.Offset : st.Offset+st.Length]
+	if r.Data != nil {
+		piece = r.Data[st.Offset : st.Offset+st.Length]
 	}
-	payload, stored, secs, err := m.oracle.Compress(s, attr, c, piece, st.Length, hdr)
-	if err != nil {
-		return compOut{}, err
-	}
-	return compOut{c: c, hdr: hdr, payload: payload, stored: stored, secs: secs}, nil
+	o.payload, o.stored, o.secs, o.err = m.oracle.Compress(s, r.Attr, c, piece, st.Length, o.hdr)
 }
 
-// compressFan is stage 1 of a write: the per-sub-task codec work — pure
-// CPU over the caller's buffer — fanned across the worker pool. No locks
-// are held; each worker touches a disjoint slice of the buffer and a
-// disjoint outs element. A cancelled ctx makes remaining workers return
-// early (completed payloads are cleaned up by the caller).
-func (m *Manager) compressFan(ctx context.Context, data []byte, attr analyzer.Result, subs []core.SubTask, outs []compOut) error {
-	var fanStart time.Time
-	if m.tm.queueWait != nil {
-		fanStart = time.Now()
+// fanStart reads the wall clock a fan-out's queue waits are measured
+// from (the zero time when telemetry is off).
+func (m *Manager) fanStart() time.Time {
+	if m.tm.queueWait == nil {
+		return time.Time{}
 	}
-	return m.runFan(ctx, len(subs), func(s *bufpool.Scratch, k int) error {
-		if err := ctx.Err(); err != nil {
-			return err
+	return time.Now()
+}
+
+// observeQueueWait records how long one sub-task waited for a pool
+// worker since start.
+func (m *Manager) observeQueueWait(start time.Time) {
+	if m.tm.queueWait != nil {
+		w := time.Since(start).Seconds()
+		m.tm.queueWait.Observe(w)
+		m.tm.stageQueue.Observe(w)
+	}
+}
+
+// ExecuteWrites runs write schemas in two stages. Stage one flattens
+// every sub-task of every request into one job and fans the codec work —
+// pure CPU over the callers' buffers, no locks held — across the worker
+// pool; stage two replays each request's virtual timeline serially from
+// now, in sub-task order (compression time, then the placed tier's
+// modeled I/O), so a Result is bit-identical for every parallelism
+// setting. Every request starts at the same clock reading, exactly as
+// the same requests issued as concurrent one-request calls would: all a
+// multi-request call adds is one pool submission and one predictor
+// feedback flush for the whole burst. Data may be nil in modeled mode.
+//
+// Requests fail independently: a failed request's payloads return to the
+// arena without disturbing its siblings. Cancellation fails every
+// request not yet placed with ctx.Err() — a write either fully places or
+// leaves no trace.
+func (m *Manager) ExecuteWrites(ctx context.Context, now float64, reqs []WriteReq) {
+	total := 0
+	for i := range reqs {
+		r := &reqs[i]
+		r.off = total
+		if r.Err == nil && r.Data != nil && int64(len(r.Data)) != r.Size {
+			r.Err = fmt.Errorf("manager: data length %d != size %d", len(r.Data), r.Size)
 		}
-		if m.tm.queueWait != nil {
-			w := time.Since(fanStart).Seconds()
-			m.tm.queueWait.Observe(w)
-			m.tm.stageQueue.Observe(w)
+		if r.Err == nil { // failed requests keep a zero-width span
+			total += len(r.Schema.SubTasks)
 		}
-		o, err := m.compressOne(s, data, attr, &subs[k])
-		if err != nil {
-			return err
+	}
+	outs := make([]compOut, total)
+	for i := range reqs {
+		if r := &reqs[i]; r.Err == nil {
+			for k := range r.Schema.SubTasks {
+				outs[r.off+k].req = int32(i)
+			}
 		}
-		outs[k] = o
+	}
+
+	// Stage 1: codec fan-out. Each worker touches a disjoint slice of a
+	// caller's buffer and a disjoint outs element; per-request failures
+	// are carried in outs so one bad request cannot abort the others.
+	start := m.fanStart()
+	_ = m.runFan(ctx, total, func(s *bufpool.Scratch, f int) error {
+		o := &outs[f]
+		if o.err = ctx.Err(); o.err != nil {
+			return nil
+		}
+		m.observeQueueWait(start)
+		r := &reqs[o.req]
+		m.compressSub(s, r, &r.Schema.SubTasks[f-r.off], o)
 		return nil
 	})
-}
 
-// ExecuteWrite runs a write schema in two stages. Stage one fans the
-// per-sub-task codec work — pure CPU over the caller's buffer — across
-// the worker pool; stage two replays the virtual timeline serially in
-// sub-task order (compression time, then the placed tier's modeled I/O),
-// so the Result is bit-identical for every parallelism setting. data may
-// be nil in modeled mode. It returns the virtual completion time and the
-// cost anatomy.
-func (m *Manager) ExecuteWrite(now float64, key string, data []byte, size int64, attr analyzer.Result, schema core.Schema) (Result, error) {
-	return m.ExecuteWriteCtx(context.Background(), now, key, data, size, attr, schema)
-}
-
-// ExecuteWriteCtx is ExecuteWrite under a context: cancellation drains
-// the codec fan-out and returns ctx.Err() without touching the store —
-// a write either fully places or leaves no trace.
-func (m *Manager) ExecuteWriteCtx(ctx context.Context, now float64, key string, data []byte, size int64, attr analyzer.Result, schema core.Schema) (Result, error) {
-	if data != nil && int64(len(data)) != size {
-		return Result{}, fmt.Errorf("manager: data length %d != size %d", len(data), size)
-	}
-	outs := make([]compOut, len(schema.SubTasks))
-	err := m.compressFan(ctx, data, attr, schema.SubTasks, outs)
-	if err == nil {
-		err = ctx.Err() // cancelled after the fan finished: still abort pre-placement
-	}
-	if err != nil {
-		for i := range outs { // payloads were never handed to the store
-			bufpool.Put(outs[i].payload)
+	// Stage 2: serial replay, feedback accumulated per predictor cell
+	// and posted once for the whole call.
+	var fb fbRun
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Err != nil {
+			continue
 		}
-		return Result{}, err
+		span := outs[r.off : r.off+len(r.Schema.SubTasks)]
+		var err error
+		for k := range span {
+			if err = span[k].err; err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = ctx.Err() // cancelled after the fan finished: still abort pre-placement
+		}
+		if err != nil {
+			for k := range span { // payloads were never handed to the store
+				bufpool.Put(span[k].payload)
+			}
+			r.Err = err
+			continue
+		}
+		r.Res, r.Err = m.placeTask(now, r, span, &fb)
 	}
-	return m.placeTask(now, key, attr, schema.SubTasks, outs, size, nil)
+	fb.flush(m.pred)
 }
 
 // putSub places one sub-task payload with the full fault discipline:
@@ -826,17 +885,17 @@ func (m *Manager) putSub(t float64, tier int, sk string, payload []byte, stored 
 // placeTask is stage 2 of a write: the serial timeline replay —
 // placement, accounting, feedback — exactly as the serial model would
 // have interleaved them. On failure it returns every unplaced payload to
-// the arena. A non-nil fb defers predictor feedback to the caller's
-// batch accumulator instead of posting it per sub-task.
-func (m *Manager) placeTask(now float64, key string, attr analyzer.Result, subTasks []core.SubTask, outs []compOut, size int64, fb *fbBatch) (Result, error) {
+// the arena. Predictor feedback goes to the call's accumulator.
+func (m *Manager) placeTask(now float64, r *WriteReq, outs []compOut, fb *fbRun) (Result, error) {
+	attr := r.Attr
 	res := Result{End: now}
-	meta := &taskMeta{attr: attr, size: size}
+	meta := &taskMeta{attr: attr, size: r.Size}
 	t := now
-	for k := range subTasks {
-		st := &subTasks[k]
+	for k := range r.Schema.SubTasks {
+		st := &r.Schema.SubTasks[k]
 		o := &outs[k]
 		t += o.secs
-		sk := subKey(key, k)
+		sk := subKey(r.Key, k)
 		// The schema places by *predicted* compressed size; the actual
 		// size can come out larger, the System Monitor's view can be
 		// stale, or the tier can be faulting. putSub applies the repair a
@@ -881,20 +940,15 @@ func (m *Manager) placeTask(now float64, key string, attr analyzer.Result, subTa
 		// knows compression speed and ratio; decompression arrives on
 		// read).
 		if st.Codec != codec.None && o.secs > 0 {
-			cost := seed.CodecCost{
+			fb.add(fbKey{attr.Type, attr.Dist, o.c.Name()}, seed.CodecCost{
 				CompressMBps: float64(st.Length) / (1 << 20) / o.secs,
 				Ratio:        ratioOf(st.Length, o.stored-HeaderSize),
-			}
-			if fb != nil {
-				fb.add(attr.Type, attr.Dist, o.c.Name(), cost)
-			} else {
-				m.pred.Feedback(attr.Type, attr.Dist, o.c.Name(), cost)
-			}
+			})
 		}
 	}
 	m.mu.Lock()
-	if _, existed := m.tasks[key]; !existed {
-		if _, lingering := m.inOrder[key]; lingering {
+	if _, existed := m.tasks[r.Key]; !existed {
+		if _, lingering := m.inOrder[r.Key]; lingering {
 			// Rewrite of a deleted key whose order slot has not been
 			// compacted away yet: reuse the slot instead of appending a
 			// duplicate.
@@ -902,11 +956,11 @@ func (m *Manager) placeTask(now float64, key string, attr analyzer.Result, subTa
 				m.dead--
 			}
 		} else {
-			m.order = append(m.order, key)
-			m.inOrder[key] = struct{}{}
+			m.order = append(m.order, r.Key)
+			m.inOrder[r.Key] = struct{}{}
 		}
 	}
-	m.tasks[key] = meta
+	m.tasks[r.Key] = meta
 	m.mu.Unlock()
 	m.tm.writes.Inc()
 	res.End = t
@@ -921,138 +975,47 @@ type fbKey struct {
 	codec string
 }
 
-// fbBatch accumulates one batch's feedback per predictor cell so the
+// fbCell is one cell's observations within a call, in order. The first
+// is held inline so a single observation allocates nothing.
+type fbCell struct {
+	key   fbKey
+	first seed.CodecCost
+	rest  []seed.CodecCost
+}
+
+// fbRun accumulates one call's feedback per predictor cell so the
 // predictor absorbs each cell as a single run — one collapsed model
-// update per cell per batch instead of one per sub-task. Feedback order
+// update per cell per call instead of one per sub-task. Feedback order
 // within a cell is preserved; across cells it is grouped, which the
 // models cannot observe (each cell updates disjoint regressor state).
-type fbBatch struct {
-	idx  map[fbKey]int
-	keys []fbKey
-	runs [][]seed.CodecCost
+// A call touches a handful of cells at most, so they are found by
+// linear scan, and the first is backed inline: a single-cell call — one
+// task, one codec — allocates nothing. The zero value is ready to use;
+// an fbRun must not be copied once add has been called.
+type fbRun struct {
+	cells []fbCell
+	one   [1]fbCell
 }
 
-func newFBBatch() *fbBatch { return &fbBatch{idx: make(map[fbKey]int)} }
-
-func (b *fbBatch) add(dt stats.DataType, dist stats.Dist, codecName string, cost seed.CodecCost) {
-	k := fbKey{dt, dist, codecName}
-	i, ok := b.idx[k]
-	if !ok {
-		i = len(b.runs)
-		b.idx[k] = i
-		b.keys = append(b.keys, k)
-		b.runs = append(b.runs, nil)
+func (b *fbRun) add(k fbKey, cost seed.CodecCost) {
+	for i := range b.cells {
+		if b.cells[i].key == k {
+			b.cells[i].rest = append(b.cells[i].rest, cost)
+			return
+		}
 	}
-	b.runs[i] = append(b.runs[i], cost)
+	if b.cells == nil {
+		b.cells = b.one[:0]
+	}
+	b.cells = append(b.cells, fbCell{key: k, first: cost})
 }
 
-func (b *fbBatch) flush(pred *predictor.CCP) {
-	for i, k := range b.keys {
-		pred.FeedbackRun(k.dt, k.dist, k.codec, b.runs[i])
+func (b *fbRun) flush(pred *predictor.CCP) {
+	for i := range b.cells {
+		c := &b.cells[i]
+		pred.Feedback(c.key.dt, c.key.dist, c.key.codec, c.first)
+		pred.FeedbackRun(c.key.dt, c.key.dist, c.key.codec, c.rest)
 	}
-}
-
-// WriteReq is one task of an ExecuteWriteBatch: a fully planned write,
-// with the analysis and schema already resolved by the caller.
-type WriteReq struct {
-	Key    string
-	Data   []byte // nil in modeled mode
-	Size   int64
-	Attr   analyzer.Result
-	Schema core.Schema
-}
-
-// ExecuteWriteBatch executes many write schemas as a single fan-out: the
-// codec work of every sub-task of every request is submitted to the
-// worker pool as one schedule, then each request's timeline is replayed
-// serially from now — exactly as the same requests issued concurrently
-// through ExecuteWrite would start, but with one pool submission and one
-// directory-lock acquisition per request instead of per sub-task wave.
-// Requests fail independently: the i-th error is non-nil when the i-th
-// request failed, and its sub-task payloads are returned to the arena
-// without disturbing its siblings.
-func (m *Manager) ExecuteWriteBatch(now float64, reqs []WriteReq) ([]Result, []error) {
-	return m.ExecuteWriteBatchCtx(context.Background(), now, reqs)
-}
-
-// ExecuteWriteBatchCtx is ExecuteWriteBatch under a context. On
-// cancellation, requests that have not been placed yet fail with
-// ctx.Err() (recorded per request) and their payloads return to the
-// arena; requests already replayed keep their results.
-func (m *Manager) ExecuteWriteBatchCtx(ctx context.Context, now float64, reqs []WriteReq) ([]Result, []error) {
-	results := make([]Result, len(reqs))
-	errs := make([]error, len(reqs))
-
-	// Flatten every request's sub-tasks into one pool job.
-	offs := make([]int, len(reqs)+1)
-	total := 0
-	for i := range reqs {
-		offs[i] = total
-		if reqs[i].Data != nil && int64(len(reqs[i].Data)) != reqs[i].Size {
-			errs[i] = fmt.Errorf("manager: data length %d != size %d", len(reqs[i].Data), reqs[i].Size)
-			continue // zero-width span: excluded from the fan
-		}
-		total += len(reqs[i].Schema.SubTasks)
-	}
-	offs[len(reqs)] = total
-	outs := make([]compOut, total)
-	reqOf := make([]int32, total)
-	for i := range reqs {
-		for f := offs[i]; f < offs[i+1]; f++ {
-			reqOf[f] = int32(i)
-		}
-	}
-
-	var fanStart time.Time
-	if m.tm.queueWait != nil {
-		fanStart = time.Now()
-	}
-	_ = m.runFan(ctx, total, func(s *bufpool.Scratch, f int) error {
-		i := int(reqOf[f])
-		if err := ctx.Err(); err != nil {
-			outs[f] = compOut{err: err}
-			return nil
-		}
-		if m.tm.queueWait != nil {
-			w := time.Since(fanStart).Seconds()
-			m.tm.queueWait.Observe(w)
-			m.tm.stageQueue.Observe(w)
-		}
-		o, err := m.compressOne(s, reqs[i].Data, reqs[i].Attr, &reqs[i].Schema.SubTasks[f-offs[i]])
-		o.err = err
-		outs[f] = o
-		return nil // per-request errors are carried in outs
-	})
-
-	// Replay each request's timeline; all start at now, like concurrent
-	// single-op writes sharing the same virtual clock reading. Feedback
-	// is accumulated per predictor cell and posted once for the whole
-	// batch.
-	fb := newFBBatch()
-	for i := range reqs {
-		if errs[i] != nil {
-			continue
-		}
-		span := outs[offs[i]:offs[i+1]]
-		for k := range span {
-			if span[k].err != nil && errs[i] == nil {
-				errs[i] = span[k].err
-			}
-		}
-		if errs[i] == nil && ctx.Err() != nil {
-			errs[i] = ctx.Err() // cancelled between fan and placement
-		}
-		if errs[i] != nil {
-			for k := range span { // payloads were never handed to the store
-				bufpool.Put(span[k].payload)
-				span[k].payload = nil
-			}
-			continue
-		}
-		results[i], errs[i] = m.placeTask(now, reqs[i].Key, reqs[i].Attr, reqs[i].Schema.SubTasks, span, reqs[i].Size, fb)
-	}
-	fb.flush(m.pred)
-	return results, errs
 }
 
 func ratioOf(orig, stored int64) float64 {
@@ -1066,21 +1029,43 @@ func ratioOf(orig, stored int64) float64 {
 	return r
 }
 
-// readOut carries one sub-task's stage-2 decompression output into the
-// serial stage-3 replay. err is only populated on the batch path.
-type readOut struct {
+// ReadReq is one task of an ExecuteReads call: the key going in, the
+// outcome coming back in place.
+type ReadReq struct {
+	Key string
+	Res Result
+	Err error
+
+	// Captured by the directory pass.
+	attr analyzer.Result
+	size int64
+	off  int    // start of this request's span in the call's flattened sub-tasks
+	n    int    // sub-tasks in the span
+	data []byte // reassembly buffer (real mode); handed over as Res.Data
+}
+
+// readSub is one sub-task of a read on its way through the stages: the
+// write-time metadata, the pinned payload, and the decompression output
+// the serial replay needs. Every sub-task of every request of a call
+// shares one flattened slice; req names the owning request.
+type readSub struct {
+	req  int32
+	sub  subMeta
+	blob store.Blob
 	c    codec.Codec
 	hdr  Header
 	secs float64
 	err  error
 }
 
-// decompressSub runs stage-2 work for a single sub-task: decode the
+// decompressSub runs the codec work for one sub-task: decode the
 // on-media header, decompress with the library it names, and land the
-// piece in its region of the shared reassembly buffer.
-func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, sub *subMeta, blob store.Blob, resData []byte, k int, real bool) (readOut, error) {
+// piece in its region of the task's reassembly buffer. k is the
+// sub-task's index within its task.
+func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, rs *readSub, resData []byte, k int, real bool) error {
+	sub := &rs.sub
 	hdr := sub.hdr
-	payload := blob.Data
+	payload := rs.blob.Data
 	var dst []byte
 	if real {
 		// Real mode: trust the on-media header, not the in-memory
@@ -1088,14 +1073,14 @@ func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, sub *s
 		// from the data itself" path.
 		var rest []byte
 		var err error
-		hdr, rest, err = DecodeHeader(blob.Data)
+		hdr, rest, err = DecodeHeader(rs.blob.Data)
 		if err != nil {
-			return readOut{}, err
+			return err
 		}
 		// Integrity gate: a payload whose CRC32C disagrees with its header
 		// never reaches the decompressor.
 		if got := crc32.Checksum(rest, castagnoli); got != hdr.CRC {
-			return readOut{}, fmt.Errorf("manager: sub-task %d payload CRC %08x != header %08x: %w",
+			return fmt.Errorf("manager: sub-task %d payload CRC %08x != header %08x: %w",
 				k, got, hdr.CRC, hcerr.ErrCorrupted)
 		}
 		payload = rest
@@ -1103,11 +1088,11 @@ func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, sub *s
 		// the decoded range must agree with the write-time metadata
 		// before a region is carved out for it.
 		if hdr.Offset != sub.hdr.Offset || hdr.Length != sub.hdr.Length {
-			return readOut{}, fmt.Errorf("manager: sub-task %d header range (%d,%d) disagrees with metadata (%d,%d)",
+			return fmt.Errorf("manager: sub-task %d header range (%d,%d) disagrees with metadata (%d,%d)",
 				k, hdr.Offset, hdr.Length, sub.hdr.Offset, sub.hdr.Length)
 		}
 		if hdr.Offset+hdr.Length > int64(len(resData)) {
-			return readOut{}, fmt.Errorf("manager: sub-task exceeds task bounds")
+			return fmt.Errorf("manager: sub-task exceeds task bounds")
 		}
 		// Full-slice expression: an overrunning codec reallocates
 		// instead of clobbering the neighbouring region.
@@ -1115,15 +1100,15 @@ func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, sub *s
 	}
 	c, err := codec.ByID(hdr.Codec)
 	if err != nil {
-		return readOut{}, err
+		return err
 	}
 	piece, secs, err := m.oracle.Decompress(s, attr, c, payload, dst, hdr)
 	if err != nil {
-		return readOut{}, err
+		return err
 	}
 	if real {
 		if int64(len(piece)) != hdr.Length {
-			return readOut{}, fmt.Errorf("manager: sub-task %d decompressed to %d bytes, want %d", k, len(piece), hdr.Length)
+			return fmt.Errorf("manager: sub-task %d decompressed to %d bytes, want %d", k, len(piece), hdr.Length)
 		}
 		if len(piece) > 0 && &piece[0] != &resData[hdr.Offset] {
 			// The codec outgrew its region transiently and
@@ -1131,24 +1116,25 @@ func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, sub *s
 			copy(resData[hdr.Offset:hdr.Offset+hdr.Length], piece)
 		}
 	}
-	return readOut{c: c, hdr: hdr, secs: secs}, nil
+	rs.c, rs.hdr, rs.secs = c, hdr, secs
+	return nil
 }
 
-// peekSubs is stage 1 of a read: fetch payloads without modeling I/O
-// (the timed reads are replayed in stage 3 with the correct interleaved
-// start times). Peek pins arena-owned payloads; callers drop the pins as
-// soon as the decompression fan-out finishes. On error every pin taken
-// so far is released.
-func (m *Manager) peekSubs(now float64, subs []subMeta, blobs []store.Blob) error {
+// peekSubs fetches a task's payloads without modeling I/O (the timed
+// reads are replayed later with the correct interleaved start times).
+// Peek pins arena-owned payloads; the pins are dropped as soon as the
+// decompression fan-out finishes. On error every pin taken so far is
+// released.
+func (m *Manager) peekSubs(now float64, subs []readSub) error {
 	for k := range subs {
-		blob, err := m.peekRetry(now, subs[k].key)
+		blob, err := m.peekRetry(now, subs[k].sub.key)
 		if err != nil {
 			for j := 0; j < k; j++ {
-				m.st.Release(blobs[j])
+				m.st.Release(subs[j].blob)
 			}
 			return err
 		}
-		blobs[k] = blob
+		subs[k].blob = blob
 	}
 	return nil
 }
@@ -1190,50 +1176,136 @@ func (m *Manager) readTimeRetry(t float64, key string) (end, retrySecs float64, 
 	return end, retrySecs, retries, err
 }
 
-// replayRead is stage 3 of a read: the serial timeline replay (tier
-// read, then decompression time, per sub-task in order) and the
-// decompression-speed feedback. Reassembly already happened in place
-// during stage 2; ownership of resData passes to the caller through
-// Result.Data on success.
-func (m *Manager) replayRead(now float64, attr analyzer.Result, subs []subMeta, blobs []store.Blob, outs []readOut, resData []byte, fb *fbBatch) (Result, error) {
-	res := Result{End: now}
-	res.Data = resData
+// openReads is the untimed front half of a read, shared by ExecuteReads
+// and ReadData. One directory pass captures every task's metadata; each
+// task's payloads are peeked from the store without advancing any tier
+// timeline; and every sub-task of every request is decompressed through
+// a single pool submission — pure CPU, no locks held — straight into its
+// region of the task's one arena reassembly buffer, so the read path
+// performs no per-piece allocation and no reassembly copy. attributed
+// says whether the sub-tasks' waits for a pool worker count toward
+// latency attribution (demand reads) or not (speculative ones).
+//
+// On return every payload pin has been released, and each request either
+// carries Err or has its span of the returned slice decompressed into
+// its data buffer. Requests fail independently; cancellation fails every
+// unfinished request with ctx.Err().
+func (m *Manager) openReads(ctx context.Context, now float64, reqs []ReadReq, attributed bool) []readSub {
+	m.mu.Lock()
+	total := 0
+	for i := range reqs {
+		r := &reqs[i]
+		meta, ok := m.tasks[r.Key]
+		if !ok {
+			r.Err = fmt.Errorf("manager: unknown task %q: %w", r.Key, hcerr.ErrNotFound)
+			continue
+		}
+		r.attr, r.size, r.off, r.n = meta.attr, meta.size, total, len(meta.subs)
+		total += r.n
+	}
+	subs := make([]readSub, total)
+	for i := range reqs {
+		if r := &reqs[i]; r.Err == nil {
+			// Copy: demotion mutates sub-task tiers under m.mu.
+			for k, sm := range m.tasks[r.Key].subs {
+				subs[r.off+k] = readSub{req: int32(i), sub: sm}
+			}
+		}
+	}
+	m.mu.Unlock()
+
+	real := m.st.KeepsData()
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Err != nil {
+			continue
+		}
+		if r.Err = m.peekSubs(now, subs[r.off:r.off+r.n]); r.Err == nil && real {
+			r.data = bufpool.Get(int(r.size))
+		}
+	}
+
+	// Workers write disjoint subs elements and disjoint regions of each
+	// task's buffer; per-request failures are carried in subs so one bad
+	// request cannot abort the others.
+	var start time.Time
+	if attributed {
+		start = m.fanStart()
+	}
+	_ = m.runFan(ctx, total, func(s *bufpool.Scratch, f int) error {
+		rs := &subs[f]
+		r := &reqs[rs.req]
+		if r.Err != nil { // nothing was pinned for this request
+			return nil
+		}
+		if rs.err = ctx.Err(); rs.err != nil {
+			return nil
+		}
+		if attributed {
+			m.observeQueueWait(start)
+		}
+		rs.err = m.decompressSub(s, r.attr, rs, r.data, f-r.off, real)
+		return nil
+	})
+
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Err != nil {
+			continue
+		}
+		for k := r.off; k < r.off+r.n; k++ {
+			m.st.Release(subs[k].blob) // the replay only needs sizes, not payloads
+			if r.Err == nil {
+				r.Err = subs[k].err
+			}
+		}
+		if r.Err != nil {
+			bufpool.Put(r.data)
+			r.data = nil
+		}
+	}
+	return subs
+}
+
+// replayRead is the timed back half of a read: the serial timeline
+// replay (tier read, then decompression time, per sub-task in order) and
+// the decompression-speed feedback. Reassembly already happened in place
+// during the fan-out; ownership of the buffer passes to the caller
+// through Result.Data on success.
+func (m *Manager) replayRead(now float64, r *ReadReq, subs []readSub, fb *fbRun) (Result, error) {
+	attr := r.attr
+	res := Result{End: now, Data: r.data}
 	t := now
 	for k := range subs {
-		sm := &subs[k]
-		o := &outs[k]
+		rs := &subs[k]
+		sm := &rs.sub
 		end, retrySecs, retries, err := m.readTimeRetry(t, sm.key)
 		if err != nil {
-			bufpool.Put(resData)
+			bufpool.Put(r.data)
 			return Result{}, err
 		}
 		ioSecs := end - t
-		t = end + o.secs
-		res.CodecTime += o.secs
+		t = end + rs.secs
+		res.CodecTime += rs.secs
 		res.IOTime += ioSecs
-		res.Stored += blobs[k].Size
+		res.Stored += rs.blob.Size
 		res.Retries += retries
 		res.RetrySecs += retrySecs
 		res.SubResults = append(res.SubResults, SubResult{
-			Tier: sm.tier, Codec: o.hdr.Codec, OrigLen: o.hdr.Length,
-			Stored: blobs[k].Size, CodecTime: o.secs, IOTime: ioSecs,
+			Tier: sm.tier, Codec: rs.hdr.Codec, OrigLen: rs.hdr.Length,
+			Stored: rs.blob.Size, CodecTime: rs.secs, IOTime: ioSecs,
 			PlannedTier: sm.tier, Retries: retries, RetrySecs: retrySecs,
 		})
 		if m.tm.readBytes != nil {
-			m.tm.readBytes[o.hdr.Codec].Add(o.hdr.Length)
+			m.tm.readBytes[rs.hdr.Codec].Add(rs.hdr.Length)
 		}
 		// attr.Size == 0 marks a recovered task whose write-time analyzer
 		// attributes were not persisted: feedback keyed on a zero attr
 		// would train the wrong predictor cell, so those reads post none.
-		if o.hdr.Codec != codec.None && o.secs > 0 && attr.Size > 0 {
-			cost := seed.CodecCost{
-				DecompressMBps: float64(o.hdr.Length) / (1 << 20) / o.secs,
-			}
-			if fb != nil {
-				fb.add(attr.Type, attr.Dist, o.c.Name(), cost)
-			} else {
-				m.pred.Feedback(attr.Type, attr.Dist, o.c.Name(), cost)
-			}
+		if rs.hdr.Codec != codec.None && rs.secs > 0 && attr.Size > 0 {
+			fb.add(fbKey{attr.Type, attr.Dist, rs.c.Name()}, seed.CodecCost{
+				DecompressMBps: float64(rs.hdr.Length) / (1 << 20) / rs.secs,
+			})
 		}
 	}
 	m.tm.reads.Inc()
@@ -1241,89 +1313,28 @@ func (m *Manager) replayRead(now float64, attr analyzer.Result, subs []subMeta, 
 	return res, nil
 }
 
-// ExecuteRead reads a previously written task: fetch every sub-task,
+// ExecuteReads reads previously written tasks: fetch every sub-task,
 // decode its metadata header, decompress with the library the header
-// names, and reassemble. In modeled mode the data is nil but timing and
-// feedback behave identically.
-//
-// It runs in three stages: payloads are peeked from the store without
-// advancing any tier timeline, decompression fans out across the worker
-// pool, and the virtual timeline (tier read, then decompression time, per
-// sub-task in order) is replayed serially — so the Result is identical
-// for every parallelism setting.
-func (m *Manager) ExecuteRead(now float64, key string) (Result, error) {
-	return m.ExecuteReadCtx(context.Background(), now, key)
+// names, reassemble (openReads), then replay each request's virtual
+// timeline serially from now — so a Result is identical for every
+// parallelism setting, and every request starts at the same clock
+// reading, as the same requests issued as concurrent one-request calls
+// would. All a multi-request call adds is one directory pass, one pool
+// submission and one predictor feedback flush for the whole burst. In
+// modeled mode Res.Data is nil but timing and feedback behave
+// identically. Requests fail independently.
+func (m *Manager) ExecuteReads(ctx context.Context, now float64, reqs []ReadReq) {
+	subs := m.openReads(ctx, now, reqs, true)
+	var fb fbRun
+	for i := range reqs {
+		if r := &reqs[i]; r.Err == nil {
+			r.Res, r.Err = m.replayRead(now, r, subs[r.off:r.off+r.n], &fb)
+		}
+	}
+	fb.flush(m.pred)
 }
 
-// ExecuteReadCtx is ExecuteRead under a context: cancellation drains the
-// decompression fan-out, releases every pinned payload, and returns
-// ctx.Err().
-func (m *Manager) ExecuteReadCtx(ctx context.Context, now float64, key string) (Result, error) {
-	m.mu.Lock()
-	meta, ok := m.tasks[key]
-	var subs []subMeta
-	var attr analyzer.Result
-	var size int64
-	if ok {
-		// Copy: demotion mutates sub-task tiers under m.mu.
-		subs = append(subs, meta.subs...)
-		attr = meta.attr
-		size = meta.size
-	}
-	m.mu.Unlock()
-	if !ok {
-		return Result{}, fmt.Errorf("manager: unknown task %q: %w", key, hcerr.ErrNotFound)
-	}
-	n := len(subs)
-	real := m.st.KeepsData()
-
-	blobs := make([]store.Blob, n)
-	if err := m.peekSubs(now, subs, blobs); err != nil {
-		return Result{}, err
-	}
-
-	// One arena buffer holds the whole reassembled task; each worker
-	// decompresses straight into its region, so the read path performs
-	// no per-piece allocation and no reassembly copy. Ownership of the
-	// buffer passes to the caller via Result.Data.
-	var resData []byte
-	if real {
-		resData = bufpool.Get(int(size))
-	}
-
-	// Stage 2: decompression fan-out — pure CPU, no locks held.
-	outs := make([]readOut, n)
-	var fanStart time.Time
-	if m.tm.queueWait != nil {
-		fanStart = time.Now()
-	}
-	err := m.runFan(ctx, n, func(s *bufpool.Scratch, k int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if m.tm.queueWait != nil {
-			w := time.Since(fanStart).Seconds()
-			m.tm.queueWait.Observe(w)
-			m.tm.stageQueue.Observe(w)
-		}
-		o, err := m.decompressSub(s, attr, &subs[k], blobs[k], resData, k, real)
-		if err != nil {
-			return err
-		}
-		outs[k] = o
-		return nil
-	})
-	for k := range blobs {
-		m.st.Release(blobs[k]) // stage 3 only needs sizes, not payloads
-	}
-	if err != nil {
-		bufpool.Put(resData)
-		return Result{}, err
-	}
-	return m.replayRead(now, attr, subs, blobs, outs, resData, nil)
-}
-
-// ReadDataCtx decompresses the task stored under key and returns the
+// ReadData decompresses the task stored under key and returns the
 // reassembled payload WITHOUT replaying the timed read: no tier lane is
 // consumed, no virtual time accounted, no predictor feedback posted —
 // the operation is invisible on the modeled timeline. The read-cache
@@ -1333,161 +1344,20 @@ func (m *Manager) ExecuteReadCtx(ctx context.Context, now float64, key string) (
 // arena buffer whose ownership transfers to the caller, alongside the
 // task's compressed footprint and write-time analysis. now is the current
 // virtual time, consulted only by the fault injector's peek rules.
-func (m *Manager) ReadDataCtx(ctx context.Context, now float64, key string) (data []byte, stored int64, attr analyzer.Result, err error) {
+func (m *Manager) ReadData(ctx context.Context, now float64, key string) (data []byte, stored int64, attr analyzer.Result, err error) {
 	if !m.st.KeepsData() {
-		return nil, 0, analyzer.Result{}, errors.New("manager: ReadDataCtx requires a data-keeping store")
+		return nil, 0, analyzer.Result{}, errors.New("manager: ReadData requires a data-keeping store")
 	}
-	m.mu.Lock()
-	meta, ok := m.tasks[key]
-	var subs []subMeta
-	var size int64
-	if ok {
-		// Copy: demotion mutates sub-task tiers under m.mu.
-		subs = append(subs, meta.subs...)
-		attr = meta.attr
-		size = meta.size
+	reqs := []ReadReq{{Key: key}}
+	subs := m.openReads(ctx, now, reqs, false)
+	r := &reqs[0]
+	if r.Err != nil {
+		return nil, 0, analyzer.Result{}, r.Err
 	}
-	m.mu.Unlock()
-	if !ok {
-		return nil, 0, analyzer.Result{}, fmt.Errorf("manager: unknown task %q: %w", key, hcerr.ErrNotFound)
+	for k := range subs {
+		stored += subs[k].blob.Size
 	}
-	n := len(subs)
-	blobs := make([]store.Blob, n)
-	if err := m.peekSubs(now, subs, blobs); err != nil {
-		return nil, 0, analyzer.Result{}, err
-	}
-	resData := bufpool.Get(int(size))
-	outs := make([]readOut, n)
-	err = m.runFan(ctx, n, func(s *bufpool.Scratch, k int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		o, err := m.decompressSub(s, attr, &subs[k], blobs[k], resData, k, true)
-		if err != nil {
-			return err
-		}
-		outs[k] = o
-		return nil
-	})
-	for k := range blobs {
-		stored += blobs[k].Size
-		m.st.Release(blobs[k])
-	}
-	if err != nil {
-		bufpool.Put(resData)
-		return nil, 0, analyzer.Result{}, err
-	}
-	return resData, stored, attr, nil
-}
-
-// ExecuteReadBatch reads many tasks as a single fan-out: one directory
-// pass captures every task's metadata, every sub-task of every request
-// is decompressed through one pool submission, and each request's
-// timeline is replayed serially from now. Requests fail independently,
-// mirroring ExecuteWriteBatch.
-func (m *Manager) ExecuteReadBatch(now float64, keys []string) ([]Result, []error) {
-	return m.ExecuteReadBatchCtx(context.Background(), now, keys)
-}
-
-// ExecuteReadBatchCtx is ExecuteReadBatch under a context. On
-// cancellation, unfinished requests fail with ctx.Err() (recorded per
-// request); every pinned payload and reassembly buffer is returned.
-func (m *Manager) ExecuteReadBatchCtx(ctx context.Context, now float64, keys []string) ([]Result, []error) {
-	results := make([]Result, len(keys))
-	errs := make([]error, len(keys))
-	subsAll := make([][]subMeta, len(keys))
-	attrs := make([]analyzer.Result, len(keys))
-	sizes := make([]int64, len(keys))
-
-	m.mu.Lock()
-	for i, key := range keys {
-		meta, ok := m.tasks[key]
-		if !ok {
-			errs[i] = fmt.Errorf("manager: unknown task %q: %w", key, hcerr.ErrNotFound)
-			continue
-		}
-		subsAll[i] = append([]subMeta(nil), meta.subs...)
-		attrs[i] = meta.attr
-		sizes[i] = meta.size
-	}
-	m.mu.Unlock()
-	real := m.st.KeepsData()
-
-	// Flatten every request's sub-tasks into one pool job; a request
-	// whose payloads cannot be pinned drops out with a zero-width span.
-	offs := make([]int, len(keys)+1)
-	total := 0
-	blobsAll := make([][]store.Blob, len(keys))
-	dataAll := make([][]byte, len(keys))
-	for i := range keys {
-		offs[i] = total
-		if errs[i] != nil {
-			continue
-		}
-		blobsAll[i] = make([]store.Blob, len(subsAll[i]))
-		if err := m.peekSubs(now, subsAll[i], blobsAll[i]); err != nil {
-			errs[i] = err
-			blobsAll[i] = nil
-			continue
-		}
-		if real {
-			dataAll[i] = bufpool.Get(int(sizes[i]))
-		}
-		total += len(subsAll[i])
-	}
-	offs[len(keys)] = total
-	outs := make([]readOut, total)
-	reqOf := make([]int32, total)
-	for i := range keys {
-		for f := offs[i]; f < offs[i+1]; f++ {
-			reqOf[f] = int32(i)
-		}
-	}
-
-	var fanStart time.Time
-	if m.tm.queueWait != nil {
-		fanStart = time.Now()
-	}
-	_ = m.runFan(ctx, total, func(s *bufpool.Scratch, f int) error {
-		if err := ctx.Err(); err != nil {
-			outs[f] = readOut{err: err}
-			return nil
-		}
-		if m.tm.queueWait != nil {
-			w := time.Since(fanStart).Seconds()
-			m.tm.queueWait.Observe(w)
-			m.tm.stageQueue.Observe(w)
-		}
-		i := int(reqOf[f])
-		k := f - offs[i]
-		o, err := m.decompressSub(s, attrs[i], &subsAll[i][k], blobsAll[i][k], dataAll[i], k, real)
-		o.err = err
-		outs[f] = o
-		return nil // per-request errors are carried in outs
-	})
-
-	fb := newFBBatch()
-	for i := range keys {
-		if blobsAll[i] == nil {
-			continue
-		}
-		for k := range blobsAll[i] {
-			m.st.Release(blobsAll[i][k]) // replay only needs sizes
-		}
-		span := outs[offs[i]:offs[i+1]]
-		for k := range span {
-			if span[k].err != nil && errs[i] == nil {
-				errs[i] = span[k].err
-			}
-		}
-		if errs[i] != nil {
-			bufpool.Put(dataAll[i])
-			continue
-		}
-		results[i], errs[i] = m.replayRead(now, attrs[i], subsAll[i], blobsAll[i], span, dataAll[i], fb)
-	}
-	fb.flush(m.pred)
-	return results, errs
+	return r.data, stored, r.attr, nil
 }
 
 // Delete removes a task's sub-tasks from the hierarchy. The key's slot
@@ -1546,17 +1416,6 @@ func (m *Manager) Tasks() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.tasks)
-}
-
-// DataTypeOf is a helper for tests: re-exports the attr stored at write.
-func (m *Manager) DataTypeOf(key string) (stats.DataType, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	meta, ok := m.tasks[key]
-	if !ok {
-		return 0, false
-	}
-	return meta.attr.Type, true
 }
 
 // compactOrderLocked drops deleted keys from the write-order list,

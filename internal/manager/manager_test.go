@@ -2,6 +2,7 @@ package manager
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"hcompress/internal/analyzer"
 	"hcompress/internal/codec"
 	"hcompress/internal/core"
+	"hcompress/internal/fault"
 	"hcompress/internal/monitor"
 	"hcompress/internal/predictor"
 	"hcompress/internal/seed"
@@ -65,10 +67,29 @@ type env struct {
 	pred *predictor.CCP
 }
 
-func newRealEnv(t *testing.T) *env {
+// writeOne and readOne issue a one-request call and unwrap its outcome.
+func writeOne(m *Manager, now float64, key string, data []byte, size int64, attr analyzer.Result, sc core.Schema) (Result, error) {
+	reqs := []WriteReq{{Key: key, Data: data, Size: size, Attr: attr, Schema: sc}}
+	m.ExecuteWrites(context.Background(), now, reqs)
+	return reqs[0].Res, reqs[0].Err
+}
+
+func readOne(m *Manager, now float64, key string) (Result, error) {
+	reqs := []ReadReq{{Key: key}}
+	m.ExecuteReads(context.Background(), now, reqs)
+	return reqs[0].Res, reqs[0].Err
+}
+
+// newRealEnv builds a data-keeping stack; windows, if any, script faults
+// against its store.
+func newRealEnv(t *testing.T, windows ...fault.Window) *env {
 	t.Helper()
 	h := tier.Ares(64*tier.MB, 256*tier.MB, tier.GB, tier.TB)
-	st, err := store.New(h, true)
+	opts := store.Options{KeepData: true}
+	if len(windows) > 0 {
+		opts.FaultInjector = &fault.Schedule{Windows: windows}
+	}
+	st, err := store.Open(h, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +104,7 @@ func newRealEnv(t *testing.T) *env {
 
 func newModelEnv(t *testing.T, hier tier.Hierarchy) *env {
 	t.Helper()
-	st, err := store.New(hier, false)
+	st, err := store.Open(hier, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +126,14 @@ func TestWriteReadRoundTripReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wres, err := e.mgr.ExecuteWrite(0, "task1", data, int64(len(data)), attr, sc)
+	wres, err := writeOne(e.mgr, 0, "task1", data, int64(len(data)), attr, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wres.End <= 0 {
 		t.Error("write must advance virtual time")
 	}
-	rres, err := e.mgr.ExecuteRead(wres.End, "task1")
+	rres, err := readOne(e.mgr, wres.End, "task1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +148,7 @@ func TestWriteReadRoundTripReal(t *testing.T) {
 func TestWriteReadSplitTask(t *testing.T) {
 	// Tiny RAM forces a multi-tier schema; reassembly must still be exact.
 	h := tier.Ares(2*tier.MB, 8*tier.MB, tier.GB, tier.TB)
-	st, _ := store.New(h, true)
+	st, _ := store.Open(h, store.Options{KeepData: true})
 	pred := predictor.New(seed.Builtin(h))
 	mgr := New(st, pred, RealOracle{})
 	eng, _ := core.New(pred, monitor.New(st, 0), core.Config{Weights: seed.WeightsEqual})
@@ -141,11 +162,11 @@ func TestWriteReadSplitTask(t *testing.T) {
 	if len(sc.SubTasks) < 2 {
 		t.Fatalf("expected split schema, got %d", len(sc.SubTasks))
 	}
-	wres, err := mgr.ExecuteWrite(0, "big", data, int64(len(data)), attr, sc)
+	wres, err := writeOne(mgr, 0, "big", data, int64(len(data)), attr, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := mgr.ExecuteRead(wres.End, "big")
+	rres, err := readOne(mgr, wres.End, "big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +183,7 @@ func TestStoredDataCarriesHeaders(t *testing.T) {
 	data := []byte(strings.Repeat("header check ", 5000))
 	attr := analyzer.Analyze(data)
 	sc, _ := e.eng.Plan(0, attr, int64(len(data)))
-	if _, err := e.mgr.ExecuteWrite(0, "t", data, int64(len(data)), attr, sc); err != nil {
+	if _, err := writeOne(e.mgr, 0, "t", data, int64(len(data)), attr, sc); err != nil {
 		t.Fatal(err)
 	}
 	blob, _, err := e.st.Get(0, "t#0")
@@ -190,7 +211,7 @@ func TestWriteFeedsBackToPredictor(t *testing.T) {
 	data := []byte(strings.Repeat("feedback loop ", 100000))
 	attr := analyzer.Analyze(data)
 	sc, _ := e.eng.Plan(0, attr, int64(len(data)))
-	if _, err := e.mgr.ExecuteWrite(0, "t", data, int64(len(data)), attr, sc); err != nil {
+	if _, err := writeOne(e.mgr, 0, "t", data, int64(len(data)), attr, sc); err != nil {
 		t.Fatal(err)
 	}
 	q1, _ := e.pred.Stats()
@@ -215,14 +236,14 @@ func TestModeledModeMatchesControlFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wres, err := e.mgr.ExecuteWrite(0, "m", nil, 64<<20, attr, sc)
+	wres, err := writeOne(e.mgr, 0, "m", nil, 64<<20, attr, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wres.Stored <= 0 || wres.End <= 0 {
 		t.Fatalf("modeled write: %+v", wres)
 	}
-	rres, err := e.mgr.ExecuteRead(wres.End, "m")
+	rres, err := readOne(e.mgr, wres.End, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +269,7 @@ func TestModeledModeDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.mgr.ExecuteWrite(end, key(i), nil, 1<<20, attr, sc)
+			res, err := writeOne(e.mgr, end, key(i), nil, 1<<20, attr, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +289,7 @@ func TestDeleteReleasesCapacity(t *testing.T) {
 	data := []byte(strings.Repeat("x", 1<<20))
 	attr := analyzer.Analyze(data)
 	sc, _ := e.eng.Plan(0, attr, int64(len(data)))
-	e.mgr.ExecuteWrite(0, "t", data, int64(len(data)), attr, sc)
+	writeOne(e.mgr, 0, "t", data, int64(len(data)), attr, sc)
 	used := e.st.Used(sc.SubTasks[0].Tier)
 	if used == 0 {
 		t.Fatal("nothing stored")
@@ -282,7 +303,7 @@ func TestDeleteReleasesCapacity(t *testing.T) {
 	if err := e.mgr.Delete("t"); err == nil {
 		t.Error("double delete accepted")
 	}
-	if _, err := e.mgr.ExecuteRead(0, "t"); err == nil {
+	if _, err := readOne(e.mgr, 0, "t"); err == nil {
 		t.Error("read after delete accepted")
 	}
 }
@@ -292,7 +313,7 @@ func TestTaskAccessors(t *testing.T) {
 	data := []byte(strings.Repeat("y", 4096))
 	attr := analyzer.Analyze(data)
 	sc, _ := e.eng.Plan(0, attr, 4096)
-	e.mgr.ExecuteWrite(0, "t", data, 4096, attr, sc)
+	writeOne(e.mgr, 0, "t", data, 4096, attr, sc)
 	if n, ok := e.mgr.TaskSize("t"); !ok || n != 4096 {
 		t.Errorf("TaskSize = %d, %v", n, ok)
 	}
@@ -302,8 +323,8 @@ func TestTaskAccessors(t *testing.T) {
 	if e.mgr.Tasks() != 1 {
 		t.Errorf("Tasks = %d", e.mgr.Tasks())
 	}
-	if dt, ok := e.mgr.DataTypeOf("t"); !ok || dt != attr.Type {
-		t.Errorf("DataTypeOf = %v, %v", dt, ok)
+	if size, got, ok := e.mgr.TaskInfo("t"); !ok || size != 4096 || got.Type != attr.Type {
+		t.Errorf("TaskInfo = %d, %v, %v", size, got.Type, ok)
 	}
 }
 
@@ -312,7 +333,7 @@ func TestWriteSizeMismatchRejected(t *testing.T) {
 	data := []byte("abc")
 	attr := analyzer.Analyze(data)
 	sc, _ := e.eng.Plan(0, attr, 3)
-	if _, err := e.mgr.ExecuteWrite(0, "t", data, 5, attr, sc); err == nil {
+	if _, err := writeOne(e.mgr, 0, "t", data, 5, attr, sc); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -324,7 +345,7 @@ func TestAnatomyAccounting(t *testing.T) {
 	data := stats.GenBuffer(stats.TypeText, stats.Uniform, 4<<20, 3)
 	attr := analyzer.Analyze(data)
 	sc, _ := e.eng.Plan(0, attr, int64(len(data)))
-	wres, err := e.mgr.ExecuteWrite(0, "t", data, int64(len(data)), attr, sc)
+	wres, err := writeOne(e.mgr, 0, "t", data, int64(len(data)), attr, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +365,7 @@ func TestDrainMovesOldestDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.mgr.ExecuteWrite(now, fmt.Sprintf("d%d", i), nil, 1<<20, attr, sc)
+		res, err := writeOne(e.mgr, now, fmt.Sprintf("d%d", i), nil, 1<<20, attr, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +384,7 @@ func TestDrainMovesOldestDown(t *testing.T) {
 	}
 	// All tasks must still be readable after draining.
 	for i := 0; i < 4; i++ {
-		if _, err := e.mgr.ExecuteRead(now+10, fmt.Sprintf("d%d", i)); err != nil {
+		if _, err := readOne(e.mgr, now+10, fmt.Sprintf("d%d", i)); err != nil {
 			t.Fatalf("read after drain: %v", err)
 		}
 	}
@@ -376,7 +397,7 @@ func TestDrainRespectsWindow(t *testing.T) {
 	now := 0.0
 	for i := 0; i < 8; i++ {
 		sc, _ := e.eng.Plan(now, attr, 4<<20)
-		res, err := e.mgr.ExecuteWrite(now, fmt.Sprintf("w%d", i), nil, 4<<20, attr, sc)
+		res, err := writeOne(e.mgr, now, fmt.Sprintf("w%d", i), nil, 4<<20, attr, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,12 +437,12 @@ func TestParallelismDeterministicVirtualTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wres, err := e.mgr.ExecuteWrite(now, key, nil, 24<<20, attr, sc)
+			wres, err := writeOne(e.mgr, now, key, nil, 24<<20, attr, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, trace{wres.End, wres.CodecTime, wres.IOTime, wres.SubResults})
-			rres, err := e.mgr.ExecuteRead(wres.End, key)
+			rres, err := readOne(e.mgr, wres.End, key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -464,11 +485,11 @@ func TestParallelWriteRealRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wres, err := e.mgr.ExecuteWrite(0, "par", data, int64(len(data)), attr, sc)
+	wres, err := writeOne(e.mgr, 0, "par", data, int64(len(data)), attr, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := e.mgr.ExecuteRead(wres.End, "par")
+	rres, err := readOne(e.mgr, wres.End, "par")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +503,7 @@ func TestParallelWriteRealRoundTrip(t *testing.T) {
 // arena-backed payloads, and hand ownership to the store.
 func BenchmarkManagerCompress(b *testing.B) {
 	h := tier.Ares(tier.GB, tier.GB, 4*tier.GB, tier.TB)
-	st, err := store.New(h, true)
+	st, err := store.Open(h, store.Options{KeepData: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -503,7 +524,7 @@ func BenchmarkManagerCompress(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mgr.ExecuteWrite(0, key, data, int64(len(data)), attr, sc); err != nil {
+		if _, err := writeOne(mgr, 0, key, data, int64(len(data)), attr, sc); err != nil {
 			b.Fatal(err)
 		}
 		if err := mgr.Delete(key); err != nil {

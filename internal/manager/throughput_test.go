@@ -2,11 +2,16 @@ package manager
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"hcompress/internal/analyzer"
 	"hcompress/internal/fanout"
+	"hcompress/internal/hcerr"
 	"hcompress/internal/stats"
 	"hcompress/internal/tier"
 )
@@ -22,7 +27,7 @@ func writeModelTasks(t *testing.T, e *env, prefix string, n int) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.mgr.ExecuteWrite(now, fmt.Sprintf("%s%d", prefix, i), nil, 1<<20, attr, sc)
+		res, err := writeOne(e.mgr, now, fmt.Sprintf("%s%d", prefix, i), nil, 1<<20, attr, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +79,7 @@ func TestDemoteSliceMovesOldestFirst(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := e.mgr.ExecuteRead(now+10, fmt.Sprintf("d%d", i)); err != nil {
+		if _, err := readOne(e.mgr, now+10, fmt.Sprintf("d%d", i)); err != nil {
 			t.Fatalf("read after demotion: %v", err)
 		}
 	}
@@ -155,14 +160,14 @@ func TestRewriteAfterDeleteDoesNotDuplicateOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.mgr.ExecuteWrite(0, "cycle", nil, 1<<20, attr, sc); err != nil {
+		if _, err := writeOne(e.mgr, 0, "cycle", nil, 1<<20, attr, sc); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.mgr.Delete("cycle"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.mgr.ExecuteWrite(0, "cycle", nil, 1<<20, attr, sc); err != nil {
+	if _, err := writeOne(e.mgr, 0, "cycle", nil, 1<<20, attr, sc); err != nil {
 		t.Fatal(err)
 	}
 	e.mgr.mu.Lock()
@@ -206,12 +211,12 @@ func TestSharedPoolMatchesPerOpFanout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wres, err := e.mgr.ExecuteWrite(now, key, nil, 24<<20, attr, sc)
+			wres, err := writeOne(e.mgr, now, key, nil, 24<<20, attr, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, trace{wres.End, wres.CodecTime, wres.IOTime, wres.SubResults})
-			rres, err := e.mgr.ExecuteRead(wres.End, key)
+			rres, err := readOne(e.mgr, wres.End, key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +247,95 @@ func TestSharedPoolMatchesPerOpFanout(t *testing.T) {
 	}
 }
 
-func TestExecuteWriteBatchRealRoundTrip(t *testing.T) {
+// TestGroupedCallMatchesOneRequestCalls pins the one thing grouping may
+// not change: k requests in one ExecuteWrites/ExecuteReads call must be
+// indistinguishable from k one-request calls issued from the same clock
+// reading — same Results (every virtual time, every SubResult), same
+// errors, same predictor state. All a grouped call adds is one pool
+// submission and one feedback flush. The model oracle makes codec costs
+// reproducible, so Results compare exactly; the predictor absorbs a
+// grouped call's feedback as per-cell runs, which match the one-by-one
+// recursion up to floating-point reassociation.
+func TestGroupedCallMatchesOneRequestCalls(t *testing.T) {
+	hier := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
+	attr := analyzer.Result{Type: stats.TypeFloat, Dist: stats.Gamma, Size: 1}
+	sizes := []int64{24 << 20, 1 << 20, 8 << 20, 24 << 20, 4 << 20, 1 << 20}
+	ctx := context.Background()
+
+	grouped, single := newModelEnv(t, hier), newModelEnv(t, hier)
+	for _, e := range []*env{grouped, single} {
+		p := fanout.NewPool(4)
+		defer p.Close()
+		e.mgr.SetParallelism(4)
+		e.mgr.SetPool(p)
+	}
+	var writes []WriteReq
+	for i, size := range sizes {
+		sc, err := grouped.eng.Plan(0, attr, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes = append(writes, WriteReq{Key: fmt.Sprintf("g%d", i), Size: size, Attr: attr, Schema: sc})
+	}
+	// One request names a size its (absent) data cannot have: it must
+	// fail alone in both groupings.
+	writes = append(writes, WriteReq{Key: "bad", Data: []byte("xy"), Size: 3, Attr: attr, Schema: writes[1].Schema})
+
+	one := append([]WriteReq(nil), writes...)
+	grouped.mgr.ExecuteWrites(ctx, 0, writes)
+	for i := range one {
+		single.mgr.ExecuteWrites(ctx, 0, one[i:i+1])
+	}
+	end := 0.0
+	var reads []ReadReq
+	for i := range writes {
+		g, s := writes[i], one[i]
+		if (g.Err == nil) != (s.Err == nil) || (i < len(sizes)) != (g.Err == nil) {
+			t.Fatalf("write %d: grouped err %v, one-request err %v", i, g.Err, s.Err)
+		}
+		if !reflect.DeepEqual(g.Res, s.Res) {
+			t.Fatalf("write %d: grouped %+v != one-request %+v", i, g.Res, s.Res)
+		}
+		end = max(end, g.Res.End)
+		reads = append(reads, ReadReq{Key: g.Key})
+	}
+
+	oneRead := append([]ReadReq(nil), reads...)
+	grouped.mgr.ExecuteReads(ctx, end, reads)
+	for i := range oneRead {
+		single.mgr.ExecuteReads(ctx, end, oneRead[i:i+1])
+	}
+	for i := range reads {
+		g, s := reads[i], oneRead[i]
+		if (g.Err == nil) != (s.Err == nil) || errors.Is(g.Err, hcerr.ErrNotFound) != (i >= len(sizes)) {
+			t.Fatalf("read %d: grouped err %v, one-request err %v", i, g.Err, s.Err)
+		}
+		if !reflect.DeepEqual(g.Res, s.Res) {
+			t.Fatalf("read %d: grouped %+v != one-request %+v", i, g.Res, s.Res)
+		}
+	}
+
+	grouped.pred.Flush()
+	single.pred.Flush()
+	gq, ga := grouped.pred.Stats()
+	sq, sa := single.pred.Stats()
+	if gq != sq || ga != sa || gq == 0 {
+		t.Fatalf("feedback counts: grouped %d/%d, one-request %d/%d", gq, ga, sq, sa)
+	}
+	gc, sc := grouped.pred.SnapshotCoef(), single.pred.SnapshotCoef()
+	if len(gc) != len(sc) {
+		t.Fatalf("%d models vs %d", len(gc), len(sc))
+	}
+	for name, g := range gc {
+		for j, s := range sc[name] {
+			if d := math.Abs(g[j] - s); d > 1e-9*(1+math.Abs(s)) {
+				t.Errorf("model %s coef %d: grouped %v, one-request %v", name, j, g[j], s)
+			}
+		}
+	}
+}
+
+func TestExecuteWritesRealRoundTrip(t *testing.T) {
 	e := newRealEnv(t)
 	e.mgr.SetParallelism(4)
 	p := fanout.NewPool(4)
@@ -265,36 +358,32 @@ func TestExecuteWriteBatchRealRoundTrip(t *testing.T) {
 		})
 		want = append(want, data)
 	}
-	results, errs := e.mgr.ExecuteWriteBatch(0, reqs)
+	e.mgr.ExecuteWrites(context.Background(), 0, reqs)
 	end := 0.0
-	for i := range reqs {
-		if errs[i] != nil {
-			t.Fatalf("req %d: %v", i, errs[i])
+	reads := make([]ReadReq, n)
+	for i, r := range reqs {
+		if r.Err != nil {
+			t.Fatalf("req %d: %v", i, r.Err)
 		}
-		if results[i].Stored <= 0 || results[i].End <= 0 {
-			t.Fatalf("req %d: empty result %+v", i, results[i])
+		if r.Res.Stored <= 0 || r.Res.End <= 0 {
+			t.Fatalf("req %d: empty result %+v", i, r.Res)
 		}
-		if results[i].End > end {
-			end = results[i].End
-		}
+		end = max(end, r.Res.End)
+		reads[i].Key = r.Key
 	}
 
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("b%d", i)
-	}
-	rres, rerrs := e.mgr.ExecuteReadBatch(end, keys)
-	for i := range keys {
-		if rerrs[i] != nil {
-			t.Fatalf("read %d: %v", i, rerrs[i])
+	e.mgr.ExecuteReads(context.Background(), end, reads)
+	for i, r := range reads {
+		if r.Err != nil {
+			t.Fatalf("read %d: %v", i, r.Err)
 		}
-		if !bytes.Equal(rres[i].Data, want[i]) {
-			t.Fatalf("read %d: round-trip mismatch (%d bytes vs %d)", i, len(rres[i].Data), len(want[i]))
+		if !bytes.Equal(r.Res.Data, want[i]) {
+			t.Fatalf("read %d: round-trip mismatch (%d bytes vs %d)", i, len(r.Res.Data), len(want[i]))
 		}
 	}
 }
 
-func TestExecuteBatchFailsIndependently(t *testing.T) {
+func TestExecuteFailsIndependently(t *testing.T) {
 	e := newRealEnv(t)
 	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 1<<20, 1)
 	attr := analyzer.Analyze(data)
@@ -302,28 +391,37 @@ func TestExecuteBatchFailsIndependently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	planErr := errors.New("caller-side failure")
 	reqs := []WriteReq{
 		{Key: "good0", Data: data, Size: int64(len(data)), Attr: attr, Schema: sc},
 		{Key: "bad", Data: data, Size: int64(len(data)) + 1, Attr: attr, Schema: sc}, // size mismatch
+		{Key: "skipped", Data: data, Size: int64(len(data)), Attr: attr, Schema: sc, Err: planErr},
 		{Key: "good1", Data: data, Size: int64(len(data)), Attr: attr, Schema: sc},
 	}
-	_, errs := e.mgr.ExecuteWriteBatch(0, reqs)
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy requests failed: %v / %v", errs[0], errs[2])
+	e.mgr.ExecuteWrites(context.Background(), 0, reqs)
+	if reqs[0].Err != nil || reqs[3].Err != nil {
+		t.Fatalf("healthy requests failed: %v / %v", reqs[0].Err, reqs[3].Err)
 	}
-	if errs[1] == nil {
+	if reqs[1].Err == nil {
 		t.Fatal("size-mismatched request succeeded")
 	}
-
-	rres, rerrs := e.mgr.ExecuteReadBatch(0, []string{"good0", "missing", "good1"})
-	if rerrs[0] != nil || rerrs[2] != nil {
-		t.Fatalf("healthy reads failed: %v / %v", rerrs[0], rerrs[2])
+	if reqs[2].Err != planErr {
+		t.Fatalf("a request arriving with Err set must be left untouched, got %v", reqs[2].Err)
 	}
-	if rerrs[1] == nil {
+	if _, ok := e.mgr.TaskSize("skipped"); ok {
+		t.Fatal("a request arriving with Err set was executed")
+	}
+
+	reads := []ReadReq{{Key: "good0"}, {Key: "missing"}, {Key: "good1"}}
+	e.mgr.ExecuteReads(context.Background(), 0, reads)
+	if reads[0].Err != nil || reads[2].Err != nil {
+		t.Fatalf("healthy reads failed: %v / %v", reads[0].Err, reads[2].Err)
+	}
+	if reads[1].Err == nil {
 		t.Fatal("unknown key read succeeded")
 	}
 	for _, i := range []int{0, 2} {
-		if !bytes.Equal(rres[i].Data, data) {
+		if !bytes.Equal(reads[i].Res.Data, data) {
 			t.Fatalf("read %d mismatch", i)
 		}
 	}

@@ -9,10 +9,10 @@ import (
 
 func newStore(t *testing.T) *store.Store {
 	t.Helper()
-	s, err := store.New(tier.Hierarchy{Tiers: []tier.Spec{
+	s, err := store.Open(tier.Hierarchy{Tiers: []tier.Spec{
 		{Name: "ram", Capacity: 1000, Latency: 0, Bandwidth: 1e9, Lanes: 1},
 		{Name: "ssd", Capacity: 4000, Latency: 0, Bandwidth: 1e8, Lanes: 1},
-	}}, false)
+	}}, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,20 @@ import (
 
 func faultStore(t *testing.T, windows ...fault.Window) *Store {
 	t.Helper()
-	s, err := New(testHier(), true)
+	return sinkStore(t, nil, windows...)
+}
+
+// sinkStore is faultStore with a health sink observing every outcome.
+func sinkStore(t *testing.T, sink func(now float64, tier int, err error), windows ...fault.Window) *Store {
+	t.Helper()
+	opts := Options{KeepData: true, HealthSink: sink}
+	if len(windows) > 0 {
+		opts.FaultInjector = &fault.Schedule{Windows: windows}
+	}
+	s, err := Open(testHier(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetFaultInjector(&fault.Schedule{Windows: windows})
 	return s
 }
 
@@ -67,18 +76,11 @@ func TestGetAndReadTimeFailDuringOutage(t *testing.T) {
 }
 
 func TestLatencySpikeDelaysCompletion(t *testing.T) {
-	s, err := New(testHier(), true)
+	base, err := faultStore(t).Put(0, 0, "a", []byte("abc"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := s.Put(0, 0, "a", []byte("abc"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	s.SetFaultInjector(&fault.Schedule{Windows: []fault.Window{
-		{Tier: 0, Start: 0, End: 100, Mode: fault.LatencySpike, Extra: 0.25},
-	}})
+	s := faultStore(t, fault.Window{Tier: 0, Start: 0, End: 100, Mode: fault.LatencySpike, Extra: 0.25})
 	slow, err := s.Put(0, 0, "a", []byte("abc"), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -128,15 +130,14 @@ func TestCapacityLieShrinksReportedRemaining(t *testing.T) {
 }
 
 func TestHealthSinkObservesOutcomes(t *testing.T) {
-	s := faultStore(t, fault.Window{Tier: 0, Start: 5, End: 10, Mode: fault.Outage})
 	type obs struct {
 		tier int
 		err  bool
 	}
 	var seen []obs
-	s.SetHealthSink(func(_ float64, tier int, err error) {
+	s := sinkStore(t, func(_ float64, tier int, err error) {
 		seen = append(seen, obs{tier, err != nil})
-	})
+	}, fault.Window{Tier: 0, Start: 5, End: 10, Mode: fault.Outage})
 	if _, err := s.Put(0, 0, "k", []byte("abc"), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +151,8 @@ func TestHealthSinkObservesOutcomes(t *testing.T) {
 }
 
 func TestCapacityMissNotReportedToSink(t *testing.T) {
-	s, err := New(testHier(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	errsSeen := 0
-	s.SetHealthSink(func(_ float64, _ int, err error) {
+	s := sinkStore(t, func(_ float64, _ int, err error) {
 		if err != nil {
 			errsSeen++
 		}

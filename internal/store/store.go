@@ -161,14 +161,6 @@ type Options struct {
 	Backends []backend.TierBackend
 }
 
-// New creates a store over the hierarchy with in-memory backends.
-// keepData selects whether blob payloads are retained (true) or only
-// modeled (false). It is the pre-Options constructor, kept for existing
-// call sites; new code should call Open.
-func New(h tier.Hierarchy, keepData bool) (*Store, error) {
-	return Open(h, Options{KeepData: keepData})
-}
-
 // Open creates a store over the hierarchy, building one payload backend
 // per tier from its spec (Backend "" or "mem" → in-memory, "file" →
 // durable journal under DataDir, "cloud" → modeled object store) unless
@@ -236,7 +228,7 @@ func Open(h tier.Hierarchy, opts Options) (*Store, error) {
 		}
 	}
 	sort.Strings(s.recovered)
-	s.SetTelemetry(opts.Telemetry)
+	s.registerMetrics(opts.Telemetry)
 	return s, nil
 }
 
@@ -245,21 +237,6 @@ func Open(h tier.Hierarchy, opts Options) (*Store, error) {
 // Open; callers consume it during assembly, before the store is shared
 // between goroutines.
 func (s *Store) Recovered() []string { return s.recovered }
-
-// SetFaultInjector installs the fault injector ruling on every tier
-// operation.
-//
-// Deprecated: pass Options.FaultInjector to Open. Kept as a shim for
-// pre-Options call sites; like the other construction-time setters it
-// must be called before the store is shared between goroutines.
-func (s *Store) SetFaultInjector(f fault.Injector) { s.flt = f }
-
-// SetHealthSink installs the per-tier outcome observer (the System
-// Monitor's health feed).
-//
-// Deprecated: pass Options.HealthSink to Open. Kept as a shim for
-// pre-Options call sites; construction-time only.
-func (s *Store) SetHealthSink(fn func(now float64, tier int, err error)) { s.healthSink = fn }
 
 // observe reports one tier outcome to the health sink. Capacity misses
 // are not faults — a full tier is healthy — so they are not reported.
@@ -278,14 +255,10 @@ func (s *Store) decide(now float64, tier int, op fault.Op, key string, size int6
 	return s.flt.Decide(now, tier, op, key, size)
 }
 
-// SetTelemetry registers per-tier instruments (put/get ops and bytes,
+// registerMetrics registers per-tier instruments (put/get ops and bytes,
 // deletes, evictions, used/capacity gauges) on reg. A nil registry
 // leaves telemetry off.
-//
-// Deprecated: pass Options.Telemetry to Open. Kept as a shim for
-// pre-Options call sites; it must be called before the store is shared
-// between goroutines.
-func (s *Store) SetTelemetry(reg *telemetry.Registry) {
+func (s *Store) registerMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

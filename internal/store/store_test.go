@@ -19,7 +19,7 @@ func testHier() tier.Hierarchy {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s, err := New(testHier(), true)
+	s, err := Open(testHier(), Options{KeepData: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestPutCopiesData(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	data := []byte("mutate me")
 	s.Put(0, 0, "k", data, int64(len(data)))
 	data[0] = 'X'
@@ -55,7 +55,7 @@ func TestPutCopiesData(t *testing.T) {
 }
 
 func TestNoDataMode(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	if _, err := s.Put(0, 1, "k", []byte("abc"), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestNoDataMode(t *testing.T) {
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	if _, err := s.Put(0, 0, "a", nil, 900); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 func TestOverwriteReleasesOldAllocation(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	s.Put(0, 0, "k", nil, 800)
 	// Overwriting with a smaller blob on another tier frees tier 0.
 	if _, err := s.Put(0, 1, "k", nil, 100); err != nil {
@@ -110,7 +110,7 @@ func TestOverwriteReleasesOldAllocation(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	s.Put(0, 0, "k", nil, 500)
 	if err := s.Delete("k"); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestMove(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	s.Put(0, 0, "k", nil, 400)
 	end, err := s.Move(1.0, "k", 1)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestMove(t *testing.T) {
 		t.Fatalf("no-op move: %v %v", end, err)
 	}
 	// Move to a full tier fails without side effects.
-	s2, _ := New(testHier(), false)
+	s2, _ := Open(testHier(), Options{})
 	s2.Put(0, 0, "fill", nil, 1000)
 	s2.Put(0, 1, "big", nil, 4500)
 	if _, err := s2.Move(0, "fill", 1); !errors.Is(err, ErrNoCapacity) {
@@ -160,7 +160,7 @@ func TestMove(t *testing.T) {
 }
 
 func TestStatusReflectsState(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	s.Put(0, 0, "a", nil, 100)
 	s.Put(0, 1, "b", nil, 2000)
 	st := s.Status(0)
@@ -186,7 +186,7 @@ func TestTimingModelsContention(t *testing.T) {
 	h := tier.Hierarchy{Tiers: []tier.Spec{
 		{Name: "d", Capacity: 1 << 30, Latency: 0, Bandwidth: 1e6, Lanes: 1},
 	}}
-	s, _ := New(h, false)
+	s, _ := Open(h, Options{})
 	e1, _ := s.Put(0, 0, "a", nil, 1e6)
 	e2, _ := s.Put(0, 0, "b", nil, 1e6)
 	if e1 != 1 || e2 != 2 {
@@ -195,7 +195,7 @@ func TestTimingModelsContention(t *testing.T) {
 }
 
 func TestResetClearsEverything(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	s.Put(0, 0, "k", []byte("x"), 1)
 	s.Reset()
 	if s.Len() != 0 || s.Used(0) != 0 {
@@ -207,7 +207,7 @@ func TestResetClearsEverything(t *testing.T) {
 }
 
 func TestInvalidTier(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	if _, err := s.Put(0, 7, "k", nil, 1); err == nil {
 		t.Error("invalid tier accepted")
 	}
@@ -223,15 +223,15 @@ func TestInvalidTier(t *testing.T) {
 }
 
 func TestInvalidHierarchyRejected(t *testing.T) {
-	if _, err := New(tier.Hierarchy{}, false); err == nil {
+	if _, err := Open(tier.Hierarchy{}, Options{}); err == nil {
 		t.Error("empty hierarchy accepted")
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s, _ := New(tier.Hierarchy{Tiers: []tier.Spec{
+	s, _ := Open(tier.Hierarchy{Tiers: []tier.Spec{
 		{Name: "ram", Capacity: 1 << 30, Latency: 0, Bandwidth: 1e12, Lanes: 8},
-	}}, true)
+	}}, Options{KeepData: true})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -263,7 +263,7 @@ func arenaPuts() int64 {
 }
 
 func TestPutOwnedRecyclesOnDelete(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	data := bufpool.Get(100)
 	for i := range data {
 		data[i] = byte(i)
@@ -281,7 +281,7 @@ func TestPutOwnedRecyclesOnDelete(t *testing.T) {
 }
 
 func TestPutOwnedRecyclesOnOverwrite(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	old := bufpool.Get(64)
 	if _, err := s.PutOwned(0, 0, "k", old, 64); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestPutOwnedRecyclesOnOverwrite(t *testing.T) {
 }
 
 func TestPutOwnedRecyclesOnReset(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	if _, err := s.PutOwned(0, 0, "k", bufpool.Get(64), 64); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestPutOwnedRecyclesOnReset(t *testing.T) {
 }
 
 func TestPutOwnedErrorLeavesCallerOwnership(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	data := bufpool.Get(64)
 	copy(data, "precious")
 	before := arenaPuts()
@@ -326,7 +326,7 @@ func TestPutOwnedErrorLeavesCallerOwnership(t *testing.T) {
 }
 
 func TestPutOwnedRetentionOffRecyclesImmediately(t *testing.T) {
-	s, _ := New(testHier(), false)
+	s, _ := Open(testHier(), Options{})
 	before := arenaPuts()
 	if _, err := s.PutOwned(0, 0, "k", bufpool.Get(64), 64); err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestPutOwnedRetentionOffRecyclesImmediately(t *testing.T) {
 }
 
 func TestPeekPinSurvivesDelete(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	data := bufpool.Get(32)
 	copy(data, "pinned payload bytes")
 	if _, err := s.PutOwned(0, 0, "k", data, 32); err != nil {
@@ -366,7 +366,7 @@ func TestPeekPinSurvivesDelete(t *testing.T) {
 }
 
 func TestGetCopiesOwnedPayload(t *testing.T) {
-	s, _ := New(testHier(), true)
+	s, _ := Open(testHier(), Options{KeepData: true})
 	data := bufpool.Get(16)
 	copy(data, "owned-payload")
 	if _, err := s.PutOwned(0, 0, "k", data, 16); err != nil {

@@ -1,19 +1,17 @@
 package hcompress
 
 // This file is the shard's face of the read accelerator
-// (internal/readcache): the cache-hit fast path shared by Decompress and
-// DecompressBatch, the background access-pattern prefetcher, and the
-// CacheStats surface. The cache itself — admission, refcounting, LRU,
+// (internal/readcache): the cache-hit fast path of the read pipeline, the
+// background access-pattern prefetcher, and the CacheStats surface. The
+// cache itself — admission, refcounting, LRU,
 // invalidation tokens — lives in internal/readcache; everything here is
 // wiring it into the pipeline's lifecycle, telemetry, and fanout pool.
 
 import (
 	"context"
-	"time"
 
 	"hcompress/internal/bufpool"
 	"hcompress/internal/fanout"
-	"hcompress/internal/manager"
 	"hcompress/internal/readcache"
 	"hcompress/internal/telemetry"
 )
@@ -43,29 +41,6 @@ func (c *Shard) cacheGet(key string) (*Report, readcache.Meta, bool) {
 		rep.Ratio = float64(meta.Size) / float64(meta.Stored)
 	}
 	return rep, meta, true
-}
-
-// cacheHit is cacheGet plus the single-op telemetry contract: op
-// counters, the cache-hit span tree, and slow-op sampling — what
-// DecompressContext needs to serve a hit as a complete operation.
-func (c *Shard) cacheHit(ctx context.Context, key string, wall time.Time) (*Report, bool) {
-	rep, meta, ok := c.cacheGet(key)
-	c.kickPrefetch()
-	if !ok {
-		return nil, false
-	}
-	if c.tel != nil {
-		wallSecs := time.Since(wall).Seconds()
-		c.cm.ops["decompress"].Inc()
-		c.cm.opSeconds["decompress"].Observe(wallSecs)
-		ri := c.reqInfo(ctx)
-		c.cacheHitTrace(ri, key, meta)
-		if c.slow.shouldRecord(wallSecs) {
-			// Zero virtual anatomy: a hit is off the modeled timeline.
-			c.slowOp(ri, "decompress", key, manager.Result{Stored: meta.Stored}, wallSecs, 0, 0, false, false, nil)
-		}
-	}
-	return rep, true
 }
 
 // cacheHitTrace emits the hit's span tree: a zero-width root at the
@@ -153,7 +128,7 @@ func (c *Shard) prefetchOne(ctx context.Context, key string) {
 	if f == nil {
 		return
 	}
-	data, stored, attr, err := c.mgr.ReadDataCtx(ctx, c.clock.Now(), key)
+	data, stored, attr, err := c.mgr.ReadData(ctx, c.clock.Now(), key)
 	if err != nil {
 		c.cache.Abort(f, ctx.Err() != nil)
 		return

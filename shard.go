@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -146,8 +145,9 @@ func (r *Report) Release() {
 // Close takes the write side, so it drains in-flight operations before
 // flushing the feedback loop.
 type Shard struct {
-	mu     sync.RWMutex // lifecycle only: ops hold R, Close holds W
-	closed bool
+	mu      sync.RWMutex // lifecycle only: ops hold R, Close holds W
+	closed  bool
+	closers closerStack // everything newShard acquired, unwound by Close
 
 	hier  tier.Hierarchy
 	sd    *seed.Seed
@@ -173,15 +173,13 @@ type Shard struct {
 	prefetchKick chan struct{}
 
 	// Telemetry (all nil/zero when off — the nil-registry fast path).
-	tel        *telemetry.Registry
-	sink       *telemetry.Sink
-	cm         clientMetrics
-	audit      auditLog
-	faults     faultLog // health-transition ring; always on (small, self-locked)
-	slow       *slowLog // slow-op ring; nil unless a SlowOp* policy is set
-	metricsLn  net.Listener
-	metricsSrv *http.Server
-	expvarID   uint64
+	tel       *telemetry.Registry
+	sink      *telemetry.Sink
+	cm        clientMetrics
+	audit     auditLog
+	faults    faultLog // health-transition ring; always on (small, self-locked)
+	slow      *slowLog // slow-op ring; nil unless a SlowOp* policy is set
+	metricsLn net.Listener
 
 	// Request identity: operations arriving without a propagated request
 	// ID (direct library use) get one synthesized from reqSeq so every
@@ -196,17 +194,37 @@ type Shard struct {
 	saveSeed bool
 }
 
+// closerStack is a pipeline's teardown list: every resource newShard
+// acquires pushes its release here, and both a failed construction and
+// Shard.Close unwind it — newest first — so neither can leak what the
+// other would have released.
+type closerStack []func() error
+
+func (s *closerStack) push(release func() error) { *s = append(*s, release) }
+
+// close runs every release, newest first, and reports the first failure.
+func (s *closerStack) close() error {
+	var first error
+	for i := len(*s) - 1; i >= 0; i-- {
+		if err := (*s)[i](); err != nil && first == nil {
+			first = err
+		}
+	}
+	*s = nil
+	return first
+}
+
 // newShard initializes one complete pipeline — the work the paper
 // performs when intercepting MPI_Init: load the seed, build the
 // component stack, and prepare the codec pool. New and NewRouter are the
-// public faces.
-func newShard(cfg Config) (*Shard, error) {
-	h, err := cfg.hierarchy()
+// public faces. Everything that can be rejected without holding a
+// resource is rejected first (Config.validate, the seed file, the fault
+// script); from the store onwards each acquisition is pushed on the
+// shard's closer stack, which a later failure unwinds.
+func newShard(cfg Config) (_ *Shard, err error) {
+	h, err := cfg.validate()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ReadCacheFraction < 0 || cfg.ReadCacheFraction > 1 {
-		return nil, fmt.Errorf("hcompress: ReadCacheFraction %v: need 0 <= fraction <= 1", cfg.ReadCacheFraction)
 	}
 	var sd *seed.Seed
 	if cfg.SeedPath != "" {
@@ -234,36 +252,50 @@ func newShard(cfg Config) (*Shard, error) {
 			reg = telemetry.New()
 		}
 	}
+	c := &Shard{
+		hier:     h,
+		sd:       sd,
+		tel:      reg,
+		sink:     cfg.traceSink,
+		cm:       newClientMetrics(reg),
+		seedPath: cfg.SeedPath,
+		saveSeed: cfg.SaveSeedOnClose && cfg.SeedPath != "",
+	}
+	defer func() {
+		if err != nil {
+			_ = c.closers.close()
+		}
+	}()
+
 	// File-backed tiers of different shards must not share a journal
 	// directory, so each shard roots its backends one level down.
 	dataDir := cfg.DataDir
 	if dataDir != "" && cfg.shardLabel != "" {
 		dataDir = filepath.Join(dataDir, cfg.shardLabel)
 	}
-	// The health sink closes over the monitor built right after the
-	// store — backends never operate during construction, so the slot is
-	// always filled by the time the sink can fire.
-	var mon *monitor.SystemMonitor
-	st, err := store.Open(h, store.Options{
+	c.st, err = store.Open(h, store.Options{
 		KeepData:      !cfg.modeled,
 		DataDir:       dataDir,
 		FaultInjector: sched,
 		// Every store outcome feeds the health machine; health
 		// transitions come back to the client (audit ring + trace sink)
-		// via the event sink installed below, once c exists.
-		HealthSink: func(now float64, tier int, err error) { mon.Observe(now, tier, err) },
+		// via the event sink installed below. The sink closes over c.mon,
+		// built right after the store — backends never operate during
+		// construction, so the slot is always filled by the time it fires.
+		HealthSink: func(now float64, tier int, err error) { c.mon.Observe(now, tier, err) },
 		Telemetry:  reg,
 	})
 	if err != nil {
 		return nil, err
 	}
+	c.closers.push(c.st.Close)
 	bufpool.SetTelemetry(reg)
-	pred := predictor.New(sd)
-	pred.SetTelemetry(reg)
-	mon = monitor.New(st, cfg.MonitorIntervalSec)
-	mon.SetHealthPolicy(cfg.OfflineThreshold, cfg.ProbeIntervalSec)
-	mon.SetTelemetry(reg)
-	eng, err := core.New(pred, mon, core.Config{
+	c.pred = predictor.New(sd)
+	c.pred.SetTelemetry(reg)
+	c.mon = monitor.New(c.st, cfg.MonitorIntervalSec)
+	c.mon.SetHealthPolicy(cfg.OfflineThreshold, cfg.ProbeIntervalSec)
+	c.mon.SetTelemetry(reg)
+	c.eng, err = core.New(c.pred, c.mon, core.Config{
 		Weights:            cfg.Priorities.toWeights(),
 		DisableCompression: cfg.DisableCompression,
 		DisablePlanCache:   cfg.DisablePlanCache,
@@ -272,13 +304,13 @@ func newShard(cfg Config) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetTelemetry(reg)
+	c.eng.SetTelemetry(reg)
 	var oracle manager.Oracle = manager.RealOracle{}
 	if cfg.modeled {
 		oracle = manager.ModelOracle{Truth: sd}
 	}
-	mgr := manager.New(st, pred, oracle)
-	mgr.SetParallelism(cfg.Parallelism)
+	c.mgr = manager.New(c.st, c.pred, oracle)
+	c.mgr.SetParallelism(cfg.Parallelism)
 	retryMax := -1 // keep the manager default
 	switch {
 	case cfg.RetryMax > 0:
@@ -286,32 +318,17 @@ func newShard(cfg Config) (*Shard, error) {
 	case cfg.RetryMax < 0:
 		retryMax = 0 // retries disabled
 	}
-	mgr.SetRetryPolicy(retryMax, cfg.RetryBackoffSec, 0)
-	mgr.SetTelemetry(reg)
+	c.mgr.SetRetryPolicy(retryMax, cfg.RetryBackoffSec, 0)
+	c.mgr.SetTelemetry(reg)
 	// Tasks whose pieces all survived on durable tiers become readable
 	// again here; their schemas are rebuilt from the on-media headers.
-	if _, err := mgr.AdoptRecovered(); err != nil {
-		st.Close()
+	if _, err = c.mgr.AdoptRecovered(); err != nil {
 		return nil, err
 	}
-	pool := fanout.NewPool(mgr.Parallelism())
-	pool.SetTelemetry(reg)
-	mgr.SetPool(pool)
-	c := &Shard{
-		hier:     h,
-		sd:       sd,
-		pred:     pred,
-		mon:      mon,
-		eng:      eng,
-		mgr:      mgr,
-		st:       st,
-		pool:     pool,
-		tel:      reg,
-		sink:     cfg.traceSink,
-		cm:       newClientMetrics(reg),
-		seedPath: cfg.SeedPath,
-		saveSeed: cfg.SaveSeedOnClose && cfg.SeedPath != "",
-	}
+	c.pool = fanout.NewPool(c.mgr.Parallelism())
+	c.closers.push(func() error { c.pool.Close(); return nil })
+	c.pool.SetTelemetry(reg)
+	c.mgr.SetPool(c.pool)
 	if c.sink == nil {
 		c.sink = telemetry.NewSink(cfg.TraceWriter)
 	}
@@ -330,22 +347,25 @@ func newShard(cfg Config) (*Shard, error) {
 		capBytes := int64(cfg.ReadCacheFraction * float64(h.Tiers[0].Capacity))
 		c.cache = readcache.New(capBytes, minTouches, ringSize)
 		c.cache.SetTelemetry(reg)
+		// Teardown hands cached payloads back to the arena.
+		c.closers.push(func() error { c.cache.InvalidateAll(); return nil })
 		// Demoted keys leave the cache: their cached meta (and the hot-set
 		// premise that put them there) is stale once the demoter cools them.
-		mgr.SetDemoteNotify(func(keys []string) {
+		c.mgr.SetDemoteNotify(func(keys []string) {
 			for _, k := range keys {
 				c.cache.Invalidate(k)
 			}
 		})
 	}
 	c.faults.cap = 256
-	mon.SetEventSink(c.onHealthEvent)
+	c.mon.SetEventSink(c.onHealthEvent)
 	if reg != nil {
 		c.audit.cap = cfg.AuditLogSize
 		if c.audit.cap == 0 {
 			c.audit.cap = 1024
 		}
-		c.expvarID = expvarRegister(reg)
+		id := expvarRegister(reg)
+		c.closers.push(func() error { expvarUnregister(id); return nil })
 	}
 	if cfg.SlowOpThreshold > 0 || cfg.SlowOpSampleEvery > 0 {
 		sl := &slowLog{thresh: cfg.SlowOpThreshold.Seconds(), cap: cfg.SlowOpLogSize}
@@ -361,31 +381,19 @@ func newShard(cfg Config) (*Shard, error) {
 		c.reqPrefix = "s" + cfg.shardLabel + "-"
 	}
 	if cfg.MetricsAddr != "" {
-		if err := c.startMetricsServer(cfg.MetricsAddr, cfg.EnableProfiling); err != nil {
-			expvarUnregister(c.expvarID)
-			pool.Close()
+		if err = c.startMetricsServer(cfg.MetricsAddr, cfg.EnableProfiling); err != nil {
 			return nil, err
 		}
 	}
+	// The background loops never take c.mu, so Close can wait for them
+	// under the lifecycle write lock; being the newest closers they stop
+	// first, before the pool they fan through and the store they touch.
 	if cfg.DemotionInterval > 0 {
-		high, low := cfg.DemotionHighWater, cfg.DemotionLowWater
-		if high == 0 {
-			high = 0.85
-		}
-		if low == 0 {
-			low = 0.70
-		}
-		if !(0 < low && low < high && high <= 1) {
-			if c.metricsSrv != nil {
-				_ = c.metricsSrv.Close()
-			}
-			expvarUnregister(c.expvarID)
-			pool.Close()
-			return nil, fmt.Errorf("hcompress: demotion watermarks low=%v high=%v: need 0 < low < high <= 1", low, high)
-		}
+		high, low := cfg.demotionWatermarks()
 		c.demoteStop = make(chan struct{})
 		c.demoteDone = make(chan struct{})
 		go c.demoteLoop(cfg.DemotionInterval, high, low, cfg.DemotionSliceSubTasks)
+		c.closers.push(func() error { close(c.demoteStop); <-c.demoteDone; return nil })
 	}
 	if c.cache != nil && !cfg.DisablePrefetch {
 		depth := cfg.PrefetchDepth
@@ -396,6 +404,7 @@ func newShard(cfg Config) (*Shard, error) {
 		c.prefetchDone = make(chan struct{})
 		c.prefetchKick = make(chan struct{}, 1)
 		go c.prefetchLoop(depth)
+		c.closers.push(func() error { close(c.prefetchStop); <-c.prefetchDone; return nil })
 	}
 	return c, nil
 }
@@ -494,12 +503,10 @@ func (c *Shard) attrFor(t Task) analyzer.Result {
 	return analyzer.AnalyzeWithHint(t.Data, &hint)
 }
 
-// Compress runs the write pipeline in three stages: analyze the task
-// (pure CPU over the caller's buffer, no locks held), plan a compression
-// + placement schema with the HCDP engine, and execute it against the
-// tiered store through the Compression Manager's worker pool. Concurrent
-// callers only synchronize on the component that each stage actually
-// touches.
+// Compress runs the write pipeline on one task: analyze it (pure CPU over
+// the caller's buffer, no locks held), plan a compression + placement
+// schema with the HCDP engine, and execute it against the tiered store
+// through the Compression Manager's worker pool.
 func (c *Shard) Compress(t Task) (*Report, error) {
 	return c.CompressContext(context.Background(), t)
 }
@@ -515,130 +522,11 @@ func (c *Shard) Compress(t Task) (*Report, error) {
 // take it. A degraded write succeeds: the report carries a non-nil
 // Degraded (errors.Is(rep.Degraded, ErrDegraded)) instead of an error.
 func (c *Shard) CompressContext(ctx context.Context, t Task) (*Report, error) {
-	if t.Key == "" {
-		return nil, errors.New("hcompress: task key required")
-	}
-	if len(t.Data) == 0 {
-		return nil, errors.New("hcompress: empty task data")
-	}
-	if err := ctx.Err(); err != nil {
+	ops := []writeOp{{Task: t}}
+	if err := c.compress(ctx, "compress", ops); err != nil {
 		return nil, err
 	}
-
-	var wall time.Time
-	timed := c.tel != nil
-	if timed {
-		wall = time.Now()
-	}
-
-	// Stage 1: analyze. No lock held — this is the CPU-heavy scan of the
-	// caller's buffer and must overlap other ranks' codec work.
-	attr := c.attrFor(t)
-	size := int64(len(t.Data))
-	var analyzeSecs, planSecs float64
-	if timed {
-		analyzeSecs = time.Since(wall).Seconds()
-	}
-
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	start := c.clock.Now()
-	plan := func() (core.Schema, error) {
-		if !timed {
-			return c.eng.Plan(start, attr, size)
-		}
-		pw := time.Now()
-		schema, err := c.eng.Plan(start, attr, size)
-		planSecs += time.Since(pw).Seconds()
-		return schema, err
-	}
-
-	// Stage 2: plan. Stage 3: execute.
-	schema, err := plan()
-	if err != nil {
-		err = fmt.Errorf("hcompress: planning %q: %w", t.Key, err)
-	}
-	var res manager.Result
-	if err == nil {
-		res, err = c.mgr.ExecuteWriteCtx(ctx, start, t.Key, t.Data, size, attr, schema)
-	}
-	replanned := false
-	if err != nil && ctx.Err() == nil {
-		// The monitor's view may have been stale — or a tier just went
-		// offline and the health machine masked it. Refresh and replan
-		// once; the new plan cannot target a masked tier.
-		c.mon.ForceRefresh()
-		c.cm.replans.Inc()
-		replanned = true
-		schema2, err2 := plan()
-		if err2 != nil {
-			err = fmt.Errorf("hcompress: replanning %q: %w (after %v)", t.Key, err2, err)
-		} else {
-			schema = schema2
-			res, err = c.mgr.ExecuteWriteCtx(ctx, start, t.Key, t.Data, size, attr, schema)
-			if err != nil {
-				err = fmt.Errorf("hcompress: executing %q: %w", t.Key, err)
-			}
-		}
-	}
-	var degraded *DegradedError
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			c.cm.opErrs["compress"].Inc()
-			return nil, cerr
-		}
-		// Graceful degradation: no compressing schema is executable, but
-		// the data must land. Store it uncompressed; the manager's spill
-		// chain walks the hierarchy until some healthy tier takes it.
-		schema = degradedSchema(size)
-		var derr error
-		res, derr = c.mgr.ExecuteWriteCtx(ctx, start, t.Key, t.Data, size, attr, schema)
-		if derr != nil {
-			c.cm.opErrs["compress"].Inc()
-			return nil, err // the planned path's failure names the root cause
-		}
-		degraded = &DegradedError{
-			Key:   t.Key,
-			Tier:  c.hier.Tiers[res.SubResults[0].Tier].Name,
-			Cause: err,
-		}
-		c.cm.degradedWrites.Inc()
-	}
-	c.clock.AdvanceTo(res.End)
-	if c.cache != nil {
-		// Strict invalidation on overwrite: drop any cached payload for
-		// this key and revoke in-flight fills that may carry the old bytes.
-		c.cache.Invalidate(t.Key)
-	}
-	rep := c.report(t.Key, size, attr, res, start)
-	rep.PredictedSeconds = schema.PredTime
-	rep.Degraded = degraded
-	if c.tel != nil {
-		wallSecs := time.Since(wall).Seconds()
-		c.cm.ops["compress"].Inc()
-		c.cm.opSeconds["compress"].Observe(wallSecs)
-		c.cm.stageAnalyze.Observe(analyzeSecs)
-		c.cm.stagePlan.Observe(planSecs)
-		c.cm.observeStages(res)
-		ri := c.reqInfo(ctx)
-		audits := c.compressTrace(ri, t.Key, attr, size, schema, res, start, replanned)
-		if c.slow.shouldRecord(wallSecs) {
-			c.slowOp(ri, "compress", t.Key, res, wallSecs, analyzeSecs, planSecs, replanned, degraded != nil, audits)
-		}
-	}
-	return rep, nil
-}
-
-// degradedSchema is the last-resort write plan: the whole task as one
-// uncompressed sub-task, nominally on the fastest tier — the manager's
-// spill chain walks it down to whatever tier actually accepts it.
-func degradedSchema(size int64) core.Schema {
-	return core.Schema{SubTasks: []core.SubTask{{
-		Offset: 0, Length: size, Tier: 0, Codec: codec.None, PredSize: size,
-	}}}
+	return ops[0].rep, ops[0].err
 }
 
 // Decompress reads back the task stored under key, decoding each
@@ -654,69 +542,11 @@ func (c *Shard) Decompress(key string) (*Report, error) {
 // ctx.Err(). A payload whose CRC32C disagrees with its header fails with
 // an error matching ErrCorrupted.
 func (c *Shard) DecompressContext(ctx context.Context, key string) (*Report, error) {
-	if err := ctx.Err(); err != nil {
+	ops := []readOp{{key: key}}
+	if err := c.decompress(ctx, "decompress", ops); err != nil {
 		return nil, err
 	}
-	var wall time.Time
-	if c.tel != nil {
-		wall = time.Now()
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.cache != nil {
-		if rep, ok := c.cacheHit(ctx, key, wall); ok {
-			return rep, nil
-		}
-	}
-	size, attr, ok := c.mgr.TaskInfo(key)
-	if !ok {
-		c.cm.opErrs["decompress"].Inc()
-		return nil, fmt.Errorf("hcompress: unknown task %q: %w", key, ErrNotFound)
-	}
-	// Open the fill before touching the store: a concurrent overwrite or
-	// delete then lands after the token exists and aborts it, so bytes
-	// read from the pre-overwrite world can never enter the cache.
-	var fill *readcache.Fill
-	if c.cache != nil {
-		fill = c.cache.BeginFill(key)
-	}
-	start := c.clock.Now()
-	res, err := c.mgr.ExecuteReadCtx(ctx, start, key)
-	if err != nil {
-		if fill != nil {
-			c.cache.Abort(fill, false)
-		}
-		c.cm.opErrs["decompress"].Inc()
-		return nil, err
-	}
-	c.clock.AdvanceTo(res.End)
-	rep := c.report(key, size, attr, res, start)
-	rep.Data = res.Data
-	if fill != nil {
-		// Zero-copy admission: the cache and the report share the buffer
-		// under one refcount; the report's pin comes back as release.
-		if release, ok := c.cache.Commit(fill, res.Data, readcache.Meta{
-			Size: size, Stored: res.Stored,
-			DataType: rep.DataType, Distribution: rep.Distribution,
-		}); ok {
-			rep.release = release
-		}
-	}
-	if c.tel != nil {
-		wallSecs := time.Since(wall).Seconds()
-		c.cm.ops["decompress"].Inc()
-		c.cm.opSeconds["decompress"].Observe(wallSecs)
-		c.cm.observeStages(res)
-		ri := c.reqInfo(ctx)
-		c.decompressTrace(ri, key, res, start)
-		if c.slow.shouldRecord(wallSecs) {
-			c.slowOp(ri, "decompress", key, res, wallSecs, 0, 0, false, false, nil)
-		}
-	}
-	return rep, nil
+	return ops[0].rep, ops[0].err
 }
 
 func (c *Shard) report(key string, size int64, attr analyzer.Result, res manager.Result, start float64) *Report {
@@ -924,8 +754,8 @@ func (c *Shard) Stats() Stats {
 
 // Close finalizes the client — the MPI_Finalize hook in the paper: flush
 // the feedback loop, optionally persist the evolved model back to the
-// JSON seed, and release in-memory structures. Close takes the lifecycle
-// write lock, so it waits for in-flight operations to drain.
+// JSON seed, and release everything newShard acquired. Close takes the
+// lifecycle write lock, so it waits for in-flight operations to drain.
 func (c *Shard) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -933,36 +763,17 @@ func (c *Shard) Close() error {
 		return nil
 	}
 	c.closed = true
-	// Stop the background demoter first (it never takes c.mu, so waiting
-	// under the write lock is safe), then the worker pool, so nothing
-	// touches the store once teardown begins.
-	if c.demoteStop != nil {
-		close(c.demoteStop)
-		<-c.demoteDone
-	}
-	// The prefetcher goes next, for the same reason, and before the pool:
-	// an in-flight prefetch fans decompression through the shared pool.
-	if c.prefetchStop != nil {
-		close(c.prefetchStop)
-		<-c.prefetchDone
-	}
-	c.pool.Close()
-	if c.metricsSrv != nil {
-		_ = c.metricsSrv.Close()
-		c.metricsSrv, c.metricsLn = nil, nil
-	}
-	if c.tel != nil {
-		expvarUnregister(c.expvarID)
-	}
 	c.pred.Flush()
+	var seedErr error
 	if c.saveSeed {
 		c.sd.ModelCoef = c.pred.SnapshotCoef()
-		if err := c.sd.Save(c.seedPath); err != nil {
-			return err
-		}
+		seedErr = c.sd.Save(c.seedPath)
 	}
-	if c.cache != nil {
-		c.cache.InvalidateAll() // hand cached payloads back to the arena
+	// The stack stops the background loops first, then the worker pool,
+	// so nothing touches the store once its backends close.
+	if err := c.closers.close(); seedErr == nil {
+		seedErr = err
 	}
-	return c.st.Close()
+	c.metricsLn = nil
+	return seedErr
 }

@@ -696,7 +696,8 @@ func abs(v float64) float64 {
 }
 
 // startMetricsServer binds addr and serves /metrics (Prometheus text
-// format) and /debug/vars (expvar) until Close. With profiling enabled
+// format) and /debug/vars (expvar) until the shard's closer stack, on
+// which it pushes the server's shutdown, unwinds. With profiling enabled
 // the net/http/pprof handlers mount under /debug/pprof/.
 func (c *Shard) startMetricsServer(addr string, profiling bool) error {
 	ln, err := net.Listen("tcp", addr)
@@ -721,7 +722,8 @@ func (c *Shard) startMetricsServer(addr string, profiling bool) error {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	srv := &http.Server{Handler: mux}
-	c.metricsLn, c.metricsSrv = ln, srv
+	c.metricsLn = ln
+	c.closers.push(srv.Close)
 	go func() { _ = srv.Serve(ln) }()
 	return nil
 }
