@@ -7,6 +7,7 @@
 package analyzer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -73,50 +74,58 @@ func Analyze(buf []byte) Result {
 // A fully-hinted buffer skips the sampling sniffers entirely — only the
 // O(1) container-magic check runs, so a hinted Analyze costs a few
 // nanoseconds regardless of buffer size.
+//
+// The unhinted path is one pass per detector and allocates nothing: the
+// textual test runs once and feeds both format and type detection, the
+// word tests are integer compares on the raw bit patterns, and the
+// distribution samples live in a stack array.
 func AnalyzeWithHint(buf []byte, hint *Hint) Result {
 	if hint != nil && hint.Type != nil && hint.Dist != nil {
 		r := Result{Size: len(buf), Type: *hint.Type, Dist: *hint.Dist}
-		if len(buf) >= 4 && buf[0] == H5LiteMagic[0] && buf[1] == H5LiteMagic[1] &&
-			buf[2] == H5LiteMagic[2] && buf[3] == H5LiteMagic[3] {
+		if hasH5LiteMagic(buf) {
 			r.Format = FormatH5Lite
 		}
 		return r
 	}
-	r := Result{Size: len(buf), Format: detectFormat(buf)}
+	textual := looksTextual(buf)
+	r := Result{Size: len(buf), Format: detectFormat(buf, textual)}
 	if hint != nil && hint.Type != nil {
 		r.Type = *hint.Type
 	} else {
-		r.Type = detectType(buf)
+		r.Type = detectType(buf, textual)
 	}
 	if hint != nil && hint.Dist != nil {
 		r.Dist = *hint.Dist
 		return r
 	}
-	r.Dist = stats.ClassifyDist(stats.SampleFloats(buf, r.Type, distSamples))
+	var samples [distSamples]float64
+	r.Dist = stats.ClassifyDist(stats.SampleFloats(samples[:], buf, r.Type))
 	return r
 }
 
-func detectFormat(buf []byte) Format {
-	if len(buf) >= 4 && buf[0] == H5LiteMagic[0] && buf[1] == H5LiteMagic[1] &&
-		buf[2] == H5LiteMagic[2] && buf[3] == H5LiteMagic[3] {
+func hasH5LiteMagic(buf []byte) bool {
+	return len(buf) >= 4 && [4]byte(buf[:4]) == H5LiteMagic
+}
+
+// detectFormat sniffs the container format; textual is looksTextual(buf).
+func detectFormat(buf []byte, textual bool) Format {
+	if hasH5LiteMagic(buf) {
 		return FormatH5Lite
 	}
 	// Leading-whitespace-tolerant JSON sniff.
-	for _, b := range buf[:minInt(len(buf), 64)] {
+	for _, b := range buf[:min(len(buf), 64)] {
 		switch b {
 		case ' ', '\t', '\n', '\r':
 			continue
 		case '{', '[':
-			if looksTextual(buf) {
+			if textual {
 				return FormatJSON
 			}
 			return FormatRaw
-		default:
-			goto notJSON
 		}
+		break
 	}
-notJSON:
-	if looksTextual(buf) && looksCSV(buf) {
+	if textual && looksCSV(buf) {
 		return FormatCSV
 	}
 	return FormatRaw
@@ -133,43 +142,80 @@ func wordStride(n int) int {
 	return ((words + maxWords - 1) / maxWords) * 4
 }
 
+// A 32-bit word is a plausible measurement float when it is ±0 or its
+// magnitude lies strictly inside (1e-20, 1e20) after the exact
+// float32→float64 widening. Positive float32 values order like their
+// bit patterns, so that is a range test on the pattern with the sign
+// cleared: floatLo is the largest pattern whose value is <= 1e-20 and
+// floatHi the smallest whose value is >= 1e20. Denormals fall below
+// floatLo; Inf and every NaN sit at or above 0x7F800000 > floatHi.
+var floatLo, floatHi = floatBounds()
+
+func floatBounds() (lo, hi uint32) {
+	val := func(p uint32) float64 { return float64(math.Float32frombits(p)) }
+	lo = math.Float32bits(float32(1e-20))
+	for val(lo) > 1e-20 {
+		lo--
+	}
+	for val(lo+1) <= 1e-20 {
+		lo++
+	}
+	hi = math.Float32bits(float32(1e20))
+	for val(hi) < 1e20 {
+		hi++
+	}
+	for val(hi-1) >= 1e20 {
+		hi--
+	}
+	return lo, hi
+}
+
+// wordTests runs detectType's two per-word tests and returns each as 0
+// or 1. Every compare is a subtraction of two values below 2^32 done in
+// 64 bits, whose sign bit is the borrow, so the loop has no
+// data-dependent branch to mispredict on mixed input. lo is floatLo and
+// span is floatHi-floatLo-1, hoisted by the caller.
+func wordTests(v, lo, span uint32) (floatish, intish int) {
+	a := v &^ (1 << 31)
+	zero := (uint64(a) - 1) >> 63
+	inRange := (uint64(a-lo-1) - uint64(span)) >> 63 // lo < a < hi; a == 0 wraps out of range
+	// Plausible int32 measurements cluster near zero relative to the full
+	// 32-bit range: -(1<<26) < int32(v) < 1<<26, as one unsigned compare.
+	small := (uint64(v+(1<<26-1)) - (1<<27 - 1)) >> 63
+	return int(zero | inRange), int(small)
+}
+
 // detectType classifies element type from a sub-sample: text, then float32,
 // then int32, else opaque binary. The sample strides across the whole
-// buffer but touches at most maxScanBytes bytes.
-func detectType(buf []byte) stats.DataType {
-	if len(buf) == 0 {
-		return stats.TypeBinary
-	}
-	if looksTextual(buf) {
+// buffer but touches at most maxScanBytes bytes. textual is
+// looksTextual(buf).
+func detectType(buf []byte, textual bool) stats.DataType {
+	if textual {
 		return stats.TypeText
 	}
 	sample := buf[:len(buf)&^3]
 	if len(sample) < 4 {
 		return stats.TypeBinary
 	}
-	stride := wordStride(len(sample))
+	lo, span := floatLo, floatHi-floatLo-1
 	floatish, intish := 0, 0
-	total := 0
-	for i := 0; i+4 <= len(sample); i += stride {
-		v := binary.LittleEndian.Uint32(sample[i:])
-		total++
-		f := math.Float32frombits(v)
-		// Plausible measurement floats: finite, not denormal-tiny, and of
-		// moderate magnitude.
-		if !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
-			a := math.Abs(float64(f))
-			if a == 0 || (a > 1e-20 && a < 1e20) {
-				floatish++
-			}
-		}
-		// Plausible int32 measurements cluster near zero relative to the
-		// full 32-bit range.
-		if iv := int32(v); iv > -(1<<26) && iv < 1<<26 {
-			intish++
+	stride := wordStride(len(sample))
+	total := (len(sample)-4)/stride + 1
+	if stride == 4 {
+		// Contiguous words: two per 64-bit load. An odd word left at the
+		// end falls to the loop below.
+		for ; len(sample) >= 8; sample = sample[8:] {
+			x := binary.LittleEndian.Uint64(sample)
+			f0, i0 := wordTests(uint32(x), lo, span)
+			f1, i1 := wordTests(uint32(x>>32), lo, span)
+			floatish += f0 + f1
+			intish += i0 + i1
 		}
 	}
-	if total == 0 {
-		return stats.TypeBinary
+	for i := 0; i+4 <= len(sample); i += stride {
+		f, n := wordTests(binary.LittleEndian.Uint32(sample[i:]), lo, span)
+		floatish += f
+		intish += n
 	}
 	ff := float64(floatish) / float64(total)
 	fi := float64(intish) / float64(total)
@@ -188,6 +234,16 @@ func detectType(buf []byte) stats.DataType {
 	}
 }
 
+// printable[b] is 1 for the bytes looksTextual counts as text: ASCII
+// 0x20..0x7E plus newline, carriage return and tab.
+var printable = func() (t [256]uint8) {
+	for b := 0x20; b < 0x7F; b++ {
+		t[b] = 1
+	}
+	t['\n'], t['\r'], t['\t'] = 1, 1, 1
+	return t
+}()
+
 // looksTextual samples byte positions across the whole buffer (at most
 // textSamples of them) and checks the printable fraction.
 func looksTextual(buf []byte) bool {
@@ -195,17 +251,13 @@ func looksTextual(buf []byte) bool {
 	if n == 0 {
 		return false
 	}
-	printable := 0
-	stride := maxInt(1, (n+textSamples-1)/textSamples)
-	seen := 0
+	stride := max(1, (n+textSamples-1)/textSamples)
+	count := 0
 	for i := 0; i < n; i += stride {
-		b := buf[i]
-		if (b >= 0x20 && b < 0x7F) || b == '\n' || b == '\r' || b == '\t' {
-			printable++
-		}
-		seen++
+		count += int(printable[buf[i]])
 	}
-	return float64(printable) >= printableFrac*float64(seen)
+	seen := (n-1)/stride + 1
+	return float64(count) >= printableFrac*float64(seen)
 }
 
 // looksCSV inspects up to maxScanBytes of contiguous text — the head
@@ -214,41 +266,15 @@ func looksTextual(buf []byte) bool {
 // meaningful, unlike the strided byte sampling above.
 func looksCSV(buf []byte) bool {
 	const half = maxScanBytes / 2
-	head := buf[:minInt(len(buf), half)]
+	head := buf[:min(len(buf), half)]
 	var mid []byte
 	if len(buf) > 2*half {
 		start := len(buf)/2 - half/2
 		mid = buf[start : start+half]
 	}
-	commas, newlines := countCSV(head)
-	c2, n2 := countCSV(mid)
-	commas += c2
-	newlines += n2
+	commas := bytes.Count(head, comma) + bytes.Count(mid, comma)
+	newlines := bytes.Count(head, newline) + bytes.Count(mid, newline)
 	return newlines >= 2 && commas >= 2*newlines
 }
 
-func countCSV(buf []byte) (commas, newlines int) {
-	for _, b := range buf {
-		switch b {
-		case ',':
-			commas++
-		case '\n':
-			newlines++
-		}
-	}
-	return
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+var comma, newline = []byte{','}, []byte{'\n'}

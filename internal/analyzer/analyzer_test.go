@@ -147,6 +147,30 @@ func BenchmarkAnalyze1MB(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeCorpus times one unhinted analysis per benchmark data
+// class at the benchmark's 64 KiB block size, live analyzer beside the
+// reference it replaced; -benchmem shows the live path allocating nothing.
+func BenchmarkAnalyzeCorpus(b *testing.B) {
+	var bufs [][]byte
+	for i, dc := range benchClasses {
+		bufs = append(bufs, stats.GenBuffer(dc.typ, dc.dist, 64<<10, int64(i)+1))
+	}
+	for _, impl := range []struct {
+		name string
+		fn   func([]byte) Result
+	}{{"live", Analyze}, {"reference", refAnalyze}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.SetBytes(64 << 10)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = impl.fn(bufs[i%len(bufs)])
+			}
+		})
+	}
+}
+
+var benchSink Result
+
 // touchedByDetectType computes, from the stride math alone, how many bytes
 // the detectType word loop reads for an n-byte buffer.
 func touchedByDetectType(n int) int {
@@ -163,14 +187,14 @@ func touchedByLooksTextual(n int) int {
 	if n == 0 {
 		return 0
 	}
-	stride := maxInt(1, (n+textSamples-1)/textSamples)
+	stride := max(1, (n+textSamples-1)/textSamples)
 	return (n-1)/stride + 1
 }
 
 // touchedByLooksCSV computes how many bytes looksCSV scans.
 func touchedByLooksCSV(n int) int {
 	const half = maxScanBytes / 2
-	t := minInt(n, half)
+	t := min(n, half)
 	if n > 2*half {
 		t += half
 	}

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// TestClassSizes checks the class table as a whole: it starts at
+// MinClass, ends at MaxClass, rises strictly in steps of at most 25 %,
+// and classFor inverts ClassSize.
 func TestClassSizes(t *testing.T) {
 	if ClassSize(0) != MinClass {
 		t.Fatalf("class 0 = %d, want %d", ClassSize(0), MinClass)
@@ -12,23 +15,50 @@ func TestClassSizes(t *testing.T) {
 	if ClassSize(numClass-1) != MaxClass {
 		t.Fatalf("last class = %d, want %d", ClassSize(numClass-1), MaxClass)
 	}
+	for i := 0; i < numClass; i++ {
+		size := ClassSize(i)
+		if got := classFor(size); got != i {
+			t.Errorf("classFor(ClassSize(%d) = %d) = %d", i, size, got)
+		}
+		if i > 0 {
+			if prev := ClassSize(i - 1); size <= prev || 4*size > 5*prev {
+				t.Errorf("class %d = %d after %d: want a rise of at most 25%%", i, size, prev)
+			}
+		}
+	}
 }
 
+// TestClassForRounding checks, for sizes across the whole range, that
+// classFor picks the smallest class that holds n and that the class is
+// never more than a quarter (plus the 1 KiB step of the first octave)
+// larger than the request.
 func TestClassForRounding(t *testing.T) {
-	cases := []struct {
-		n, class int
-	}{
-		{0, 0}, {1, 0}, {MinClass - 1, 0}, {MinClass, 0},
-		{MinClass + 1, 1}, {8 << 10, 1}, {(8 << 10) + 1, 2},
-		{1 << 19, 7}, {(1 << 19) + 1, 8}, {MaxClass, 8},
-	}
-	for _, c := range cases {
-		if got := classFor(c.n); got != c.class {
-			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.class)
+	for n := 1; n <= MaxClass; n += 37 {
+		ci := classFor(n)
+		if ci < 0 || ci >= numClass {
+			t.Fatalf("classFor(%d) = %d", n, ci)
 		}
+		size := ClassSize(ci)
+		if size < n {
+			t.Fatalf("classFor(%d) -> class %d of %d bytes: too small", n, ci, size)
+		}
+		if ci > 0 && ClassSize(ci-1) >= n {
+			t.Fatalf("classFor(%d) -> class %d, but class %d (%d bytes) already holds it", n, ci, ci-1, ClassSize(ci-1))
+		}
+		if n > MinClass && 4*size > 5*n+4<<10 {
+			t.Fatalf("classFor(%d) -> %d bytes: more than 1.25n + 1 KiB", n, size)
+		}
+	}
+	if got := classFor(0); got != 0 {
+		t.Errorf("classFor(0) = %d, want 0", got)
 	}
 	if got := classFor(MaxClass + 1); got != -1 {
 		t.Errorf("classFor(MaxClass+1) = %d, want -1", got)
+	}
+	// The case the classes were cut for: a 64 KiB piece plus its 20-byte
+	// header takes an 80 KiB buffer, not a 128 KiB one.
+	if got := ClassSize(classFor(64<<10 + 20)); got != 80<<10 {
+		t.Errorf("64 KiB + 20 B payload takes a %d-byte buffer, want %d", got, 80<<10)
 	}
 }
 
@@ -66,7 +96,8 @@ func TestOversizeFallsThrough(t *testing.T) {
 
 func TestPutRejectsOddCapacity(t *testing.T) {
 	_, _, _, putBefore := Stats()
-	Put(make([]byte, 5000))            // cap not a power of two
+	Put(make([]byte, 5000))            // cap between two classes
+	Put(make([]byte, 9<<10))           // 4 KiB-aligned, still not a class
 	Put(make([]byte, 100))             // below MinClass
 	Put(make([]byte, 2*MaxClass))      // above MaxClass
 	Put(nil)                           // empty

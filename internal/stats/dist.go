@@ -174,11 +174,12 @@ func ClassifyDist(xs []float64) Dist {
 		d        Dist
 		skew, ku float64
 	}
-	cands := []candidate{
+	cands := [4]candidate{
 		{Uniform, 0, -1.2},
 		{Normal, 0, 0},
 		{Exponential, 2, 6},
 	}
+	n := 3
 	// Gamma shape from CV when the sample is positive-supported. Gamma(1)
 	// IS the exponential and Gamma(k->inf) converges to the normal, so a
 	// gamma candidate is only offered when the estimated shape is clearly
@@ -186,12 +187,13 @@ func ClassifyDist(xs []float64) Dist {
 	if m.Min >= 0 && m.Mean > 0 {
 		k := (m.Mean * m.Mean) / m.Variance
 		if k > 0.05 && k < 30 && (k < 0.75 || k > 1.3) {
-			cands = append(cands, candidate{Gamma, 2 / math.Sqrt(k), 6 / k})
+			cands[n] = candidate{Gamma, 2 / math.Sqrt(k), 6 / k}
+			n++
 		}
 	}
 	best := Uniform
 	bestScore := math.Inf(1)
-	for _, c := range cands {
+	for _, c := range cands[:n] {
 		ds := m.Skewness - c.skew
 		dk := (m.Kurtosis - c.ku) / 3 // kurtosis is noisier; downweight
 		score := ds*ds + dk*dk

@@ -106,43 +106,38 @@ func GenBuffer(dtype DataType, dist Dist, n int, seed int64) []byte {
 	return out[:n]
 }
 
-// SampleFloats extracts up to max float64 samples from a buffer interpreted
-// per dtype; used by the distribution classifier.
-func SampleFloats(buf []byte, dtype DataType, max int) []float64 {
-	out := make([]float64, 0, minInt(max, len(buf)))
+// SampleFloats fills dst with up to len(dst) float64 samples strided
+// across buf interpreted per dtype, and returns the filled prefix; used
+// by the distribution classifier. The caller owns dst, so a fixed-size
+// array on its stack makes sampling allocation-free.
+func SampleFloats(dst []float64, buf []byte, dtype DataType) []float64 {
+	limit := len(dst)
+	if limit == 0 {
+		return dst
+	}
+	n := 0
 	switch dtype {
 	case TypeInt:
-		stride := 4 * maxInt(1, len(buf)/4/max)
-		for i := 0; i+4 <= len(buf) && len(out) < max; i += stride {
-			out = append(out, float64(int32(binary.LittleEndian.Uint32(buf[i:]))))
+		stride := 4 * max(1, len(buf)/4/limit)
+		for i := 0; i+4 <= len(buf) && n < limit; i += stride {
+			dst[n] = float64(int32(binary.LittleEndian.Uint32(buf[i:])))
+			n++
 		}
 	case TypeFloat:
-		stride := 4 * maxInt(1, len(buf)/4/max)
-		for i := 0; i+4 <= len(buf) && len(out) < max; i += stride {
+		stride := 4 * max(1, len(buf)/4/limit)
+		for i := 0; i+4 <= len(buf) && n < limit; i += stride {
 			f := float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[i:])))
 			if !math.IsNaN(f) && !math.IsInf(f, 0) {
-				out = append(out, f)
+				dst[n] = f
+				n++
 			}
 		}
 	default:
-		stride := maxInt(1, len(buf)/max)
-		for i := 0; i < len(buf) && len(out) < max; i += stride {
-			out = append(out, float64(buf[i]))
+		stride := max(1, len(buf)/limit)
+		for i := 0; i < len(buf) && n < limit; i += stride {
+			dst[n] = float64(buf[i])
+			n++
 		}
 	}
-	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return dst[:n]
 }

@@ -351,7 +351,7 @@ func TestGenBufferTypesClassifiable(t *testing.T) {
 	for _, dt := range []DataType{TypeInt, TypeFloat} {
 		for _, d := range AllDists() {
 			buf := GenBuffer(dt, d, 1<<16, int64(100+int(dt)*10+int(d)))
-			xs := SampleFloats(buf, dt, 4096)
+			xs := SampleFloats(make([]float64, 4096), buf, dt)
 			total++
 			if ClassifyDist(xs) == d {
 				ok++
@@ -375,7 +375,7 @@ func TestGenBufferExactLength(t *testing.T) {
 
 func TestSampleFloatsBounded(t *testing.T) {
 	buf := GenBuffer(TypeFloat, Normal, 1<<20, 7)
-	xs := SampleFloats(buf, TypeFloat, 1000)
+	xs := SampleFloats(make([]float64, 1000), buf, TypeFloat)
 	if len(xs) > 1000+4 {
 		t.Errorf("SampleFloats returned %d > max", len(xs))
 	}
@@ -395,7 +395,7 @@ func TestTypeNames(t *testing.T) {
 
 func BenchmarkClassifyDist(b *testing.B) {
 	buf := GenBuffer(TypeFloat, Gamma, 1<<20, 9)
-	xs := SampleFloats(buf, TypeFloat, 4096)
+	xs := SampleFloats(make([]float64, 4096), buf, TypeFloat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ClassifyDist(xs)

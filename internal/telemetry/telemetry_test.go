@@ -258,3 +258,28 @@ func TestSinkEmitsJSONL(t *testing.T) {
 		t.Fatalf("line = %+v", got)
 	}
 }
+
+// TestFloatMemoMatchesAppendJSONFloat: a memoized encode is byte-identical
+// to formatting every value afresh, across repeats, more distinct values
+// than the memo holds (so slots are overwritten and re-learned), signed
+// zeros, exponent-form values and non-finite ones, and across the
+// reallocation of the buffer the memo's offsets point into.
+func TestFloatMemoMatchesAppendJSONFloat(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1.5, 1.5, 3.5e-7, 1e21, 0.012345678901234567, 1.5,
+		math.NaN(), math.Inf(1), -2.25, 3.5e-7, 0}
+	for i := 0; i < 40; i++ {
+		vals = append(vals, float64(i)*0.1, 1.5, float64(i%5)*1e-9)
+	}
+	var fm FloatMemo
+	var got, want []byte // both start nil, so got reallocates as it grows
+	for _, v := range vals {
+		got = append(fm.Append(append(got, '"', 'v', '"', ':'), v), ',')
+		want = append(AppendJSONFloat(append(want, '"', 'v', '"', ':'), v), ',')
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("memoized encode diverges:\n memo  %s\n plain %s", got, want)
+	}
+	if nilGot := (*FloatMemo)(nil).Append(nil, 2.5); string(nilGot) != "2.5" {
+		t.Errorf("nil memo appended %q", nilGot)
+	}
+}

@@ -107,13 +107,23 @@ func (s *Sink) EmitBatch(fill func(dst []byte) []byte) {
 // HTML-safe escapes) — so hand-encoded and reflected records are
 // indistinguishable in the export.
 
+// jsonPlain[c] reports that byte c is copied into a JSON string as is:
+// everything from 0x20 up except the quote, the backslash and the three
+// characters encoding/json escapes for HTML safety.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < 256; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // AppendJSONString appends s as a quoted, escaped JSON string.
 func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	from := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+		if jsonPlain[c] {
 			continue
 		}
 		dst = append(dst, s[from:i]...)
@@ -157,6 +167,42 @@ func AppendJSONFloat(dst []byte, v float64) []byte {
 			dst = dst[:n-1]
 		}
 	}
+	return dst
+}
+
+// FloatMemo formats each distinct float once per encode buffer. One
+// operation's records repeat a handful of values (zero-width markers at
+// the op's start, leaves that abut end to start, the same codec and I/O
+// seconds on a span and its audit), and shortest-round-trip formatting
+// is the most expensive step of encoding them: the first Append of a
+// value formats it and remembers where the digits landed in dst, later
+// Appends of the same bits copy them. The output is byte-identical to
+// AppendJSONFloat. A memo belongs to one growing buffer; the zero value
+// is ready, and a nil memo formats every time.
+type FloatMemo struct {
+	n    int // values recorded so far; slot n%len is overwritten next
+	bits [16]uint64
+	off  [16]int32
+	size [16]uint8
+}
+
+// Append appends v to dst as AppendJSONFloat would.
+func (m *FloatMemo) Append(dst []byte, v float64) []byte {
+	if m == nil {
+		return AppendJSONFloat(dst, v)
+	}
+	b := math.Float64bits(v)
+	for i := 0; i < min(m.n, len(m.bits)); i++ {
+		if m.bits[i] == b {
+			off := int(m.off[i])
+			return append(dst, dst[off:off+int(m.size[i])]...)
+		}
+	}
+	start := len(dst)
+	dst = AppendJSONFloat(dst, v)
+	i := m.n % len(m.bits)
+	m.bits[i], m.off[i], m.size[i] = b, int32(start), uint8(len(dst)-start)
+	m.n++
 	return dst
 }
 

@@ -61,10 +61,10 @@ func (c *Shard) cacheHitTrace(ri telemetry.ReqInfo, key string, meta readcache.M
 			VStart: now, VEnd: now, Bytes: meta.Size},
 	}
 	c.sink.EmitBatch(func(buf []byte) []byte {
-		for i := range spans {
-			buf = append(spans[i].AppendJSON(buf), '\n')
-		}
-		return buf
+		l := traceLines{buf: buf}
+		l.span(&spans[0])
+		l.span(&spans[1])
+		return l.buf
 	})
 }
 

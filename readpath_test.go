@@ -479,16 +479,12 @@ func TestWriteP99RegressionGate(t *testing.T) {
 	}
 	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 256<<10, 3)
 	const total = 1200
-	run := func(frac float64) time.Duration {
+	side := func(frac float64) func() float64 {
 		c := newClient(t, Config{ReadCacheFraction: frac})
 		writeP99(t, c, data, 200) // warm-up
-		return writeP99(t, c, data, total)
+		return func() float64 { return writeP99(t, c, data, total) }
 	}
-	off := run(0)
-	on := run(0.25)
-	t.Logf("write p99: cache off %v, cache on %v", off, on)
-	limit := off + off/10 + 2*time.Millisecond
-	if on > limit {
-		t.Errorf("write p99 with cache on = %v, want <= %v (off %v + 10%% + 2ms)", on, limit, off)
+	if r := medianPairRatio(t, side(0), side(0.25), p99OverLimit(0.10)); r > 1 {
+		t.Errorf("write p99 with cache on is %.2fx its allowance (off + 10%% + 2ms, median of %d pairs), want <= 1", r, gatePairs)
 	}
 }

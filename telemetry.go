@@ -88,7 +88,11 @@ func jsonField(dst []byte, key string) []byte {
 // AppendJSON encodes the span exactly as encoding/json would, field
 // order and omitempty semantics included — the telemetry.Appender fast
 // path that keeps per-operation tracing off the reflection walk.
-func (s TraceSpan) AppendJSON(dst []byte) []byte {
+func (s TraceSpan) AppendJSON(dst []byte) []byte { return s.appendJSON(dst, nil) }
+
+// appendJSON is AppendJSON with the floats going through fm (nil formats
+// each one afresh).
+func (s *TraceSpan) appendJSON(dst []byte, fm *telemetry.FloatMemo) []byte {
 	dst = append(dst, '{')
 	dst = telemetry.AppendJSONString(jsonField(dst, "record"), s.Record)
 	if s.Trace != "" {
@@ -112,8 +116,8 @@ func (s TraceSpan) AppendJSON(dst []byte) []byte {
 	if s.Sub != 0 {
 		dst = telemetry.AppendJSONInt(jsonField(dst, "sub"), int64(s.Sub))
 	}
-	dst = telemetry.AppendJSONFloat(jsonField(dst, "vstart"), s.VStart)
-	dst = telemetry.AppendJSONFloat(jsonField(dst, "vend"), s.VEnd)
+	dst = fm.Append(jsonField(dst, "vstart"), s.VStart)
+	dst = fm.Append(jsonField(dst, "vend"), s.VEnd)
 	if s.DataType != "" {
 		dst = telemetry.AppendJSONString(jsonField(dst, "type"), s.DataType)
 	}
@@ -127,13 +131,13 @@ func (s TraceSpan) AppendJSON(dst []byte) []byte {
 		dst = telemetry.AppendJSONInt(jsonField(dst, "subtasks"), int64(s.SubTasks))
 	}
 	if s.PredSeconds != 0 {
-		dst = telemetry.AppendJSONFloat(jsonField(dst, "predSecs"), s.PredSeconds)
+		dst = fm.Append(jsonField(dst, "predSecs"), s.PredSeconds)
 	}
 	if s.CodecSeconds != 0 {
-		dst = telemetry.AppendJSONFloat(jsonField(dst, "codecSecs"), s.CodecSeconds)
+		dst = fm.Append(jsonField(dst, "codecSecs"), s.CodecSeconds)
 	}
 	if s.IOSeconds != 0 {
-		dst = telemetry.AppendJSONFloat(jsonField(dst, "ioSecs"), s.IOSeconds)
+		dst = fm.Append(jsonField(dst, "ioSecs"), s.IOSeconds)
 	}
 	if s.StoredBytes != 0 {
 		dst = telemetry.AppendJSONInt(jsonField(dst, "storedBytes"), s.StoredBytes)
@@ -180,7 +184,9 @@ type AuditRecord struct {
 // AppendJSON encodes the audit record exactly as encoding/json would —
 // the telemetry.Appender fast path (every field is unconditional, so
 // this is a straight field walk).
-func (a AuditRecord) AppendJSON(dst []byte) []byte {
+func (a AuditRecord) AppendJSON(dst []byte) []byte { return a.appendJSON(dst, nil) }
+
+func (a *AuditRecord) appendJSON(dst []byte, fm *telemetry.FloatMemo) []byte {
 	dst = append(dst, '{')
 	dst = telemetry.AppendJSONString(jsonField(dst, "record"), a.Record)
 	dst = telemetry.AppendJSONString(jsonField(dst, "key"), a.Key)
@@ -191,11 +197,11 @@ func (a AuditRecord) AppendJSON(dst []byte) []byte {
 	dst = telemetry.AppendJSONInt(jsonField(dst, "origBytes"), a.OrigBytes)
 	dst = telemetry.AppendJSONInt(jsonField(dst, "predBytes"), a.PredBytes)
 	dst = telemetry.AppendJSONInt(jsonField(dst, "storedBytes"), a.StoredBytes)
-	dst = telemetry.AppendJSONFloat(jsonField(dst, "predSecs"), a.PredSeconds)
-	dst = telemetry.AppendJSONFloat(jsonField(dst, "codecSecs"), a.CodecSeconds)
-	dst = telemetry.AppendJSONFloat(jsonField(dst, "ioSecs"), a.IOSeconds)
-	dst = telemetry.AppendJSONFloat(jsonField(dst, "sizeErr"), a.SizeErr)
-	dst = telemetry.AppendJSONFloat(jsonField(dst, "timeErr"), a.TimeErr)
+	dst = fm.Append(jsonField(dst, "predSecs"), a.PredSeconds)
+	dst = fm.Append(jsonField(dst, "codecSecs"), a.CodecSeconds)
+	dst = fm.Append(jsonField(dst, "ioSecs"), a.IOSeconds)
+	dst = fm.Append(jsonField(dst, "sizeErr"), a.SizeErr)
+	dst = fm.Append(jsonField(dst, "timeErr"), a.TimeErr)
 	return append(dst, '}')
 }
 
@@ -377,8 +383,12 @@ func (s *slowLog) append(rec SlowOpRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ring = append(s.ring, rec)
-	if over := len(s.ring) - s.cap; over > 0 && s.cap > 0 {
-		s.ring = append([]SlowOpRecord(nil), s.ring[over:]...)
+	// Trim only once the slice holds twice the bound, sliding the newest
+	// cap records down in place: amortized O(1) per append, where trimming
+	// on every append copied the whole ring (49 KB at the default 256)
+	// for each sampled op once warm. SlowOps cuts to the bound on drain.
+	if s.cap > 0 && len(s.ring) >= 2*s.cap {
+		s.ring = append(s.ring[:0], s.ring[len(s.ring)-s.cap:]...)
 	}
 }
 
@@ -393,6 +403,9 @@ func (c *Shard) SlowOps() []SlowOpRecord {
 	defer c.slow.mu.Unlock()
 	out := c.slow.ring
 	c.slow.ring = nil
+	if over := len(out) - c.slow.cap; over > 0 && c.slow.cap > 0 {
+		out = out[over:]
+	}
 	return out
 }
 
@@ -545,21 +558,32 @@ func newClientMetrics(reg *telemetry.Registry) clientMetrics {
 	return cm
 }
 
-// spanTree builds one op's span tree in deterministic emission order:
-// root, any zero-width marker children (analyze/plan/replan on writes),
-// the execute span, then per sub-task leaves replaying the serial
-// virtual timeline. Writes replay codec→retry→io per sub-task; reads
-// retry→io→codec, mirroring the manager's placeTask/replayRead exactly
-// — so the leaf widths reconstruct End-start to fp rounding.
-func (c *Shard) spanTree(ri telemetry.ReqInfo, op, key string, res manager.Result, start float64, write bool, markers ...TraceSpan) []TraceSpan {
-	spans := make([]TraceSpan, 0, 3+len(markers)+4*len(res.SubResults))
+// traceLines encodes one op's trace records as JSON lines, straight into
+// the buffer the sink lends out — no span slice is built first — sharing
+// one FloatMemo so each distinct timestamp and duration of the op is
+// formatted once.
+type traceLines struct {
+	buf []byte
+	fm  telemetry.FloatMemo
+}
+
+func (l *traceLines) span(s *TraceSpan)    { l.buf = append(s.appendJSON(l.buf, &l.fm), '\n') }
+func (l *traceLines) audit(a *AuditRecord) { l.buf = append(a.appendJSON(l.buf, &l.fm), '\n') }
+
+// spanTree encodes one op's span tree into l in deterministic emission
+// order: root, any zero-width marker children (analyze/plan/replan on
+// writes), the execute span, then per sub-task leaves replaying the
+// serial virtual timeline. Writes replay codec→retry→io per sub-task;
+// reads retry→io→codec, mirroring the manager's placeTask/replayRead
+// exactly — so the leaf widths reconstruct End-start to fp rounding.
+func (c *Shard) spanTree(l *traceLines, ri telemetry.ReqInfo, op, key string, res manager.Result, start float64, write bool, markers []TraceSpan) {
 	next := 0
 	add := func(s TraceSpan) int {
 		next++
 		s.Record, s.Span = "span", next
 		s.Trace, s.Tenant, s.Class = ri.ID, ri.Tenant, ri.Class
 		s.Op, s.Key = op, key
-		spans = append(spans, s)
+		l.span(&s)
 		return next
 	}
 	root := add(TraceSpan{Stage: "op", VStart: start, VEnd: res.End,
@@ -605,7 +629,6 @@ func (c *Shard) spanTree(ri telemetry.ReqInfo, op, key string, res manager.Resul
 			add(codecSpan)
 		}
 	}
-	return spans
 }
 
 // compressTrace builds the span tree and audit records for one executed
@@ -643,24 +666,24 @@ func (c *Shard) compressTrace(ri telemetry.ReqInfo, key string, attr analyzer.Re
 	if c.sink == nil {
 		return audits
 	}
-	markers := []TraceSpan{
+	markers := [3]TraceSpan{
 		{Stage: "analyze", VStart: start, VEnd: start,
 			DataType: attr.Type.String(), Distribution: attr.Dist.String(), Bytes: size},
 		{Stage: "plan", VStart: start, VEnd: start,
 			SubTasks: len(schema.SubTasks), PredSeconds: schema.PredTime},
+		{Stage: "replan", VStart: start, VEnd: start},
 	}
+	n := 2
 	if replanned {
-		markers = append(markers, TraceSpan{Stage: "replan", VStart: start, VEnd: start})
+		n = 3
 	}
-	spans := c.spanTree(ri, "compress", key, res, start, true, markers...)
 	c.sink.EmitBatch(func(buf []byte) []byte {
-		for i := range spans {
-			buf = append(spans[i].AppendJSON(buf), '\n')
-		}
+		l := traceLines{buf: buf}
+		c.spanTree(&l, ri, "compress", key, res, start, true, markers[:n])
 		for i := range audits {
-			buf = append(audits[i].AppendJSON(buf), '\n')
+			l.audit(&audits[i])
 		}
-		return buf
+		return l.buf
 	})
 	return audits
 }
@@ -672,12 +695,10 @@ func (c *Shard) decompressTrace(ri telemetry.ReqInfo, key string, res manager.Re
 	if c.sink == nil {
 		return
 	}
-	spans := c.spanTree(ri, "decompress", key, res, start, false)
 	c.sink.EmitBatch(func(buf []byte) []byte {
-		for i := range spans {
-			buf = append(spans[i].AppendJSON(buf), '\n')
-		}
-		return buf
+		l := traceLines{buf: buf}
+		c.spanTree(&l, ri, "decompress", key, res, start, false, nil)
+		return l.buf
 	})
 }
 

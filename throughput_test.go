@@ -2,9 +2,11 @@ package hcompress
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -76,6 +78,74 @@ func runWriteLoad(tb testing.TB, c *Client, data []byte, total, batch int) float
 	return float64(total) / time.Since(startAll).Seconds()
 }
 
+// gatePairs is how many interleaved A/B pairs each wall-clock gate takes.
+const gatePairs = 7
+
+// medianPairRatio is the statistic every wall-clock gate asserts on: it
+// takes gatePairs interleaved measurements of the two sides, alternating
+// which runs first so drift and a busy neighbour hit both alike, and
+// returns the median of the per-pair ratio(a, b) values. A single
+// disturbed measurement moves one ratio, not the median — unlike a
+// best-of-3 per side or one p99 of 1 200 samples, which this replaces.
+//
+// A ratio of two slowed-down sides survives a busy host; a ratio that
+// depends on how many CPUs the process really has does not (batching's
+// gain over per-op submission is 1.9x on two cores and 1.4x when
+// another package's tests leave us one core's worth of time slices). So
+// each pair starts once the host grants the process the CPU it asks
+// for, and is measured again if that stopped being true by its end —
+// within a budget, after which pairs are taken as they come.
+func medianPairRatio(t *testing.T, a, b func() float64, ratio func(a, b float64) float64) float64 {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	quiet := func() bool { return cpuShare() >= 0.9 }
+	ratios := make([]float64, 0, gatePairs)
+	for len(ratios) < gatePairs {
+		for !quiet() && time.Now().Before(deadline) {
+			time.Sleep(250 * time.Millisecond) // let the neighbour finish sooner
+		}
+		var va, vb float64
+		if len(ratios)%2 == 0 {
+			va, vb = a(), b()
+		} else {
+			vb, va = b(), a()
+		}
+		if !quiet() && time.Now().Before(deadline) {
+			continue
+		}
+		ratios = append(ratios, ratio(va, vb))
+	}
+	sort.Float64s(ratios)
+	t.Logf("per-pair ratios %.3f", ratios)
+	return ratios[gatePairs/2]
+}
+
+// cpuShare spins on every P for 20 ms and returns the share of that CPU
+// time the host actually gave the process: about 1 on an idle host, about
+// 0.5 when a neighbour is as busy as we are.
+func cpuShare() float64 {
+	cpuTime := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			return 0
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	procs := runtime.GOMAXPROCS(0)
+	cpu0, start := cpuTime(), time.Now()
+	var wg sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Since(start) < 20*time.Millisecond {
+			}
+		}()
+	}
+	wg.Wait()
+	return (cpuTime() - cpu0).Seconds() / (time.Since(start).Seconds() * float64(procs))
+}
+
 // BenchmarkClientThroughput is the throughput engine's gate benchmark:
 // 8 concurrent clients writing 256 KiB tasks through one handle while
 // the background demoter runs, per-op vs batched submission. Compare
@@ -113,22 +183,30 @@ func TestBatchThroughputGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race serializes everything; throughput ratios are meaningless")
 	}
-	c := newClient(t, Config{modeled: true})
 	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 64<<10, 3)
-	const total = 4000
-	runWriteLoad(t, c, data, 500, 1) // warm caches and models
-	perOp := runWriteLoad(t, c, data, total, 1)
-	batched := runWriteLoad(t, c, data, total, 16)
-	ratio := batched / perOp
-	t.Logf("per-op %.0f ops/s, batched %.0f ops/s: %.2fx", perOp, batched, ratio)
+	// A fresh client per measurement, 20 000 ops each: a modeled client's
+	// per-op rate roughly doubles after its first ~150k ops while the
+	// batched rate does not, so measurements that share a client compare
+	// different regimes depending on their position in the sequence.
+	const total = 20000
+	side := func(batch int) func() float64 {
+		return func() float64 {
+			c := newClient(t, Config{modeled: true})
+			defer c.Close()
+			runWriteLoad(t, c, data, 500, 1) // warm caches and models
+			return runWriteLoad(t, c, data, total, batch)
+		}
+	}
+	ratio := medianPairRatio(t, side(1), side(16),
+		func(perOp, batched float64) float64 { return batched / perOp })
 	if ratio < 1.5 {
-		t.Errorf("batched submission is %.2fx per-op ops/s, want >= 1.5x", ratio)
+		t.Errorf("batched submission is %.2fx per-op ops/s (median of %d pairs), want >= 1.5x", ratio, gatePairs)
 	}
 }
 
-// writeP99 measures the p99 wall latency of single-op writes under the
-// gate's standard concurrency.
-func writeP99(tb testing.TB, c *Client, data []byte, total int) time.Duration {
+// writeP99 measures the p99 wall latency, in seconds, of single-op writes
+// under the gate's standard concurrency.
+func writeP99(tb testing.TB, c *Client, data []byte, total int) float64 {
 	tb.Helper()
 	lats := make([]time.Duration, total)
 	var next atomic.Int64
@@ -159,7 +237,14 @@ func writeP99(tb testing.TB, c *Client, data []byte, total int) time.Duration {
 	}
 	wg.Wait()
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[total*99/100]
+	return lats[total*99/100].Seconds()
+}
+
+// p99OverLimit is the per-pair ratio of the two write-p99 gates: the
+// treated side's p99 over its allowance, the untreated p99 plus frac of
+// it plus 2 ms for timer noise. At or below 1 the pair is within the bar.
+func p99OverLimit(frac float64) func(off, on float64) float64 {
+	return func(off, on float64) float64 { return on / (off*(1+frac) + 2e-3) }
 }
 
 // TestDemotionLatencyGate enforces the second ISSUE 4 acceptance bar:
@@ -177,20 +262,16 @@ func TestDemotionLatencyGate(t *testing.T) {
 	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 256<<10, 3)
 	const total = 1200
 
-	run := func(interval time.Duration) time.Duration {
+	side := func(interval time.Duration) func() float64 {
 		c := newClient(t, Config{
 			Tiers:                 demoteTiers(),
 			DemotionInterval:      interval,
 			DemotionSliceSubTasks: 8,
 		})
 		writeP99(t, c, data, 200) // warm-up
-		return writeP99(t, c, data, total)
+		return func() float64 { return writeP99(t, c, data, total) }
 	}
-	off := run(0)
-	on := run(time.Millisecond)
-	t.Logf("write p99: demotion off %v, demotion on %v", off, on)
-	limit := off + off/5 + 2*time.Millisecond
-	if on > limit {
-		t.Errorf("write p99 with demotion on = %v, want <= %v (off %v + 20%% + 2ms)", on, limit, off)
+	if r := medianPairRatio(t, side(0), side(time.Millisecond), p99OverLimit(0.20)); r > 1 {
+		t.Errorf("write p99 with demotion on is %.2fx its allowance (off + 20%% + 2ms, median of %d pairs), want <= 1", r, gatePairs)
 	}
 }
