@@ -27,7 +27,7 @@ import (
 	"hcompress/internal/tier"
 )
 
-const benchScale = 256 // divide paper scale in benches; hcbench runs bigger
+const benchScale = 256 // divide paper scale in benches; hcbench -exp runs bigger
 
 func BenchmarkFig1Motivation(b *testing.B) {
 	o := experiments.PaperFig1(benchScale)

@@ -30,6 +30,6 @@ func New(cfg Config) (*Client, error) {
 }
 
 // Router exposes the underlying single-shard router, so a Client can be
-// handed to anything (the service front-end, hcbench) that drives a
+// handed to anything (the service front-end, bench/) that drives a
 // Router.
 func (c *Client) Router() *Router { return c.router }

@@ -7,25 +7,21 @@
 //	hcbench -exp fig5 -scale 64
 //	hcbench -exp all -scale 64
 //	hcbench -exp fig7 -scale 32 -profile    # measure codecs first
-//	hcbench -parallel 8                     # concurrent-client throughput
 //
 // -scale divides the paper's rank counts, tier capacities, bandwidths and
 // lane counts by the same factor, preserving per-rank behaviour; -scale 1
 // replays the paper's exact parameters (slow). With -profile, the truth
 // cost table is measured by running this build's codecs instead of using
-// the calibrated builtin table.
+// the calibrated builtin table. Throughput, latency and per-layer
+// measurements live in bench/ (see bench/README.md), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strings"
-	"time"
 
-	"hcompress"
 	"hcompress/internal/experiments"
 	"hcompress/internal/seed"
 	"hcompress/internal/tier"
@@ -33,212 +29,16 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|all")
-		scale    = flag.Int("scale", 64, "divide paper scale by this factor (1 = full scale)")
-		profile  = flag.Bool("profile", false, "profile this build's codecs for the truth table (slower start)")
-		seedOut  = flag.String("seed", "", "optional path to write the truth seed as JSON")
-		parallel = flag.Int("parallel", 0, "instead of experiments: drive N goroutines through one client and print aggregate throughput")
-		tasks    = flag.Int("tasks", 64, "with -parallel: operations per goroutine")
-		taskSize = flag.Int("tasksize", 1<<20, "with -parallel/-n: bytes per task")
-		cycles   = flag.Int("n", 0, "total operations through one client (implies the throughput harness; default -parallel 1)")
-		batch    = flag.Int("batch", 1, "with the throughput harness: submit writes/reads in CompressBatch/DecompressBatch groups of this size (1 = per-op)")
-		mix      = flag.Float64("mix", 1.0, "with the throughput harness: fraction of operations that are writes (1.0 = write-only, 0.7 = 70% writes / 30% reads)")
-		demote   = flag.Duration("demote", 0, "with the throughput harness: background demotion interval (0 = off), e.g. 5ms")
-		metrics  = flag.Bool("metrics", false, "with the throughput harness: enable telemetry and dump the Prometheus exposition at exit")
-		slo      = flag.Bool("slo", false, "with the throughput harness or -service: full observability (tracing, slow-op log, SLO engine); prints per-stage latency attribution quantiles, the top slow ops, and (with -service) the /v1/slo burn rates")
-		faults   = flag.Bool("faults", false, "instead of experiments: run the fault-tolerance availability gate (scripted tier outage; exits non-zero on any write failure)")
-		shards   = flag.Int("shards", 1, "with the throughput harness: drive a key-routed router with this many shards instead of a single client")
-		service  = flag.Bool("service", false, "instead of experiments: serve the router over loopback HTTP and drive the same mixed workload through the service API (honors -shards/-parallel/-tasks/-tasksize/-mix)")
-		sweep    = flag.String("shardsweep", "", "instead of experiments: run the mixed workload at shard counts 1/2/4/8 and write the ops/s trajectory as JSON to this path ('-' for stdout)")
-		zipf     = flag.Float64("zipf", 0, "with the throughput harness: pick read keys Zipf(s)-skewed over each goroutine's live window, hottest = most recent (0 = the old fixed middle key; try 0.99)")
-		cache    = flag.Float64("cache", 0, "with the throughput harness: ReadCacheFraction — enable the decompressed-block read cache sized at this fraction of tier 0 (0 = off)")
-		reads    = flag.String("readbench", "", "instead of experiments: run the zipfian hot-read benchmark (cache-on vs cache-off over an identical key sequence) and write the comparison as JSON to this path ('-' for stdout); honors -zipf and -cache")
-		codecb   = flag.String("codecbench", "", "instead of experiments: measure per-codec compress/decompress MB/s and ratio over the standard corpus and append one trajectory point to this JSON path ('-' prints the run to stdout)")
-		codecLbl = flag.String("codeclabel", "run", "with -codecbench: label recorded on the appended trajectory point")
-		backends = flag.String("backend", "", "instead of experiments: measure TierBackend put/peek throughput for 'mem', 'file', or 'all' (file also times the cold recovered open) and append a point to -backendout")
-		costswp  = flag.Bool("costsweep", false, "instead of experiments: sweep Priorities.Cost over a fast-expensive vs cloud-cheap hierarchy and record the per-tier byte placement in -backendout (combines with -backend)")
-		bkOut    = flag.String("backendout", "BENCH_backends.json", "with -backend/-costsweep: trajectory JSON path ('-' prints the run to stdout)")
-		bkLbl    = flag.String("backendlabel", "run", "with -backend/-costsweep: label recorded on the appended trajectory point")
+		exp     = flag.String("exp", "all", "experiment: fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|all")
+		scale   = flag.Int("scale", 64, "divide paper scale by this factor (1 = full scale)")
+		profile = flag.Bool("profile", false, "profile this build's codecs for the truth table (slower start)")
+		seedOut = flag.String("seed", "", "optional path to write the truth seed as JSON")
 	)
 	flag.Parse()
-	var err error
-	switch {
-	case *faults:
-		err = runFaults()
-	case *parallel < 0:
-		err = fmt.Errorf("-parallel must be >= 1, got %d", *parallel)
-	case *cycles < 0:
-		err = fmt.Errorf("-n must be >= 1, got %d", *cycles)
-	case *batch < 1:
-		err = fmt.Errorf("-batch must be >= 1, got %d", *batch)
-	case *mix < 0 || *mix > 1:
-		err = fmt.Errorf("-mix must be in [0, 1], got %g", *mix)
-	case *shards < 1:
-		err = fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	case *zipf < 0:
-		err = fmt.Errorf("-zipf must be >= 0, got %g", *zipf)
-	case *cache < 0 || *cache > 1:
-		err = fmt.Errorf("-cache must be in [0, 1], got %g", *cache)
-	case *backends != "" && *backends != "mem" && *backends != "file" && *backends != "all":
-		err = fmt.Errorf("-backend must be mem, file or all, got %q", *backends)
-	case *backends != "" || *costswp:
-		err = runBackendBench(*backends, *costswp, *bkOut, *bkLbl)
-	case *codecb != "":
-		err = runCodecBench(*codecb, *codecLbl)
-	case *reads != "":
-		err = runReadBench(*reads, *zipf, *cache)
-	case *sweep != "":
-		err = runShardSweep(*sweep, orDefault(*parallel, 8), orDefault(*tasks, 64), *taskSize, *batch, *mix)
-	case *service:
-		err = runService(*shards, orDefault(*parallel, 4), orDefault(*tasks, 64), *taskSize, *mix, *slo)
-	case *parallel > 0 || *cycles > 0 || *shards > 1:
-		p := *parallel
-		if p == 0 {
-			p = 1
-		}
-		tasksPer := *tasks
-		if *cycles > 0 {
-			tasksPer = (*cycles + p - 1) / p
-		}
-		err = runParallel(*shards, p, tasksPer, *taskSize, *batch, *mix, *zipf, *cache, *demote, *metrics, *slo)
-	default:
-		err = run(*exp, *scale, *profile, *seedOut)
-	}
-	if err != nil {
+	if err := run(*exp, *scale, *profile, *seedOut); err != nil {
 		fmt.Fprintln(os.Stderr, "hcbench:", err)
 		os.Exit(1)
 	}
-}
-
-// runParallel stresses the concurrent data plane: n goroutines share one
-// target — the single Client facade, or with shards > 1 a key-routed
-// Router — each performing tasksPer operations on its own key space. mix
-// selects the write fraction (reads replay previously written keys, with
-// zipf > 0 skewing the replay toward recent keys); batch groups
-// submissions through the CompressBatch/DecompressBatch APIs; demote
-// turns on the background demoter at that interval; cacheFrac > 0 enables
-// the decompressed-block read cache. Aggregate ops/s, MB/s and
-// client-side latency quantiles are printed; with metrics, the full
-// (shard-merged) Prometheus exposition is dumped to stdout as well.
-func runParallel(shards, n, tasksPer, taskSize, batch int, mix, zipf, cacheFrac float64, demote time.Duration, metrics, slo bool) error {
-	cfg := hcompress.Config{
-		EnableTelemetry:   metrics || slo,
-		DemotionInterval:  demote,
-		ReadCacheFraction: cacheFrac,
-	}
-	if slo {
-		// Full observability, as a production deployment would run it:
-		// span trees emitted (and discarded), a latency threshold plus a
-		// background sample feeding the slow-op ring.
-		cfg.TraceWriter = io.Discard
-		cfg.SlowOpThreshold = 50 * time.Millisecond
-		cfg.SlowOpSampleEvery = 32
-	}
-	var c benchTarget
-	if shards == 1 {
-		cl, err := hcompress.New(cfg)
-		if err != nil {
-			return err
-		}
-		c = cl
-	} else {
-		r, err := hcompress.NewRouter(cfg, shards)
-		if err != nil {
-			return err
-		}
-		c = r
-	}
-	defer c.Close()
-
-	res, err := driveMixed(c, n, tasksPer, taskSize, batch, mix, zipf)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shards=%d parallel=%d ops/goroutine=%d tasksize=%d batch=%d mix=%.2f zipf=%g cache=%g demote=%s\n",
-		shards, n, tasksPer, taskSize, batch, mix, zipf, cacheFrac, demote)
-	fmt.Printf("wall %.3fs  %.1f ops/s  %.1f MB/s aggregate (%d writes, %d reads)\n",
-		res.wall, res.opsPerSec(), res.mbPerSec(taskSize), res.writeOps, res.readOps)
-	printQuantiles("write", batch, res.writeLats)
-	printQuantiles("read", batch, res.readLats)
-	if cacheFrac > 0 {
-		printCacheStats(c.CacheStats())
-	}
-	if slo {
-		printStageAttribution(c.Snapshot())
-		printTopSlowOps(c.SlowOps(), 10)
-	}
-	if metrics {
-		fmt.Println("--- prometheus exposition ---")
-		if err := c.WriteMetrics(os.Stdout); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// printStageAttribution renders every hc_stage_seconds series from the
-// snapshot — where the run's latency went, stage by stage (analyze/plan/
-// queue in wall seconds, codec/io/retry in virtual seconds).
-func printStageAttribution(snap hcompress.MetricsSnapshot) {
-	var names []string
-	for name := range snap.Histograms {
-		if strings.HasPrefix(name, "hc_stage_seconds{") {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return
-	}
-	sort.Strings(names)
-	fmt.Println("--- per-stage latency attribution ---")
-	fmt.Printf("%-44s %9s %11s %11s %11s %11s\n", "series", "n", "sum ms", "p50 ms", "p90 ms", "p99 ms")
-	for _, name := range names {
-		h := snap.Histograms[name]
-		fmt.Printf("%-44s %9d %11.3f %11.4f %11.4f %11.4f\n",
-			strings.TrimPrefix(name, "hc_stage_seconds"), h.Count, h.Sum*1e3, h.P50*1e3, h.P90*1e3, h.P99*1e3)
-	}
-}
-
-// printTopSlowOps prints the worst n entries of the drained slow-op log
-// with their stage breakdowns.
-func printTopSlowOps(ops []hcompress.SlowOpRecord, n int) {
-	if len(ops) == 0 {
-		return
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].WallSeconds > ops[j].WallSeconds })
-	if len(ops) > n {
-		ops = ops[:n]
-	}
-	fmt.Printf("--- top %d slow ops (wall / analyze / plan / codec / io / retry, ms) ---\n", len(ops))
-	for _, op := range ops {
-		fmt.Printf("%-10s %-20s %8.3f / %.3f / %.3f / %.3f / %.3f / %.3f  trace=%s tenant=%s\n",
-			op.Op, op.Key, op.WallSeconds*1e3, op.AnalyzeSeconds*1e3, op.PlanSeconds*1e3,
-			op.CodecSeconds*1e3, op.IOSeconds*1e3, op.RetrySeconds*1e3, op.Trace, op.Tenant)
-	}
-}
-
-// printQuantiles merges per-goroutine submission latencies and prints
-// p50/p90/p99. With batch > 1 each sample covers one batch call.
-func printQuantiles(name string, batch int, perG [][]time.Duration) {
-	var all []time.Duration
-	for _, l := range perG {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	q := func(p float64) time.Duration {
-		i := int(p * float64(len(all)-1))
-		return all[i]
-	}
-	unit := "op"
-	if batch > 1 {
-		unit = fmt.Sprintf("batch of %d", batch)
-	}
-	fmt.Printf("%-6s n=%-7d p50=%-10s p90=%-10s p99=%-10s (per %s)\n",
-		name, len(all), q(0.50).Round(time.Microsecond), q(0.90).Round(time.Microsecond),
-		q(0.99).Round(time.Microsecond), unit)
 }
 
 func run(exp string, scale int, profile bool, seedOut string) error {

@@ -60,8 +60,7 @@ type FaultWindow struct {
 }
 
 // FaultInjector is the public fault-injection knob: a script of windows
-// applied to the store's operations. Attach one via Config.FaultInjector;
-// hcbench -faults builds one internally.
+// applied to the store's operations. Attach one via Config.FaultInjector.
 type FaultInjector struct {
 	Windows []FaultWindow
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hcompress/internal/stats"
 )
 
 // faultTiers is a two-tier hierarchy small enough that plans are cheap
@@ -382,5 +384,134 @@ func TestInvalidFaultWindowRejected(t *testing.T) {
 	}})
 	if err == nil {
 		t.Fatal("out-of-range CapacityFraction must be rejected")
+	}
+}
+
+// TestScriptedOutageAvailability is the fault-tolerance availability
+// gate: a scripted single-tier outage on the virtual timeline during
+// which every write must still succeed (spilled or degraded, never
+// failed), followed by a recovery phase in which the dead tier must be
+// probed, healed, and placed onto again, and a full read-back in which
+// every payload must verify. The scenario is deterministic: faults,
+// probes, and backoff all live on the virtual clock, which the test
+// steps explicitly.
+func TestScriptedOutageAvailability(t *testing.T) {
+	const (
+		outageStart = 1.0
+		outageEnd   = 5.0
+		perPhase    = 8
+		taskSize    = 1 << 20
+	)
+	// A scarce RAM tier ahead of NVMe: tasks of taskSize cannot fit on
+	// RAM even compressed, so healthy placement exercises NVMe — the
+	// tier the script kills — and recovery is observable as NVMe reuse.
+	c := newClient(t, Config{
+		Tiers: []TierSpec{
+			{Name: "ram", CapacityBytes: 64 << 10, LatencySec: 1e-6, BandwidthBps: 6e9, Lanes: 4},
+			{Name: "nvme", CapacityBytes: 1 << 30, LatencySec: 30e-6, BandwidthBps: 2e9, Lanes: 2},
+			{Name: "pfs", CapacityBytes: 64 << 30, LatencySec: 5e-3, BandwidthBps: 500e6, Lanes: 4},
+		},
+		EnableTelemetry: true,
+		FaultInjector: &FaultInjector{Windows: []FaultWindow{
+			{Tier: "nvme", StartSec: outageStart, EndSec: outageEnd, Mode: FaultOutage},
+		}},
+	})
+	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, taskSize, 7)
+
+	var keys []string
+	degraded := 0
+	write := func(phase string, i int) *Report {
+		t.Helper()
+		key := fmt.Sprintf("%s-%d", phase, i)
+		rep, err := c.Compress(Task{Key: key, Data: data})
+		if err != nil {
+			t.Fatalf("availability violated: phase %s write %d failed: %v", phase, i, err)
+		}
+		if rep.Degraded != nil {
+			degraded++
+		}
+		keys = append(keys, key)
+		return rep
+	}
+	usedTier := func(rep *Report, name string) bool {
+		for _, st := range rep.SubTasks {
+			if st.Tier == name {
+				return true
+			}
+		}
+		return false
+	}
+
+	// Phase A: healthy baseline. NVMe must carry sub-tasks.
+	sawNVMe := false
+	for i := 0; i < perPhase; i++ {
+		sawNVMe = usedTier(write("healthy", i), "nvme") || sawNVMe
+	}
+	if !sawNVMe {
+		t.Fatal("healthy phase never placed on nvme; the outage would be vacuous")
+	}
+
+	// Phase B: step into the outage. 100% write availability is the
+	// gate: spills and degraded writes are fine, errors are not. Once
+	// the health machine reacts, plans must stop naming the dead tier.
+	c.Advance(outageStart + 1)
+	for i := 0; i < perPhase; i++ {
+		if usedTier(write("outage", i), "nvme") {
+			t.Fatalf("outage write %d placed a sub-task on the dead tier", i)
+		}
+	}
+	offline := false
+	for _, h := range c.Health() {
+		if h.Name == "nvme" && h.State == "offline" {
+			offline = true
+		}
+	}
+	if !offline {
+		t.Fatalf("health machine never took nvme offline: %+v", c.Health())
+	}
+
+	// Phase C: step past the outage and the recovery probe. The probe
+	// must heal the tier and placement must reuse it.
+	c.Advance(outageEnd + 5)
+	sawNVMe = false
+	for i := 0; i < perPhase; i++ {
+		sawNVMe = usedTier(write("recovered", i), "nvme") || sawNVMe
+	}
+	if !sawNVMe {
+		t.Fatal("recovered nvme never reused by placement")
+	}
+	for _, h := range c.Health() {
+		if h.Name == "nvme" && h.State != "healthy" {
+			t.Fatalf("nvme not healed after recovery: %+v", h)
+		}
+	}
+
+	// Read-back: every payload written in any phase must verify (the
+	// sub-task CRC gate runs on every read).
+	for _, key := range keys {
+		rep, err := c.Decompress(key)
+		if err != nil {
+			t.Fatalf("read-back %q: %v", key, err)
+		}
+		ok := bytes.Equal(rep.Data, data)
+		rep.Release()
+		if !ok {
+			t.Fatalf("read-back %q: payload mismatch", key)
+		}
+	}
+
+	snap := c.Snapshot()
+	t.Logf("%d writes (%d per phase), 0 failures, %d degraded; retries=%d degraded_writes=%d replans=%d",
+		len(keys), perPhase, degraded, snap.Counters["hc_retries_total"],
+		snap.Counters["hc_degraded_writes_total"], snap.Counters["hc_client_replans_total"])
+	transitions := 0
+	for _, ev := range c.FaultEvents() {
+		if ev.Tier == "nvme" {
+			transitions++
+			t.Logf("event: nvme %s -> %s at v=%.3fs (streak %d)", ev.From, ev.To, ev.VTime, ev.Streak)
+		}
+	}
+	if transitions < 3 {
+		t.Fatalf("expected at least degraded/offline/healthy transitions, saw %d", transitions)
 	}
 }

@@ -28,7 +28,7 @@ func modeledHC(t *testing.T, h tier.Hierarchy) *HCClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &HCClient{Eng: eng, Mgr: manager.New(st, pred, manager.ModelOracle{Truth: truth}), Mon: mon}
+	return &HCClient{Eng: eng, Mgr: manager.New(st, pred, manager.Options{Oracle: manager.ModelOracle{Truth: truth}}), Mon: mon}
 }
 
 func floatAttr() analyzer.Result {
@@ -95,7 +95,7 @@ func TestHCClientReplansOnStaleCapacity(t *testing.T) {
 	pred := predictor.New(truth)
 	mon := monitor.New(st, 1e9) // effectively never refreshes on its own
 	eng, _ := core.New(pred, mon, core.Config{Weights: seed.WeightsEqual, DisableCompression: true})
-	hc := &HCClient{Eng: eng, Mgr: manager.New(st, pred, manager.ModelOracle{Truth: truth}), Mon: mon}
+	hc := &HCClient{Eng: eng, Mgr: manager.New(st, pred, manager.Options{Oracle: manager.ModelOracle{Truth: truth}}), Mon: mon}
 	attr := floatAttr()
 	// Each write fills RAM; with a stale monitor the later writes still
 	// plan for RAM, fail placement (the manager spills), or replan.

@@ -134,6 +134,10 @@ type Config struct {
 	// Codecs restricts selection to these library names (default: all
 	// registered codecs).
 	Codecs []string
+	// Telemetry, when non-nil, receives the engine's instruments: memo
+	// hit/miss, plans served, weight-generation bumps, and the plan-depth
+	// histogram (sub-tasks per schema).
+	Telemetry *telemetry.Registry
 }
 
 // Engine is the HCDP engine. It is safe for concurrent callers: the memo
@@ -144,12 +148,12 @@ type Config struct {
 // invalidates the memo through a generation counter rather than by
 // clearing the table inline.
 type Engine struct {
-	pred  *predictor.CCP
-	mon   *monitor.SystemMonitor
-	cfg   Config        // immutable after New
-	pool  []codec.Codec // candidate codecs, None excluded; immutable
-	price []float64     // per-tier displacement price (sec/byte); immutable
-	dollar []float64    // per-tier $ price ($/byte, storage+egress); immutable
+	pred   *predictor.CCP
+	mon    *monitor.SystemMonitor
+	cfg    Config        // immutable after New
+	pool   []codec.Codec // candidate codecs, None excluded; immutable
+	price  []float64     // per-tier displacement price (sec/byte); immutable
+	dollar []float64     // per-tier $ price ($/byte, storage+egress); immutable
 
 	mu        sync.RWMutex // guards w, memo, memoStamp, memoGen, memoEpoch
 	w         seed.Weights
@@ -258,15 +262,13 @@ type engineMetrics struct {
 	planCacheMiss *telemetry.Counter
 }
 
-// SetTelemetry registers the engine's instruments on reg: memo
-// hit/miss, plans served, weight-generation bumps, and the plan-depth
-// histogram (sub-tasks per schema). Must be called before the engine is
-// shared between goroutines; a nil registry leaves telemetry off.
-func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
+// newEngineMetrics registers the engine's instruments on reg; a nil
+// registry leaves telemetry off.
+func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 	if reg == nil {
-		return
+		return engineMetrics{}
 	}
-	e.tm = engineMetrics{
+	return engineMetrics{
 		memoHits:      reg.Counter("hc_hcdp_memo_hits_total", "DP memo entries reused"),
 		memoMisses:    reg.Counter("hc_hcdp_memo_misses_total", "DP sub-problems solved from scratch"),
 		plans:         reg.Counter("hc_hcdp_plans_total", "schemas planned"),
@@ -292,7 +294,7 @@ type planVal struct {
 
 // New creates an engine over a predictor and system monitor.
 func New(pred *predictor.CCP, mon *monitor.SystemMonitor, cfg Config) (*Engine, error) {
-	e := &Engine{pred: pred, mon: mon, cfg: cfg, w: cfg.Weights.Normalize()}
+	e := &Engine{pred: pred, mon: mon, cfg: cfg, w: cfg.Weights.Normalize(), tm: newEngineMetrics(cfg.Telemetry)}
 	if cfg.DisableCompression {
 		// Placement-only mode: no codec candidates.
 	} else if len(cfg.Codecs) == 0 {

@@ -108,7 +108,7 @@ func newHCStack(hier tier.Hierarchy, truth *seed.Seed, w seed.Weights, cfg core.
 	}
 	hc := &cluster.HCClient{
 		Eng: eng,
-		Mgr: manager.New(st, pred, manager.ModelOracle{Truth: truth}),
+		Mgr: manager.New(st, pred, manager.Options{Oracle: manager.ModelOracle{Truth: truth}}),
 		Mon: mon,
 	}
 	return &stack{st: st, io: hc, hc: hc, prd: pred}, nil

@@ -2,8 +2,8 @@
 // injector for the tiered store. Faults are scripted as per-tier windows
 // on the virtual timeline — outages (sticky or transient), per-key error
 // rates, latency spikes, read corruption, and capacity lies — so tests
-// and hcbench can replay the same outage schedule and observe the same
-// failures, byte for byte.
+// can replay the same outage schedule and observe the same failures,
+// byte for byte.
 //
 // A Schedule is immutable once built and every Decide call is a pure
 // function of (virtual time, tier, op, key): no RNG state, no counters,

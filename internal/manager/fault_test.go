@@ -31,7 +31,7 @@ func TestPutSubRetriesTransientBlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(st, nil, RealOracle{})
+	m := New(st, nil, Options{})
 	payload := bufpool.Get(4096)
 	end, tierIdx, retrySecs, retries, err := m.putSub(0, 0, "k#0", payload, 4096)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestPutSubSpillsOnStickyOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(st, nil, RealOracle{})
+	m := New(st, nil, Options{})
 	payload := bufpool.Get(4096)
 	_, tierIdx, _, retries, err := m.putSub(0, 0, "k#0", payload, 4096)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestPutSubExhaustsRetriesThenSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(st, nil, RealOracle{})
+	m := New(st, nil, Options{})
 	payload := bufpool.Get(4096)
 	_, tierIdx, retrySecs, retries, err := m.putSub(0, 0, "k#0", payload, 4096)
 	if err != nil {

@@ -243,9 +243,9 @@ type SubResult struct {
 // Manager executes schemas against a store. Safe for concurrent use.
 //
 // Sub-task codec work runs through a bounded worker pool (see
-// SetParallelism), but virtual-time accounting is always replayed
-// serially in sub-task order, so a task's Result — End, CodecTime,
-// IOTime, SubResults order — is identical for every parallelism setting:
+// Options.Pool and Options.Parallelism), but virtual-time accounting is
+// always replayed serially in sub-task order, so a task's Result — End,
+// CodecTime, IOTime, SubResults order — is identical for every parallelism setting:
 // the deterministic virtual-time rule is "codec times sum per the serial
 // model; only wall-clock work overlaps".
 type Manager struct {
@@ -262,18 +262,13 @@ type Manager struct {
 
 	demoteCur []int // per-source-tier cursor into order for DemoteSlice
 
-	// demoteNotify, when set, receives the root keys of tasks the
-	// background demoter moved, after the manager lock is released —
-	// the read cache invalidates demoted keys through it. A
-	// construction-time option (SetDemoteNotify); nil costs nothing.
-	demoteNotify func(keys []string)
+	demoteNotify func(keys []string) // Options.DemoteNotify
 
 	// Retry policy for transient store faults: up to retryMax retries per
-	// tier with capped exponential virtual-time backoff starting at
-	// retryBase seconds. Construction-time options (SetRetryPolicy).
+	// tier with exponential virtual-time backoff starting at retryBase
+	// seconds and capped at retryCap.
 	retryMax  int
 	retryBase float64
-	retryCap  float64
 
 	tm mgrMetrics // nil instruments when telemetry is off
 }
@@ -295,14 +290,12 @@ type mgrMetrics struct {
 	demoted    *telemetry.Counter // bytes trickled down by DemoteSlice
 }
 
-// SetTelemetry registers the manager's instruments on reg: per-codec
+// newMgrMetrics registers the manager's instruments on reg: per-codec
 // bytes in/out and achieved-ratio histograms, worker-pool queue wait,
-// and write/read/spill counters. Must be called before the manager is
-// shared between goroutines (a construction-time option, like
-// SetParallelism); a nil registry leaves telemetry off.
-func (m *Manager) SetTelemetry(reg *telemetry.Registry) {
+// and write/read/spill counters. A nil registry leaves telemetry off.
+func newMgrMetrics(reg *telemetry.Registry) mgrMetrics {
 	if reg == nil {
-		return
+		return mgrMetrics{}
 	}
 	all := codec.All()
 	maxID := codec.ID(0)
@@ -311,7 +304,7 @@ func (m *Manager) SetTelemetry(reg *telemetry.Registry) {
 			maxID = c.ID()
 		}
 	}
-	m.tm = mgrMetrics{
+	tm := mgrMetrics{
 		inBytes:   make([]*telemetry.Counter, int(maxID)+1),
 		outBytes:  make([]*telemetry.Counter, int(maxID)+1),
 		readBytes: make([]*telemetry.Counter, int(maxID)+1),
@@ -328,28 +321,71 @@ func (m *Manager) SetTelemetry(reg *telemetry.Registry) {
 	}
 	for _, c := range all {
 		l := telemetry.L("codec", c.Name())
-		m.tm.inBytes[c.ID()] = reg.Counter("hc_codec_in_bytes_total", "original bytes entering each codec on writes", l)
-		m.tm.outBytes[c.ID()] = reg.Counter("hc_codec_out_bytes_total", "stored bytes (headers included) leaving each codec on writes", l)
-		m.tm.readBytes[c.ID()] = reg.Counter("hc_codec_read_bytes_total", "original bytes recovered per codec on reads", l)
-		m.tm.ratio[c.ID()] = reg.Histogram("hc_codec_ratio", "achieved compression ratio per codec (payload only)", telemetry.RatioBuckets, l)
+		tm.inBytes[c.ID()] = reg.Counter("hc_codec_in_bytes_total", "original bytes entering each codec on writes", l)
+		tm.outBytes[c.ID()] = reg.Counter("hc_codec_out_bytes_total", "stored bytes (headers included) leaving each codec on writes", l)
+		tm.readBytes[c.ID()] = reg.Counter("hc_codec_read_bytes_total", "original bytes recovered per codec on reads", l)
+		tm.ratio[c.ID()] = reg.Histogram("hc_codec_ratio", "achieved compression ratio per codec (payload only)", telemetry.RatioBuckets, l)
 	}
+	return tm
 }
 
-// New creates a Compression Manager with a worker pool sized to
-// GOMAXPROCS.
-func New(st *store.Store, pred *predictor.CCP, oracle Oracle) *Manager {
-	if oracle == nil {
-		oracle = RealOracle{}
-	}
+// Options are the manager's construction-time settings; the zero value
+// is a real-codec manager with default retries, a GOMAXPROCS-wide
+// per-call fan-out and no telemetry.
+type Options struct {
+	// Oracle executes and costs codec work (nil = RealOracle).
+	Oracle Oracle
+	// Pool routes sub-task fan-outs through a shared persistent worker
+	// pool (whose width then bounds the fan-out) instead of leasing
+	// scratches and spawning goroutines per call. Nil keeps the per-call
+	// fan-out, which the experiments harness uses.
+	Pool *fanout.Pool
+	// Parallelism bounds the per-call fan-out's goroutines when Pool is
+	// nil; < 1 means GOMAXPROCS.
+	Parallelism int
+	// RetryMax bounds transient-fault retries per tier: 0 keeps the
+	// default (3), negative disables retries.
+	RetryMax int
+	// RetryBackoffSec is the initial virtual-time retry backoff; <= 0
+	// keeps the default (1 ms).
+	RetryBackoffSec float64
+	// DemoteNotify, when set, receives the root keys of tasks
+	// DemoteSlice moved, after the manager lock is released (so it may
+	// call back into the manager) — the read cache invalidates demoted
+	// keys through it.
+	DemoteNotify func(keys []string)
+	// Telemetry, when non-nil, receives the manager's instruments.
+	Telemetry *telemetry.Registry
+}
+
+// New creates a Compression Manager over a store and a predictor.
+func New(st *store.Store, pred *predictor.CCP, o Options) *Manager {
 	m := &Manager{
-		st: st, pred: pred, oracle: oracle,
-		tasks:     make(map[string]*taskMeta),
-		inOrder:   make(map[string]struct{}),
-		retryMax:  defaultRetryMax,
-		retryBase: defaultRetryBase,
-		retryCap:  defaultRetryCap,
+		st: st, pred: pred, oracle: o.Oracle,
+		par:          o.Parallelism,
+		pool:         o.Pool,
+		tasks:        make(map[string]*taskMeta),
+		inOrder:      make(map[string]struct{}),
+		demoteNotify: o.DemoteNotify,
+		retryMax:     o.RetryMax,
+		retryBase:    o.RetryBackoffSec,
+		tm:           newMgrMetrics(o.Telemetry),
 	}
-	m.SetParallelism(0)
+	if m.oracle == nil {
+		m.oracle = RealOracle{}
+	}
+	if m.par < 1 {
+		m.par = runtime.GOMAXPROCS(0)
+	}
+	switch {
+	case m.retryMax == 0:
+		m.retryMax = defaultRetryMax
+	case m.retryMax < 0:
+		m.retryMax = 0
+	}
+	if m.retryBase <= 0 {
+		m.retryBase = defaultRetryBase
+	}
 	return m
 }
 
@@ -359,37 +395,8 @@ func New(st *store.Store, pred *predictor.CCP, oracle Oracle) *Manager {
 const (
 	defaultRetryMax  = 3
 	defaultRetryBase = 1e-3
-	defaultRetryCap  = 0.25
+	retryCap         = 0.25
 )
-
-// SetRetryPolicy tunes transient-fault handling: up to max retries per
-// tier (max < 0 disables retries), with capped exponential virtual-time
-// backoff starting at base seconds. Non-positive base/cap keep the
-// defaults. Construction-time option, like SetParallelism.
-func (m *Manager) SetRetryPolicy(max int, base, cap float64) {
-	if max >= 0 {
-		m.retryMax = max
-	}
-	if base > 0 {
-		m.retryBase = base
-	}
-	if cap > 0 {
-		m.retryCap = cap
-	}
-}
-
-// SetDemoteNotify installs a callback that receives the root keys of
-// tasks DemoteSlice moved. It is invoked after the manager lock is
-// released, so the callback may call back into the manager. A
-// construction-time option, like SetParallelism.
-func (m *Manager) SetDemoteNotify(fn func(keys []string)) { m.demoteNotify = fn }
-
-// SetPool routes sub-task fan-outs through a shared persistent worker
-// pool instead of leasing scratches and spawning goroutines per call.
-// Like SetParallelism it is a construction-time option; a nil pool (the
-// default) keeps the legacy per-call fan-out, which the experiments
-// harness still uses.
-func (m *Manager) SetPool(p *fanout.Pool) { m.pool = p }
 
 // runFan executes fn(scratch, k) for every sub-task index k, through the
 // shared pool when one is attached and the per-call fan-out otherwise.
@@ -407,20 +414,6 @@ func (m *Manager) runFan(ctx context.Context, n int, fn func(s *bufpool.Scratch,
 		return fn(scratches[w], k)
 	})
 }
-
-// SetParallelism bounds the worker pool fanning a task's sub-task codec
-// work across goroutines; n < 1 restores the GOMAXPROCS default. It must
-// be called before the manager is shared between goroutines (it is a
-// construction-time option, not a runtime toggle).
-func (m *Manager) SetParallelism(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	m.par = n
-}
-
-// Parallelism reports the configured worker-pool width.
-func (m *Manager) Parallelism() int { return m.par }
 
 // leaseScratches borrows one codec workspace per fan-out worker from the
 // process-wide pool. Scratches must be leased per call — concurrent
@@ -863,7 +856,7 @@ func (m *Manager) putSub(t float64, tier int, sk string, payload []byte, stored 
 			t += backoff // backoff advances the virtual clock, so a retry can outlive a blip window
 			retrySecs += backoff
 			retries++
-			if backoff < m.retryCap {
+			if backoff < retryCap {
 				backoff *= 2
 			}
 			end, err = m.st.PutOwned(t, tier, sk, payload, stored)
@@ -1148,7 +1141,7 @@ func (m *Manager) peekRetry(now float64, key string) (store.Blob, error) {
 	for r := 0; err != nil && hcerr.IsTransient(err) && r < m.retryMax; r++ {
 		m.tm.retries.Inc()
 		now += backoff
-		if backoff < m.retryCap {
+		if backoff < retryCap {
 			backoff *= 2
 		}
 		blob, err = m.st.Peek(now, key)
@@ -1168,7 +1161,7 @@ func (m *Manager) readTimeRetry(t float64, key string) (end, retrySecs float64, 
 		t += backoff
 		retrySecs += backoff
 		retries++
-		if backoff < m.retryCap {
+		if backoff < retryCap {
 			backoff *= 2
 		}
 		end, err = m.st.ReadTime(t, key)

@@ -84,6 +84,11 @@ func readOne(m *Manager, now float64, key string) (Result, error) {
 // against its store.
 func newRealEnv(t *testing.T, windows ...fault.Window) *env {
 	t.Helper()
+	return newRealEnvOpts(t, Options{}, windows...)
+}
+
+func newRealEnvOpts(t *testing.T, o Options, windows ...fault.Window) *env {
+	t.Helper()
 	h := tier.Ares(64*tier.MB, 256*tier.MB, tier.GB, tier.TB)
 	opts := store.Options{KeepData: true}
 	if len(windows) > 0 {
@@ -94,7 +99,7 @@ func newRealEnv(t *testing.T, windows ...fault.Window) *env {
 		t.Fatal(err)
 	}
 	pred := predictor.New(seed.Builtin(h))
-	mgr := New(st, pred, RealOracle{})
+	mgr := New(st, pred, o)
 	eng, err := core.New(pred, monitor.New(st, 0), core.Config{Weights: seed.WeightsEqual})
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +109,21 @@ func newRealEnv(t *testing.T, windows ...fault.Window) *env {
 
 func newModelEnv(t *testing.T, hier tier.Hierarchy) *env {
 	t.Helper()
+	return newModelEnvOpts(t, hier, Options{})
+}
+
+// newModelEnvOpts builds a modeled environment; o.Oracle is overwritten
+// with the ModelOracle over the builtin truth seed.
+func newModelEnvOpts(t *testing.T, hier tier.Hierarchy, o Options) *env {
+	t.Helper()
 	st, err := store.Open(hier, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	truth := seed.Builtin(hier)
 	pred := predictor.New(truth)
-	mgr := New(st, pred, ModelOracle{Truth: truth})
+	o.Oracle = ModelOracle{Truth: truth}
+	mgr := New(st, pred, o)
 	eng, err := core.New(pred, monitor.New(st, 0), core.Config{Weights: seed.WeightsEqual})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +163,7 @@ func TestWriteReadSplitTask(t *testing.T) {
 	h := tier.Ares(2*tier.MB, 8*tier.MB, tier.GB, tier.TB)
 	st, _ := store.Open(h, store.Options{KeepData: true})
 	pred := predictor.New(seed.Builtin(h))
-	mgr := New(st, pred, RealOracle{})
+	mgr := New(st, pred, Options{})
 	eng, _ := core.New(pred, monitor.New(st, 0), core.Config{Weights: seed.WeightsEqual})
 
 	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 24<<20, 7)
@@ -427,8 +440,7 @@ func TestParallelismDeterministicVirtualTime(t *testing.T) {
 		subs           []SubResult
 	}
 	run := func(par int) []trace {
-		e := newModelEnv(t, hier)
-		e.mgr.SetParallelism(par)
+		e := newModelEnvOpts(t, hier, Options{Parallelism: par})
 		var out []trace
 		now := 0.0
 		for i := 0; i < 16; i++ {
@@ -477,8 +489,7 @@ func TestParallelismDeterministicVirtualTime(t *testing.T) {
 // a multi-sub-task schema compressed with par=4 must decompress to the
 // original regardless of which goroutine handled which piece.
 func TestParallelWriteRealRoundTrip(t *testing.T) {
-	e := newRealEnv(t)
-	e.mgr.SetParallelism(4)
+	e := newRealEnvOpts(t, Options{Parallelism: 4})
 	data := []byte(strings.Repeat("parallel sub-task codec execution over tiers. ", 120000))
 	attr := analyzer.Analyze(data)
 	sc, err := e.eng.Plan(0, attr, int64(len(data)))
@@ -508,7 +519,7 @@ func BenchmarkManagerCompress(b *testing.B) {
 		b.Fatal(err)
 	}
 	pred := predictor.New(seed.Builtin(h))
-	mgr := New(st, pred, RealOracle{})
+	mgr := New(st, pred, Options{})
 	eng, err := core.New(pred, monitor.New(st, 0), core.Config{Weights: seed.WeightsEqual})
 	if err != nil {
 		b.Fatal(err)

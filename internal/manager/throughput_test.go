@@ -196,13 +196,12 @@ func TestSharedPoolMatchesPerOpFanout(t *testing.T) {
 		subs           []SubResult
 	}
 	run := func(par int, shared bool) []trace {
-		e := newModelEnv(t, hier)
-		e.mgr.SetParallelism(par)
+		o := Options{Parallelism: par}
 		if shared {
-			p := fanout.NewPool(par)
-			defer p.Close()
-			e.mgr.SetPool(p)
+			o.Pool = fanout.NewPool(par)
+			defer o.Pool.Close()
 		}
+		e := newModelEnvOpts(t, hier, o)
 		var out []trace
 		now := 0.0
 		for i := 0; i < 12; i++ {
@@ -262,13 +261,12 @@ func TestGroupedCallMatchesOneRequestCalls(t *testing.T) {
 	sizes := []int64{24 << 20, 1 << 20, 8 << 20, 24 << 20, 4 << 20, 1 << 20}
 	ctx := context.Background()
 
-	grouped, single := newModelEnv(t, hier), newModelEnv(t, hier)
-	for _, e := range []*env{grouped, single} {
+	pooled := func() *env {
 		p := fanout.NewPool(4)
-		defer p.Close()
-		e.mgr.SetParallelism(4)
-		e.mgr.SetPool(p)
+		t.Cleanup(p.Close)
+		return newModelEnvOpts(t, hier, Options{Parallelism: 4, Pool: p})
 	}
+	grouped, single := pooled(), pooled()
 	var writes []WriteReq
 	for i, size := range sizes {
 		sc, err := grouped.eng.Plan(0, attr, size)
@@ -336,11 +334,9 @@ func TestGroupedCallMatchesOneRequestCalls(t *testing.T) {
 }
 
 func TestExecuteWritesRealRoundTrip(t *testing.T) {
-	e := newRealEnv(t)
-	e.mgr.SetParallelism(4)
 	p := fanout.NewPool(4)
 	defer p.Close()
-	e.mgr.SetPool(p)
+	e := newRealEnvOpts(t, Options{Parallelism: 4, Pool: p})
 
 	const n = 6
 	var reqs []WriteReq

@@ -272,8 +272,8 @@ func Builtin(h tier.Hierarchy) *Seed {
 	// this package's codecs on the reference machine (text, int, float,
 	// binary columns; gamma-distributed content), re-profiled after the
 	// codec raw-speed pass: each codec's reference speeds are scaled by
-	// the speedup measured for that codec on the hcbench -codecbench
-	// corpus (post/pre ratio from BENCH_codecs.json — machine- and
+	// the speedup measured for that codec across the pass (the post/pre
+	// ratios in EXPERIMENTS.md, "Codec raw-speed pass" — machine- and
 	// corpus-mix-independent, unlike this container's absolute MB/s).
 	// Ratios are unchanged: the pass is format-preserving, so compressed
 	// bytes are identical.

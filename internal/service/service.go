@@ -17,8 +17,8 @@
 //     pool. A request may override its class explicitly.
 //
 // The Server is usable both in-process (Compress/Decompress/Delete
-// methods with typed errors) and over HTTP (Handler); hcbench -service
-// drives the latter over loopback.
+// methods with typed errors) and over HTTP (Handler); bench/'s service
+// probe drives the latter over loopback.
 package service
 
 import (

@@ -89,24 +89,23 @@ func (c *Shard) kickPrefetch() {
 // never starve the demand path. Like the demoter it never takes c.mu:
 // Close stops it (and cancels any in-flight fill) before tearing down the
 // pool and store.
-func (c *Shard) prefetchLoop(depth int) {
-	defer close(c.prefetchDone)
+func (c *Shard) prefetchLoop(stop <-chan struct{}, depth int) {
 	ctx, cancel := context.WithCancel(fanout.WithClass(context.Background(), fanout.Batch))
 	defer cancel()
 	go func() {
-		<-c.prefetchStop
+		<-stop
 		cancel()
 	}()
 	const maxPerPass = 8
 	for {
 		select {
-		case <-c.prefetchStop:
+		case <-stop:
 			return
 		case <-c.prefetchKick:
 		}
 		for _, key := range c.cache.Candidates(maxPerPass, depth) {
 			select {
-			case <-c.prefetchStop:
+			case <-stop:
 				return
 			default:
 			}

@@ -159,17 +159,10 @@ type Shard struct {
 	pool  *fanout.Pool // shared persistent worker pool for codec fan-outs
 	clock vclock       // virtual time, self-locked
 
-	// Background demoter (nil channels when DemotionInterval is zero).
-	demoteStop chan struct{}
-	demoteDone chan struct{}
-
 	// Read accelerator (nil when ReadCacheFraction is zero): the
-	// decompressed-block cache and its background prefetcher. Like the
-	// demoter, the prefetch loop never takes c.mu; Close stops it before
-	// tearing the pool and store down.
+	// decompressed-block cache and the wake-up channel of its background
+	// prefetcher (nil when prefetch is off).
 	cache        *readcache.Cache
-	prefetchStop chan struct{}
-	prefetchDone chan struct{}
 	prefetchKick chan struct{}
 
 	// Telemetry (all nil/zero when off — the nil-registry fast path).
@@ -300,38 +293,15 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		DisableCompression: cfg.DisableCompression,
 		DisablePlanCache:   cfg.DisablePlanCache,
 		Codecs:             cfg.Codecs,
+		Telemetry:          reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.eng.SetTelemetry(reg)
-	var oracle manager.Oracle = manager.RealOracle{}
-	if cfg.modeled {
-		oracle = manager.ModelOracle{Truth: sd}
-	}
-	c.mgr = manager.New(c.st, c.pred, oracle)
-	c.mgr.SetParallelism(cfg.Parallelism)
-	retryMax := -1 // keep the manager default
-	switch {
-	case cfg.RetryMax > 0:
-		retryMax = cfg.RetryMax
-	case cfg.RetryMax < 0:
-		retryMax = 0 // retries disabled
-	}
-	c.mgr.SetRetryPolicy(retryMax, cfg.RetryBackoffSec, 0)
-	c.mgr.SetTelemetry(reg)
-	// Tasks whose pieces all survived on durable tiers become readable
-	// again here; their schemas are rebuilt from the on-media headers.
-	if _, err = c.mgr.AdoptRecovered(); err != nil {
-		return nil, err
-	}
-	c.pool = fanout.NewPool(c.mgr.Parallelism())
+	c.pool = fanout.NewPool(cfg.Parallelism)
 	c.closers.push(func() error { c.pool.Close(); return nil })
 	c.pool.SetTelemetry(reg)
-	c.mgr.SetPool(c.pool)
-	if c.sink == nil {
-		c.sink = telemetry.NewSink(cfg.TraceWriter)
-	}
+	var demoteNotify func(keys []string)
 	if cfg.ReadCacheFraction > 0 && !cfg.modeled {
 		// The cache holds decompressed payloads, so it only exists when
 		// the store keeps data; modeled pipelines (test-only) run without
@@ -351,11 +321,31 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		c.closers.push(func() error { c.cache.InvalidateAll(); return nil })
 		// Demoted keys leave the cache: their cached meta (and the hot-set
 		// premise that put them there) is stale once the demoter cools them.
-		c.mgr.SetDemoteNotify(func(keys []string) {
+		demoteNotify = func(keys []string) {
 			for _, k := range keys {
 				c.cache.Invalidate(k)
 			}
-		})
+		}
+	}
+	var oracle manager.Oracle = manager.RealOracle{}
+	if cfg.modeled {
+		oracle = manager.ModelOracle{Truth: sd}
+	}
+	c.mgr = manager.New(c.st, c.pred, manager.Options{
+		Oracle:          oracle,
+		Pool:            c.pool,
+		RetryMax:        cfg.RetryMax,
+		RetryBackoffSec: cfg.RetryBackoffSec,
+		DemoteNotify:    demoteNotify,
+		Telemetry:       reg,
+	})
+	// Tasks whose pieces all survived on durable tiers become readable
+	// again here; their schemas are rebuilt from the on-media headers.
+	if _, err = c.mgr.AdoptRecovered(); err != nil {
+		return nil, err
+	}
+	if c.sink == nil {
+		c.sink = telemetry.NewSink(cfg.TraceWriter)
 	}
 	c.faults.cap = 256
 	c.mon.SetEventSink(c.onHealthEvent)
@@ -385,28 +375,34 @@ func newShard(cfg Config) (_ *Shard, err error) {
 			return nil, err
 		}
 	}
-	// The background loops never take c.mu, so Close can wait for them
-	// under the lifecycle write lock; being the newest closers they stop
-	// first, before the pool they fan through and the store they touch.
 	if cfg.DemotionInterval > 0 {
 		high, low := cfg.demotionWatermarks()
-		c.demoteStop = make(chan struct{})
-		c.demoteDone = make(chan struct{})
-		go c.demoteLoop(cfg.DemotionInterval, high, low, cfg.DemotionSliceSubTasks)
-		c.closers.push(func() error { close(c.demoteStop); <-c.demoteDone; return nil })
+		interval, sliceN := cfg.DemotionInterval, cfg.DemotionSliceSubTasks
+		c.background(func(stop <-chan struct{}) { c.demoteLoop(stop, interval, high, low, sliceN) })
 	}
 	if c.cache != nil && !cfg.DisablePrefetch {
 		depth := cfg.PrefetchDepth
 		if depth == 0 {
 			depth = 2
 		}
-		c.prefetchStop = make(chan struct{})
-		c.prefetchDone = make(chan struct{})
 		c.prefetchKick = make(chan struct{}, 1)
-		go c.prefetchLoop(depth)
-		c.closers.push(func() error { close(c.prefetchStop); <-c.prefetchDone; return nil })
+		c.background(func(stop <-chan struct{}) { c.prefetchLoop(stop, depth) })
 	}
 	return c, nil
+}
+
+// background runs loop on its own goroutine until the shard closes: the
+// closer it pushes closes stop and waits for loop to return. The loops
+// never take c.mu, so Close can wait for them under the lifecycle write
+// lock; started last, they are the newest closers and stop first, before
+// the pool they fan through and the store they touch.
+func (c *Shard) background(loop func(stop <-chan struct{})) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		loop(stop)
+	}()
+	c.closers.push(func() error { close(stop); <-done; return nil })
 }
 
 // demoteLoop is the background demoter: every interval it drains any
@@ -415,23 +411,23 @@ func newShard(cfg Config) (_ *Shard, err error) {
 // Close stops the loop before tearing the store down, and each slice
 // synchronizes on the manager lock like any data-path operation — so
 // demotion can never deadlock with or stall behind Close.
-func (c *Shard) demoteLoop(interval time.Duration, high, low float64, sliceN int) {
-	defer close(c.demoteDone)
+func (c *Shard) demoteLoop(stop <-chan struct{}, interval time.Duration, high, low float64, sliceN int) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.demoteStop:
+		case <-stop:
 			return
 		case <-tick.C:
-			c.demoteOnce(high, low, sliceN)
+			c.demoteOnce(stop, high, low, sliceN)
 		}
 	}
 }
 
 // demoteOnce runs one demotion pass over every tier that has something
-// below it to demote into.
-func (c *Shard) demoteOnce(high, low float64, sliceN int) {
+// below it to demote into, giving up between slices once stop closes (a
+// nil stop never does).
+func (c *Shard) demoteOnce(stop <-chan struct{}, high, low float64, sliceN int) {
 	for i := 0; i < c.hier.Len()-1; i++ {
 		capB := float64(c.hier.Tiers[i].Capacity)
 		if capB <= 0 || float64(c.st.Used(i)) < high*capB {
@@ -444,7 +440,7 @@ func (c *Shard) demoteOnce(high, low float64, sliceN int) {
 		var sinceWrap int64
 		for float64(c.st.Used(i)) > low*capB {
 			select {
-			case <-c.demoteStop:
+			case <-stop:
 				return
 			default:
 			}

@@ -256,6 +256,8 @@ func (c *Shard) Audits() []AuditRecord {
 // MetricsAddr reports the bound address of the metrics listener (useful
 // with Config.MetricsAddr ":0"), or "" when none is serving.
 func (c *Shard) MetricsAddr() string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	if c.metricsLn == nil {
 		return ""
 	}

@@ -281,6 +281,39 @@ func TestTelemetryOff(t *testing.T) {
 	}
 }
 
+// TestMetricsAddrDuringClose polls MetricsAddr while Close runs: the
+// accessor shares the lifecycle lock with Close (run under -race), reads
+// the bound address before it and "" after.
+func TestMetricsAddrDuringClose(t *testing.T) {
+	c := newClient(t, Config{Tiers: scarceTiers(), MetricsAddr: "127.0.0.1:0"})
+	bound := c.MetricsAddr()
+	if bound == "" {
+		t.Fatal("no metrics listener bound")
+	}
+	closed, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			if got := c.MetricsAddr(); got != bound && got != "" {
+				t.Errorf("MetricsAddr = %q, want %q or empty", got, bound)
+			}
+			select {
+			case <-closed:
+				return
+			default:
+			}
+		}
+	}()
+	if err := c.Close(); err != nil {
+		t.Error(err)
+	}
+	close(closed)
+	<-polled
+	if got := c.MetricsAddr(); got != "" {
+		t.Errorf("MetricsAddr after Close = %q, want empty", got)
+	}
+}
+
 // TestTelemetryConcurrent hammers a telemetry-enabled client from many
 // goroutines while scraping snapshots and expositions — the race-clean
 // acceptance check for the instrumented pipeline (run under -race).
