@@ -19,15 +19,15 @@ type Scratch struct {
 	Comp []byte
 	Dec  []byte
 
-	// BWT/suffix-array stage (bzip2, bsc).
-	SA   []int32 // suffix array
-	Rank []int32 // prefix-doubling ranks
-	Tmp  []int32 // radix-sort scratch
-	Cnt  []int32 // counting-sort buckets
-	LF   []int32 // inverse-BWT LF mapping
-	BWT  []byte  // forward transform output
-	MTF  []byte  // move-to-front output
-	RLE  []byte  // zero-run-length output
+	// BWT/suffix-array stage (bzip2, bsc). The suffix sorter recurses
+	// inside SA itself; Bkt is touched only by an input whose reduced
+	// problem leaves no room there for its buckets (at most len(SA)/2).
+	SA  []int32 // suffix array
+	Bkt []int32 // suffix-sort buckets that did not fit in SA
+	LF  []int32 // inverse-BWT LF mapping
+	BWT []byte  // forward transform output
+	MTF []byte  // move-to-front output
+	RLE []byte  // zero-run-length output
 
 	// LZ match-search stage (lzma, lzo, brotli, snappy, pithy, quicklz).
 	Head []int32 // hash-table heads

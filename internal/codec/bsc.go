@@ -55,7 +55,7 @@ func byteClass(b byte) int {
 	}
 }
 
-// byteClassTab is byteClass as a lookup table for the per-byte decode loop.
+// byteClassTab is byteClass as a lookup table for the per-byte coding loops.
 var byteClassTab = func() (t [256]uint8) {
 	for i := range t {
 		t[i] = uint8(byteClass(byte(i)))
@@ -71,7 +71,7 @@ func (rcEntropy) encode(s *bufpool.Scratch, dst, src []byte) []byte {
 	ctx := 0
 	for _, b := range src {
 		e.encodeTree(probs[ctx*256:(ctx+1)*256], uint32(b), 8)
-		ctx = byteClass(b)
+		ctx = int(byteClassTab[b])
 	}
 	return e.flush()
 }

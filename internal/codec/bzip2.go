@@ -50,7 +50,7 @@ func (bzip2Codec) DecompressScratch(s *bufpool.Scratch, dst, src []byte, srcLen 
 // entropyStage abstracts the final entropy coder of the BWT pipeline so
 // bzip2 (Huffman) and bsc (adaptive range coder) share the block framing.
 // Stages draw work buffers from s; they must not touch the Scratch fields
-// the pipeline itself uses (BWT, MTF, RLE, LF, and the suffix-array set).
+// the pipeline itself uses (BWT, MTF, RLE, LF, SA and Bkt).
 type entropyStage interface {
 	encode(s *bufpool.Scratch, dst, src []byte) []byte
 	decode(s *bufpool.Scratch, dst, src []byte, rawLen int) ([]byte, error)

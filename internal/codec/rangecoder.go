@@ -30,9 +30,17 @@ func (e *rcEncoder) init(dst []byte) {
 	e.out = dst
 }
 
-func (e *rcEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || e.low>>32 != 0 {
-		carry := byte(e.low >> 32)
+// shiftLow renormalises by one byte.
+func (e *rcEncoder) shiftLow() { e.low = e.shift(e.low) }
+
+// shift is shiftLow for a loop that holds low in a local: it moves low's
+// top byte towards the output and returns low shifted up by that byte. A
+// byte of 0xFF cannot be written until it is known whether a carry will
+// still reach it, so it is only counted (cacheSize) behind the last byte
+// that was not (cache).
+func (e *rcEncoder) shift(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
 		temp := e.cache
 		for {
 			e.out = append(e.out, temp+carry)
@@ -42,10 +50,10 @@ func (e *rcEncoder) shiftLow() {
 				break
 			}
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return (low << 8) & 0xFFFFFFFF
 }
 
 // encodeBit codes bit with the adaptive probability *p (of the bit being 0).
@@ -81,13 +89,29 @@ func (e *rcEncoder) encodeDirect(v uint32, n uint) {
 
 // encodeTree codes the nbits-wide value v through a binary probability tree
 // (probs must have at least 1<<nbits entries; index 0 is unused).
+//
+// This is the encoder's hottest loop (bsc and lzma make one call per
+// literal byte), so like decodeTree it keeps low and rng in locals for the
+// whole walk; the decisions, the renormalisation points and the bytes
+// written are encodeBit's.
 func (e *rcEncoder) encodeTree(probs []uint16, v uint32, nbits uint) {
+	low, rng := e.low, e.rng
 	m := uint32(1)
 	for i := nbits; i > 0; i-- {
-		bit := int(v>>(i-1)) & 1
-		e.encodeBit(&probs[m], bit)
-		m = m<<1 | uint32(bit)
+		bit := v >> (i - 1) & 1
+		one := -bit // all ones for a 1 bit
+		p := uint32(probs[m])
+		bound := (rng >> rcProbBits) * p
+		low += uint64(bound & one)
+		rng = bound + (rng-2*bound)&one
+		probs[m] = uint16(p + ((rcProbMax-p)>>rcMoveShift)&^one - (p>>rcMoveShift)&one)
+		m = m<<1 | bit
+		for rng < rcTop {
+			low = e.shift(low)
+			rng <<= 8
+		}
 	}
+	e.low, e.rng = low, rng
 }
 
 func (e *rcEncoder) flush() []byte {

@@ -1,14 +1,10 @@
 package codec
 
 // Pre-pass reference decoders, copied verbatim from the implementations
-// that existed before the raw-speed pass (PR 9). They serve two jobs:
-//
-//  1. Differential fuzzing: the rewritten hot loops must agree with these
-//     byte-for-byte on every valid stream, and must reach the same
-//     accept/reject verdict on mutated streams.
-//  2. The speedup gate: TestCodecSpeedupGate measures the rewritten
-//     decoders against these in the same process, so the recorded
-//     >=1.3x floors are machine-independent.
+// that existed before the raw-speed pass (PR 9), for differential
+// testing: the rewritten hot loops must agree with these byte-for-byte on
+// every valid stream, and must reach the same accept/reject verdict on
+// mutated streams.
 //
 // Nothing here ships in the production binary (test-only file).
 
@@ -575,71 +571,7 @@ func (d *refRcDecoder) overran() bool {
 	return d.pos > len(d.src)+5
 }
 
-// ---- pre-pass MTF decode and inverse BWT ----
-
-func refMtfDecode(buf []byte) {
-	var order [256]byte
-	for i := range order {
-		order[i] = byte(i)
-	}
-	for k, idx := range buf {
-		b := order[idx]
-		buf[k] = b
-		copy(order[1:int(idx)+1], order[:idx])
-		order[0] = b
-	}
-}
-
-func refBwtInverse(s *bufpool.Scratch, dst, bwt []byte, ptr int) ([]byte, error) {
-	n := len(bwt)
-	if n == 0 {
-		return dst, nil
-	}
-	if ptr <= 0 || ptr > n {
-		return nil, ErrCorrupt
-	}
-	var count [256]int
-	for _, b := range bwt {
-		count[b]++
-	}
-	var c [256]int
-	sum := 1
-	for v := 0; v < 256; v++ {
-		c[v] = sum
-		sum += count[v]
-	}
-	lf := bufpool.GrowI32(&s.LF, n+1)
-	var occ [256]int
-	for i := 0; i <= n; i++ {
-		if i == ptr {
-			lf[i] = 0
-			continue
-		}
-		j := i
-		if i > ptr {
-			j = i - 1
-		}
-		b := bwt[j]
-		lf[i] = int32(c[b] + occ[b])
-		occ[b]++
-	}
-	base := len(dst)
-	dst = extendSlice(dst, n)
-	out := dst[base:]
-	row := 0
-	for k := n - 1; k >= 0; k-- {
-		j := row
-		if row == ptr {
-			return nil, ErrCorrupt
-		}
-		if row > ptr {
-			j = row - 1
-		}
-		out[k] = bwt[j]
-		row = int(lf[row])
-	}
-	return dst, nil
-}
+// ---- pre-pass RLE0 decode (MTF decode and inverse BWT: bwt_reference_test.go) ----
 
 func refRle0Decode(s *bufpool.Scratch, src []byte, wantLen int) ([]byte, error) {
 	out := bufpool.GrowBytes(&s.MTF, wantLen)[:0]
@@ -730,8 +662,8 @@ func refBwtPipelineDecompress(s *bufpool.Scratch, dst, src []byte, srcLen, block
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s rle0", ErrCorrupt, name)
 		}
-		refMtfDecode(mtf)
-		dst, err = refBwtInverse(s, dst, mtf, int(ptr))
+		mtfDecode(mtf)
+		dst, err = bwtInverse(s, dst, mtf, int(ptr))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s inverse bwt", ErrCorrupt, name)
 		}

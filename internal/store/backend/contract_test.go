@@ -91,7 +91,7 @@ func TestBackendContract(t *testing.T) {
 			}
 			b.Delete(h1b)
 
-			if _, err := b.Peek(5.0, backend.Handle(1 << 40)); !errors.Is(err, backend.ErrUnknownHandle) {
+			if _, err := b.Peek(5.0, backend.Handle(1<<40)); !errors.Is(err, backend.ErrUnknownHandle) {
 				t.Fatalf("Peek(unknown) = %v, want ErrUnknownHandle", err)
 			}
 

@@ -24,8 +24,8 @@ const (
 // Payload-backend kinds a Spec may name. The empty string means
 // BackendMem.
 const (
-	BackendMem   = "mem"  // payloads held in process memory (default)
-	BackendFile  = "file" // append-only segments + WAL under the store's DataDir
+	BackendMem   = "mem"   // payloads held in process memory (default)
+	BackendFile  = "file"  // append-only segments + WAL under the store's DataDir
 	BackendCloud = "cloud" // modeled object store with $-cost metering
 )
 
