@@ -132,12 +132,6 @@ type Config struct {
 	// DisableCompression turns HCompress into a pure multi-tier buffer
 	// (the paper's MTNC baseline).
 	DisableCompression bool
-	// DisablePlanCache turns off the HCDP engine's whole-schema plan
-	// cache (an ablation/debugging knob). With the cache on — the
-	// default — repeated tasks with the same analyzed type,
-	// distribution, and size are served the identical schema without
-	// touching the DP; results are byte-for-byte the same either way.
-	DisablePlanCache bool
 	// EnableTelemetry turns on the metrics registry, trace spans, and
 	// decision-audit records (Snapshot, WriteMetrics, Audits). Telemetry
 	// is also enabled implicitly by MetricsAddr, TraceWriter, or the
@@ -179,15 +173,9 @@ type Config struct {
 	// its high watermark, trickles the oldest tasks one tier down in
 	// short bounded slices until the low watermark is reached — the
 	// paper's asynchronous buffer flush, without stalling the data path.
-	// Zero (the default) leaves demotion off.
+	// The watermarks are 85 % and 70 % of the tier's capacity. Zero (the
+	// default) leaves demotion off.
 	DemotionInterval time.Duration
-	// DemotionHighWater is the occupancy fraction at which the demoter
-	// starts draining a tier (default 0.85).
-	DemotionHighWater float64
-	// DemotionLowWater is the occupancy fraction the demoter drains a
-	// tier down to before pausing (default 0.70). Must be below
-	// DemotionHighWater.
-	DemotionLowWater float64
 	// DemotionSliceSubTasks bounds how many sub-tasks one demotion slice
 	// may scan while holding the manager lock (default 64); smaller
 	// slices shorten the pauses demotion injects into the data path.
@@ -212,32 +200,19 @@ type Config struct {
 	// that otherwise accompanies the read cache: a worker that mines the
 	// recent-access ring for repeated and sequential key patterns and
 	// decompresses ahead of demand at Batch priority (it never starves
-	// Interactive operations).
+	// Interactive operations). It mines the last 256 read keys and extends
+	// a detected sequential run two keys ahead.
 	DisablePrefetch bool
-	// PrefetchDepth is how many keys ahead the prefetcher extends a
-	// detected sequential run (default 2).
-	PrefetchDepth int
-	// AccessRingSize bounds the per-shard ring of recent read keys the
-	// prefetcher mines for patterns (default 256).
-	AccessRingSize int
 	// FaultInjector, when non-nil, scripts deterministic faults against
 	// the tiered store: outages, transient error windows, latency
 	// spikes, read corruption, and capacity lies, all keyed to the
 	// virtual clock. Nil (the default) injects nothing and costs
-	// nothing on the data path.
+	// nothing on the data path. The fault discipline itself is fixed: a
+	// transient fault is retried up to 3 times per tier (1 ms of virtual
+	// backoff, doubling to a 250 ms cap), 3 consecutive store errors take
+	// a tier offline, and its first recovery probe comes 0.5 virtual
+	// seconds later, doubling per failed probe.
 	FaultInjector *FaultInjector
-	// RetryMax bounds transient-fault retries per tier: 0 keeps the
-	// default (3), negative disables retries entirely.
-	RetryMax int
-	// RetryBackoffSec is the initial virtual-time retry backoff (default
-	// 1 ms, doubling per attempt to a 250 ms cap).
-	RetryBackoffSec float64
-	// OfflineThreshold is how many consecutive store errors take a tier
-	// offline in the health machine (default 3).
-	OfflineThreshold int
-	// ProbeIntervalSec is the virtual-time delay before an offline tier's
-	// first recovery probe (default 0.5 s, doubling per failed probe).
-	ProbeIntervalSec float64
 
 	// modeled switches the manager to the deterministic ModelOracle and
 	// disables payload retention. Test-only (unexported): the trace
@@ -313,19 +288,6 @@ func (c Config) hierarchy() (tier.Hierarchy, error) {
 	return h, nil
 }
 
-// demotionWatermarks resolves the demoter's high and low occupancy
-// fractions, defaults applied.
-func (c Config) demotionWatermarks() (high, low float64) {
-	high, low = c.DemotionHighWater, c.DemotionLowWater
-	if high == 0 {
-		high = 0.85
-	}
-	if low == 0 {
-		low = 0.70
-	}
-	return high, low
-}
-
 // validate runs every check that needs no resource, so a pipeline is
 // never half-built around a setting that was wrong from the start. It
 // returns the hierarchy it validated.
@@ -336,14 +298,6 @@ func (c Config) validate() (tier.Hierarchy, error) {
 	}
 	if c.ReadCacheFraction < 0 || c.ReadCacheFraction > 1 {
 		return h, fmt.Errorf("hcompress: ReadCacheFraction %v: need 0 <= fraction <= 1", c.ReadCacheFraction)
-	}
-	if c.DemotionInterval > 0 {
-		if high, low := c.demotionWatermarks(); !(0 < low && low < high && high <= 1) {
-			return h, fmt.Errorf("hcompress: demotion watermarks low=%v high=%v: need 0 < low < high <= 1", low, high)
-		}
-	}
-	if c.RetryBackoffSec < 0 {
-		return h, fmt.Errorf("hcompress: RetryBackoffSec %v: need >= 0", c.RetryBackoffSec)
 	}
 	for _, name := range c.Codecs {
 		if _, err := codec.ByName(name); err != nil {

@@ -193,10 +193,6 @@ func TestFailedNewReleasesEverything(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"demotion watermarks inverted", func(c *Config) {
-			c.DemotionInterval = time.Millisecond
-			c.DemotionHighWater, c.DemotionLowWater = 0.5, 0.9
-		}},
 		{"metrics address in use", func(c *Config) { c.MetricsAddr = taken.Addr().String() }},
 		{"unknown codec", func(c *Config) { c.Codecs = []string{"zstd"} }},
 	} {

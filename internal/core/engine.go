@@ -109,16 +109,6 @@ type Config struct {
 	Weights seed.Weights
 	// DisableMemo turns off DP memoization (ablation).
 	DisableMemo bool
-	// DisableCapacityAware turns off the displacement term (ablation):
-	// the opportunity cost of occupying fast-tier space. The paper's
-	// objective seeks the global minimum "when most of the data fits in
-	// higher tiers"; a purely per-task cost cannot see that placing large
-	// uncompressed payloads high displaces future data to slow media, so
-	// the engine charges each placement the service-time difference its
-	// footprint will eventually cost at the bottom of the hierarchy,
-	// weighted by the ratio priority. This is what makes the engine
-	// "apply heavier compression on RAM than on NVMe SSD".
-	DisableCapacityAware bool
 	// DisableCompression restricts the engine to placement only
 	// (the MTNC baseline uses this).
 	DisableCompression bool
@@ -316,8 +306,16 @@ func New(pred *predictor.CCP, mon *monitor.SystemMonitor, cfg Config) (*Engine, 
 	}
 	e.memo = make(map[memoKey]planVal)
 
-	// Displacement prices are a property of the hierarchy alone: the
-	// per-byte service-time gap between each tier and the bottom tier.
+	// The displacement term is the opportunity cost of occupying fast-tier
+	// space. The paper's objective seeks the global minimum "when most of
+	// the data fits in higher tiers"; a purely per-task cost cannot see
+	// that placing large uncompressed payloads high displaces future data
+	// to slow media, so the engine charges each placement the service-time
+	// difference its footprint will eventually cost at the bottom of the
+	// hierarchy, weighted by the ratio priority. This is what makes the
+	// engine "apply heavier compression on RAM than on NVMe SSD". The
+	// prices are a property of the hierarchy alone: the per-byte
+	// service-time gap between each tier and the bottom tier.
 	hier := mon.Store().Hierarchy()
 	e.price = make([]float64, hier.Len())
 	last := hier.Tiers[hier.Len()-1]
@@ -325,7 +323,7 @@ func New(pred *predictor.CCP, mon *monitor.SystemMonitor, cfg Config) (*Engine, 
 	for i, spec := range hier.Tiers {
 		perByte := 1 / (spec.Bandwidth / float64(maxInt(1, spec.Lanes)))
 		p := lastPerByte - perByte
-		if p < 0 || cfg.DisableCapacityAware {
+		if p < 0 {
 			p = 0
 		}
 		e.price[i] = p

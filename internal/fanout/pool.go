@@ -1,3 +1,8 @@
+// Package fanout is the shared worker pool the Compression Manager fans
+// per-sub-task codec work across. Results stay deterministic: callers
+// index results by item, and a run reports the error of the
+// lowest-indexed failing item regardless of goroutine scheduling,
+// exactly what a serial loop would have returned.
 package fanout
 
 import (
@@ -15,8 +20,7 @@ import (
 // executing work from every in-flight request. Requests submit a
 // fixed-size batch of items with Run; items are claimed in chunks, and
 // claiming rotates round-robin across the in-flight jobs, so one large
-// request cannot starve small ones — the cross-request interleaving a
-// per-call goroutine fan-out (ForEachWorker) cannot provide.
+// request cannot starve small ones.
 //
 // The submitting goroutine helps execute its own items while it waits,
 // so a request always makes progress even when every worker is busy
@@ -30,7 +34,7 @@ import (
 // still makes progress under an Interactive flood.
 //
 // A Pool with width 1 spawns no goroutines at all: Run executes inline,
-// preserving the fully-serial Parallelism=1 contract.
+// preserving the fully-serial Config.Parallelism = 1 contract.
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -125,8 +129,8 @@ func chunkFor(n, workers int) int {
 // items complete. The scratch passed to fn is owned by the executing
 // worker for the duration of the call — per-worker state needs no
 // locking. All items are attempted even when one fails; the returned
-// error is the lowest-indexed one, matching serial execution (the
-// ForEachWorker contract). A nil, width-1, or closed pool runs inline.
+// error is the lowest-indexed one, matching serial execution. A nil,
+// width-1, or closed pool runs inline.
 // Run submits at Interactive priority; RunClass selects the class.
 func (p *Pool) Run(n int, fn func(s *bufpool.Scratch, i int) error) error {
 	return p.RunClass(Interactive, n, fn)

@@ -3,6 +3,7 @@ package fanout
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,6 +76,51 @@ func TestPoolNilAndZeroItems(t *testing.T) {
 	defer q.Close()
 	if err := q.Run(0, func(_ *bufpool.Scratch, _ int) error { t.Error("ran"); return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNilPoolRunsInline pins the contract the Compression Manager relies
+// on when it is built without a pool (the figure harness): a nil *Pool
+// runs every item, in index order, on the caller's goroutine, with one
+// scratch, and reports the lowest-indexed error.
+func TestNilPoolRunsInline(t *testing.T) {
+	goroutine := func() string { // "goroutine N [running]:"
+		var buf [64]byte
+		line, _, _ := strings.Cut(string(buf[:runtime.Stack(buf[:], false)]), "\n")
+		return line
+	}
+	e3, e7 := errors.New("three"), errors.New("seven")
+	caller := goroutine()
+	var p *Pool
+	var order []int
+	var scratch *bufpool.Scratch
+	err := p.RunClass(Batch, 10, func(s *bufpool.Scratch, i int) error {
+		if g := goroutine(); g != caller {
+			t.Errorf("item %d ran on %q, want the caller's %q", i, g, caller)
+		}
+		if s == nil || (scratch != nil && s != scratch) {
+			t.Errorf("item %d: scratch %p, want the one non-nil scratch %p", i, s, scratch)
+		}
+		scratch = s
+		order = append(order, i)
+		switch i {
+		case 3:
+			return e3
+		case 7:
+			return e7
+		}
+		return nil
+	})
+	if err != e3 {
+		t.Errorf("got %v, want the lowest-indexed error %v", err, e3)
+	}
+	if len(order) != 10 {
+		t.Fatalf("ran %d items, want all 10 despite errors", len(order))
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("run order %v, want index order", order)
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,16 +111,13 @@ func (RealOracle) Decompress(s *bufpool.Scratch, _ analyzer.Result, c codec.Code
 // the feedback loop still sees realistic variance.
 type ModelOracle struct {
 	Truth *seed.Seed
-	// JitterFrac is the +/- relative jitter applied to speeds and ratio
-	// (default 0.08).
-	JitterFrac float64
 }
 
+// modelJitter is the +/- relative jitter ModelOracle applies to speeds
+// and ratio.
+const modelJitter = 0.08
+
 func (o ModelOracle) jitter(h Header, salt uint64) float64 {
-	f := o.JitterFrac
-	if f == 0 {
-		f = 0.08
-	}
 	hs := fnv.New64a()
 	var b [8]byte
 	for i := 0; i < 8; i++ {
@@ -133,7 +129,7 @@ func (o ModelOracle) jitter(h Header, salt uint64) float64 {
 	}
 	hs.Write(b[:])
 	u := hs.Sum64()
-	return 1 + f*(float64(u%2048)/1024-1) // in [1-f, 1+f)
+	return 1 + modelJitter*(float64(u%2048)/1024-1) // in [1-modelJitter, 1+modelJitter)
 }
 
 func (o ModelOracle) cost(attr analyzer.Result, c codec.Codec) (seed.CodecCost, error) {
@@ -243,18 +239,17 @@ type SubResult struct {
 // Manager executes schemas against a store. Safe for concurrent use.
 //
 // Sub-task codec work runs through a bounded worker pool (see
-// Options.Pool and Options.Parallelism), but virtual-time accounting is
-// always replayed serially in sub-task order, so a task's Result — End,
-// CodecTime, IOTime, SubResults order — is identical for every parallelism setting:
-// the deterministic virtual-time rule is "codec times sum per the serial
-// model; only wall-clock work overlaps".
+// Options.Pool), but virtual-time accounting is always replayed serially
+// in sub-task order, so a task's Result — End, CodecTime, IOTime,
+// SubResults order — is identical for every pool width: the deterministic
+// virtual-time rule is "codec times sum per the serial model; only
+// wall-clock work overlaps".
 type Manager struct {
 	mu      sync.Mutex
 	st      *store.Store
 	pred    *predictor.CCP
 	oracle  Oracle
-	par     int          // worker-pool width for sub-task codec work
-	pool    *fanout.Pool // shared persistent pool; nil falls back to per-call fan-out
+	pool    *fanout.Pool // shared persistent pool; nil runs fan-outs inline
 	tasks   map[string]*taskMeta
 	order   []string            // write order, oldest first (drain/demotion policy)
 	inOrder map[string]struct{} // keys present in order (deleted keys linger until compaction)
@@ -263,12 +258,6 @@ type Manager struct {
 	demoteCur []int // per-source-tier cursor into order for DemoteSlice
 
 	demoteNotify func(keys []string) // Options.DemoteNotify
-
-	// Retry policy for transient store faults: up to retryMax retries per
-	// tier with exponential virtual-time backoff starting at retryBase
-	// seconds and capped at retryCap.
-	retryMax  int
-	retryBase float64
 
 	tm mgrMetrics // nil instruments when telemetry is off
 }
@@ -330,25 +319,16 @@ func newMgrMetrics(reg *telemetry.Registry) mgrMetrics {
 }
 
 // Options are the manager's construction-time settings; the zero value
-// is a real-codec manager with default retries, a GOMAXPROCS-wide
-// per-call fan-out and no telemetry.
+// is a real-codec manager that runs its fan-outs inline, with no
+// telemetry.
 type Options struct {
 	// Oracle executes and costs codec work (nil = RealOracle).
 	Oracle Oracle
 	// Pool routes sub-task fan-outs through a shared persistent worker
-	// pool (whose width then bounds the fan-out) instead of leasing
-	// scratches and spawning goroutines per call. Nil keeps the per-call
-	// fan-out, which the experiments harness uses.
+	// pool, whose width bounds the fan-out. Nil runs every sub-task inline
+	// on the caller's goroutine, which suits the experiments harness: its
+	// ModelOracle sub-tasks are arithmetic.
 	Pool *fanout.Pool
-	// Parallelism bounds the per-call fan-out's goroutines when Pool is
-	// nil; < 1 means GOMAXPROCS.
-	Parallelism int
-	// RetryMax bounds transient-fault retries per tier: 0 keeps the
-	// default (3), negative disables retries.
-	RetryMax int
-	// RetryBackoffSec is the initial virtual-time retry backoff; <= 0
-	// keeps the default (1 ms).
-	RetryBackoffSec float64
 	// DemoteNotify, when set, receives the root keys of tasks
 	// DemoteSlice moved, after the manager lock is released (so it may
 	// call back into the manager) — the read cache invalidates demoted
@@ -362,90 +342,60 @@ type Options struct {
 func New(st *store.Store, pred *predictor.CCP, o Options) *Manager {
 	m := &Manager{
 		st: st, pred: pred, oracle: o.Oracle,
-		par:          o.Parallelism,
 		pool:         o.Pool,
 		tasks:        make(map[string]*taskMeta),
 		inOrder:      make(map[string]struct{}),
 		demoteNotify: o.DemoteNotify,
-		retryMax:     o.RetryMax,
-		retryBase:    o.RetryBackoffSec,
 		tm:           newMgrMetrics(o.Telemetry),
 	}
 	if m.oracle == nil {
 		m.oracle = RealOracle{}
 	}
-	if m.par < 1 {
-		m.par = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case m.retryMax == 0:
-		m.retryMax = defaultRetryMax
-	case m.retryMax < 0:
-		m.retryMax = 0
-	}
-	if m.retryBase <= 0 {
-		m.retryBase = defaultRetryBase
-	}
 	return m
 }
 
-// Retry defaults: three attempts beyond the first, starting at 1 ms of
-// virtual backoff, doubling to a 250 ms cap — enough to ride out a
-// sub-second transient window without stalling the spill chain.
+// Retry policy for transient store faults: three attempts beyond the
+// first per tier, starting at 1 ms of virtual backoff, doubling to a
+// 250 ms cap — enough to ride out a sub-second transient window without
+// stalling the spill chain.
 const (
-	defaultRetryMax  = 3
-	defaultRetryBase = 1e-3
-	retryCap         = 0.25
+	retryMax  = 3
+	retryBase = 1e-3
+	retryCap  = 0.25
 )
 
-// runFan executes fn(scratch, k) for every sub-task index k, through the
-// shared pool when one is attached and the per-call fan-out otherwise.
-// Both paths attempt every item and return the lowest-indexed error.
-// The pool submission inherits ctx's scheduling class (fanout.WithClass)
-// so a front-end can let latency-sensitive reads overtake batch writes;
-// an untagged context is Interactive, the pre-priority behaviour.
+// retry runs attempt at virtual time t and, while it fails with a
+// transient fault, again after capped exponential backoff, up to retryMax
+// more times. The backoff advances the virtual clock, so a retry can
+// outlive a blip window. It returns the time of the last attempt, the
+// caller's running retry bill (virtual backoff seconds consumed, attempts
+// beyond the first — a spill carries its bill down the tiers) with this
+// call's share added, and the last attempt's error; attempt leaves its
+// own results in variables it captures.
+func (m *Manager) retry(t, retrySecs float64, retries int, attempt func(t float64) error) (float64, float64, int, error) {
+	err := attempt(t)
+	backoff := retryBase
+	for r := 0; err != nil && hcerr.IsTransient(err) && r < retryMax; r++ {
+		m.tm.retries.Inc()
+		t += backoff
+		retrySecs += backoff
+		retries++
+		if backoff < retryCap {
+			backoff *= 2
+		}
+		err = attempt(t)
+	}
+	return t, retrySecs, retries, err
+}
+
+// runFan executes fn(scratch, k) for every sub-task index k through the
+// pool (inline, in index order, when there is none). Every item is
+// attempted and the lowest-indexed error returned. The submission
+// inherits ctx's scheduling class (fanout.WithClass) so a front-end can
+// let latency-sensitive reads overtake batch writes; an untagged context
+// is Interactive.
 func (m *Manager) runFan(ctx context.Context, n int, fn func(s *bufpool.Scratch, k int) error) error {
-	if m.pool != nil {
-		return m.pool.RunClass(fanout.ClassOf(ctx), n, fn)
-	}
-	scratches := leaseScratches(n, m.par)
-	defer returnScratches(scratches)
-	return fanout.ForEachWorker(n, m.par, func(w, k int) error {
-		return fn(scratches[w], k)
-	})
-}
-
-// leaseScratches borrows one codec workspace per fan-out worker from the
-// process-wide pool. Scratches must be leased per call — concurrent
-// ExecuteWrites/ExecuteReads fan-outs reuse worker indexes, so workspaces
-// cached on the Manager would be shared across goroutines.
-func leaseScratches(n, par int) []*bufpool.Scratch {
-	if par > n {
-		par = n
-	}
-	if par < 1 {
-		par = 1
-	}
-	ss, _ := scratchSlices.Get().([]*bufpool.Scratch)
-	if cap(ss) < par {
-		ss = make([]*bufpool.Scratch, par)
-	}
-	ss = ss[:par]
-	for i := range ss {
-		ss[i] = bufpool.GetScratch()
-	}
-	return ss
-}
-
-// scratchSlices recycles the small per-fan-out lease slices themselves.
-var scratchSlices sync.Pool
-
-func returnScratches(ss []*bufpool.Scratch) {
-	for i, s := range ss {
-		bufpool.PutScratch(s)
-		ss[i] = nil
-	}
-	scratchSlices.Put(ss[:0]) //nolint:staticcheck // slice header copy is fine here
+	return m.pool.RunClass(fanout.ClassOf(ctx), n, fn)
 }
 
 // Drain is the asynchronous flushing path of a multi-tiered buffer: during
@@ -849,18 +799,10 @@ func (m *Manager) ExecuteWrites(ctx context.Context, now float64, reqs []WriteRe
 func (m *Manager) putSub(t float64, tier int, sk string, payload []byte, stored int64) (end float64, placed int, retrySecs float64, retries int, err error) {
 	nTiers := m.st.Hierarchy().Len()
 	for {
-		end, err = m.st.PutOwned(t, tier, sk, payload, stored)
-		backoff := m.retryBase
-		for r := 0; err != nil && hcerr.IsTransient(err) && r < m.retryMax; r++ {
-			m.tm.retries.Inc()
-			t += backoff // backoff advances the virtual clock, so a retry can outlive a blip window
-			retrySecs += backoff
-			retries++
-			if backoff < retryCap {
-				backoff *= 2
-			}
+		t, retrySecs, retries, err = m.retry(t, retrySecs, retries, func(t float64) (err error) {
 			end, err = m.st.PutOwned(t, tier, sk, payload, stored)
-		}
+			return err
+		})
 		if err == nil {
 			return end, tier, retrySecs, retries, nil
 		}
@@ -1116,57 +1058,25 @@ func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, rs *re
 // peekSubs fetches a task's payloads without modeling I/O (the timed
 // reads are replayed later with the correct interleaved start times).
 // Peek pins arena-owned payloads; the pins are dropped as soon as the
-// decompression fan-out finishes. On error every pin taken so far is
+// decompression fan-out finishes. Transient faults are retried with the
+// same backoff as writes (the advanced clock only feeds the injector —
+// peeks never consume tier lanes). On error every pin taken so far is
 // released.
 func (m *Manager) peekSubs(now float64, subs []readSub) error {
 	for k := range subs {
-		blob, err := m.peekRetry(now, subs[k].sub.key)
+		rs := &subs[k]
+		_, _, _, err := m.retry(now, 0, 0, func(t float64) (err error) {
+			rs.blob, err = m.st.Peek(t, rs.sub.key)
+			return err
+		})
 		if err != nil {
 			for j := 0; j < k; j++ {
 				m.st.Release(subs[j].blob)
 			}
 			return err
 		}
-		subs[k].blob = blob
 	}
 	return nil
-}
-
-// peekRetry fetches one payload, retrying transient faults with the same
-// capped virtual-time backoff as writes (the advanced clock only feeds
-// the injector — peeks never consume tier lanes).
-func (m *Manager) peekRetry(now float64, key string) (store.Blob, error) {
-	blob, err := m.st.Peek(now, key)
-	backoff := m.retryBase
-	for r := 0; err != nil && hcerr.IsTransient(err) && r < m.retryMax; r++ {
-		m.tm.retries.Inc()
-		now += backoff
-		if backoff < retryCap {
-			backoff *= 2
-		}
-		blob, err = m.st.Peek(now, key)
-	}
-	return blob, err
-}
-
-// readTimeRetry models one timed sub-task read, retrying transient
-// faults with capped virtual-time backoff. Alongside the completion
-// time it returns the retry bill (attempts and virtual backoff seconds)
-// for latency attribution.
-func (m *Manager) readTimeRetry(t float64, key string) (end, retrySecs float64, retries int, err error) {
-	end, err = m.st.ReadTime(t, key)
-	backoff := m.retryBase
-	for r := 0; err != nil && hcerr.IsTransient(err) && r < m.retryMax; r++ {
-		m.tm.retries.Inc()
-		t += backoff
-		retrySecs += backoff
-		retries++
-		if backoff < retryCap {
-			backoff *= 2
-		}
-		end, err = m.st.ReadTime(t, key)
-	}
-	return end, retrySecs, retries, err
 }
 
 // openReads is the untimed front half of a read, shared by ExecuteReads
@@ -1272,7 +1182,11 @@ func (m *Manager) replayRead(now float64, r *ReadReq, subs []readSub, fb *fbRun)
 	for k := range subs {
 		rs := &subs[k]
 		sm := &rs.sub
-		end, retrySecs, retries, err := m.readTimeRetry(t, sm.key)
+		var end float64
+		_, retrySecs, retries, err := m.retry(t, 0, 0, func(t float64) (err error) {
+			end, err = m.st.ReadTime(t, sm.key)
+			return err
+		})
 		if err != nil {
 			bufpool.Put(r.data)
 			return Result{}, err

@@ -10,6 +10,7 @@ import (
 	"hcompress/internal/analyzer"
 	"hcompress/internal/codec"
 	"hcompress/internal/core"
+	"hcompress/internal/fanout"
 	"hcompress/internal/fault"
 	"hcompress/internal/monitor"
 	"hcompress/internal/predictor"
@@ -439,8 +440,13 @@ func TestParallelismDeterministicVirtualTime(t *testing.T) {
 		end, codec, io float64
 		subs           []SubResult
 	}
-	run := func(par int) []trace {
-		e := newModelEnvOpts(t, hier, Options{Parallelism: par})
+	run := func(width int) []trace { // width 0: no pool, every sub-task inline
+		var o Options
+		if width > 0 {
+			o.Pool = fanout.NewPool(width)
+			defer o.Pool.Close()
+		}
+		e := newModelEnvOpts(t, hier, o)
 		var out []trace
 		now := 0.0
 		for i := 0; i < 16; i++ {
@@ -464,8 +470,8 @@ func TestParallelismDeterministicVirtualTime(t *testing.T) {
 		return out
 	}
 
-	serial := run(1)
-	for _, par := range []int{2, 8} {
+	serial := run(0)
+	for _, par := range []int{1, 2, 4, 8} {
 		parallel := run(par)
 		for i := range serial {
 			s, p := serial[i], parallel[i]
@@ -486,10 +492,13 @@ func TestParallelismDeterministicVirtualTime(t *testing.T) {
 }
 
 // TestParallelWriteRealRoundTrip exercises the worker pool on real bytes:
-// a multi-sub-task schema compressed with par=4 must decompress to the
-// original regardless of which goroutine handled which piece.
+// a multi-sub-task schema compressed through a 4-wide pool must
+// decompress to the original regardless of which goroutine handled which
+// piece.
 func TestParallelWriteRealRoundTrip(t *testing.T) {
-	e := newRealEnvOpts(t, Options{Parallelism: 4})
+	p := fanout.NewPool(4)
+	defer p.Close()
+	e := newRealEnvOpts(t, Options{Pool: p})
 	data := []byte(strings.Repeat("parallel sub-task codec execution over tiers. ", 120000))
 	attr := analyzer.Analyze(data)
 	sc, err := e.eng.Plan(0, attr, int64(len(data)))

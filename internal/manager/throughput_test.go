@@ -183,10 +183,10 @@ func TestRewriteAfterDeleteDoesNotDuplicateOrder(t *testing.T) {
 	}
 }
 
-// TestSharedPoolMatchesPerOpFanout is the acceptance gate for the pool
-// swap: the same task sequence through the shared persistent pool and
-// through the legacy per-call fan-out must produce identical Results —
-// End, CodecTime, IOTime, and every SubResult — at every Parallelism.
+// TestSharedPoolMatchesPerOpFanout is the acceptance gate for the pool:
+// the same task sequence through a shared persistent pool of any width
+// and through no pool at all (every sub-task inline) must produce
+// identical Results — End, CodecTime, IOTime, and every SubResult.
 func TestSharedPoolMatchesPerOpFanout(t *testing.T) {
 	hier := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
 	attr := analyzer.Result{Type: stats.TypeFloat, Dist: stats.Gamma}
@@ -195,10 +195,10 @@ func TestSharedPoolMatchesPerOpFanout(t *testing.T) {
 		end, codec, io float64
 		subs           []SubResult
 	}
-	run := func(par int, shared bool) []trace {
-		o := Options{Parallelism: par}
-		if shared {
-			o.Pool = fanout.NewPool(par)
+	run := func(width int) []trace { // width 0: no pool
+		var o Options
+		if width > 0 {
+			o.Pool = fanout.NewPool(width)
 			defer o.Pool.Close()
 		}
 		e := newModelEnvOpts(t, hier, o)
@@ -225,13 +225,13 @@ func TestSharedPoolMatchesPerOpFanout(t *testing.T) {
 		return out
 	}
 
+	inline := run(0)
 	for _, par := range []int{1, 2, 4, 8} {
-		legacy := run(par, false)
-		pooled := run(par, true)
-		for i := range legacy {
-			l, p := legacy[i], pooled[i]
+		pooled := run(par)
+		for i := range inline {
+			l, p := inline[i], pooled[i]
 			if l.end != p.end || l.codec != p.codec || l.io != p.io {
-				t.Fatalf("par=%d op %d: pooled (%v,%v,%v) != legacy (%v,%v,%v)",
+				t.Fatalf("par=%d op %d: pooled (%v,%v,%v) != inline (%v,%v,%v)",
 					par, i, p.end, p.codec, p.io, l.end, l.codec, l.io)
 			}
 			if len(l.subs) != len(p.subs) {
@@ -264,7 +264,7 @@ func TestGroupedCallMatchesOneRequestCalls(t *testing.T) {
 	pooled := func() *env {
 		p := fanout.NewPool(4)
 		t.Cleanup(p.Close)
-		return newModelEnvOpts(t, hier, Options{Parallelism: 4, Pool: p})
+		return newModelEnvOpts(t, hier, Options{Pool: p})
 	}
 	grouped, single := pooled(), pooled()
 	var writes []WriteReq
@@ -336,7 +336,7 @@ func TestGroupedCallMatchesOneRequestCalls(t *testing.T) {
 func TestExecuteWritesRealRoundTrip(t *testing.T) {
 	p := fanout.NewPool(4)
 	defer p.Close()
-	e := newRealEnvOpts(t, Options{Parallelism: 4, Pool: p})
+	e := newRealEnvOpts(t, Options{Pool: p})
 
 	const n = 6
 	var reqs []WriteReq

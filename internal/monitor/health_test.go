@@ -50,7 +50,6 @@ func TestOfflineTierMaskedFromStatus(t *testing.T) {
 
 func TestRecoveryProbeAndHeal(t *testing.T) {
 	m := New(newStore(t), 0)
-	m.SetHealthPolicy(3, 0.5)
 	for i := 0; i < 3; i++ {
 		m.Observe(0, 0, errBoom)
 	}
@@ -74,7 +73,6 @@ func TestRecoveryProbeAndHeal(t *testing.T) {
 
 func TestFailedProbeBacksOff(t *testing.T) {
 	m := New(newStore(t), 0)
-	m.SetHealthPolicy(3, 0.5)
 	for i := 0; i < 3; i++ {
 		m.Observe(0, 0, errBoom)
 	}

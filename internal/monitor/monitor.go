@@ -80,13 +80,13 @@ type tierHealth struct {
 	clean          atomic.Bool
 }
 
-// Health-machine defaults: offlineAfter consecutive errors take a tier
+// Health-machine policy: offlineAfter consecutive errors take a tier
 // offline; the first recovery probe fires probeBase virtual seconds
-// later, doubling per failed probe up to probeCap.
+// later, doubling per failed probe up to probeBase * probeCapFactor.
 const (
-	defaultOfflineAfter = 3
-	defaultProbeBase    = 0.5
-	probeCapFactor      = 64 // backoff cap = probeBase * probeCapFactor
+	offlineAfter   = 3
+	probeBase      = 0.5
+	probeCapFactor = 64
 )
 
 // SystemMonitor caches tier status snapshots, refreshing at a configured
@@ -102,10 +102,8 @@ type SystemMonitor struct {
 	cached      []store.TierStatus
 	refreshes   int
 
-	health       []tierHealth
-	offlineAfter int
-	probeBase    float64
-	eventSink    func(Event) // construction-time; called outside mu
+	health    []tierHealth
+	eventSink func(Event) // construction-time; called outside mu
 
 	tmRefreshes *telemetry.Counter // nil when telemetry is off
 	tmForced    *telemetry.Counter
@@ -134,27 +132,12 @@ func (m *SystemMonitor) SetTelemetry(reg *telemetry.Registry) {
 // monitor lock.
 func (m *SystemMonitor) SetEventSink(fn func(Event)) { m.eventSink = fn }
 
-// SetHealthPolicy tunes the health machine: a tier goes offline after
-// offlineAfter consecutive errors (values < 1 keep the default), and
-// recovery probes start probeBase virtual seconds after the transition
-// (values <= 0 keep the default). Construction-time only.
-func (m *SystemMonitor) SetHealthPolicy(offlineAfter int, probeBase float64) {
-	if offlineAfter >= 1 {
-		m.offlineAfter = offlineAfter
-	}
-	if probeBase > 0 {
-		m.probeBase = probeBase
-	}
-}
-
 // New creates a monitor over st that refreshes its cache every interval
 // virtual seconds. interval 0 means "always fresh".
 func New(st *store.Store, interval float64) *SystemMonitor {
 	m := &SystemMonitor{
 		st: st, interval: interval, lastRefresh: -1,
-		health:       make([]tierHealth, st.Hierarchy().Len()),
-		offlineAfter: defaultOfflineAfter,
-		probeBase:    defaultProbeBase,
+		health: make([]tierHealth, st.Hierarchy().Len()),
 	}
 	for i := range m.health {
 		m.health[i].clean.Store(true)
@@ -213,11 +196,11 @@ func (m *SystemMonitor) Status(now float64) []store.TierStatus {
 // probeBackoff is the offline-tier probe interval after n failed probes:
 // probeBase * 2^n, capped.
 func (m *SystemMonitor) probeBackoff(n int) float64 {
-	b := m.probeBase
-	for i := 0; i < n && b < m.probeBase*probeCapFactor; i++ {
+	b := probeBase
+	for i := 0; i < n && b < probeBase*probeCapFactor; i++ {
 		b *= 2
 	}
-	if max := m.probeBase * probeCapFactor; b > max {
+	if max := probeBase * probeCapFactor; b > max {
 		b = max
 	}
 	return b
@@ -260,7 +243,7 @@ func (m *SystemMonitor) Observe(now float64, tier int, err error) {
 	h.clean.Store(false)
 	h.streak++
 	prev := h.state
-	if h.streak >= m.offlineAfter {
+	if h.streak >= offlineAfter {
 		h.state = Offline
 		if prev == Offline {
 			// A failed probe (or late straggler): back the next probe off.

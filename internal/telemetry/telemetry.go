@@ -413,48 +413,7 @@ func (r *Registry) Snapshot() Snapshot {
 // (version 0.0.4), families and series sorted by name so output is
 // stable and diffable. A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, r.families[name])
-	}
-	r.mu.Unlock()
-
-	var b strings.Builder
-	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		r.mu.Lock()
-		keys := make([]string, 0, len(f.series))
-		for lk := range f.series {
-			keys = append(keys, lk)
-		}
-		sort.Strings(keys)
-		series := make([]any, len(keys))
-		for i, lk := range keys {
-			series[i] = f.series[lk]
-		}
-		r.mu.Unlock()
-		for i, lk := range keys {
-			switch v := series[i].(type) {
-			case *Counter:
-				fmt.Fprintf(&b, "%s %d\n", seriesRef(f.name, lk, ""), v.Value())
-			case *Gauge:
-				fmt.Fprintf(&b, "%s %s\n", seriesRef(f.name, lk, ""), formatFloat(v.Value()))
-			case *Histogram:
-				writeHistogram(&b, f.name, lk, v)
-			}
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return MergePrometheus(w, r)
 }
 
 // MergePrometheus renders several registries as one Prometheus text

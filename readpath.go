@@ -81,6 +81,14 @@ func (c *Shard) kickPrefetch() {
 	}
 }
 
+// Prefetcher policy: the cache remembers the last accessRingSize read
+// keys, and a detected sequential run is extended prefetchDepth keys
+// ahead.
+const (
+	accessRingSize = 256
+	prefetchDepth  = 2
+)
+
 // prefetchLoop is the background prefetch/promotion worker: woken by read
 // traffic, it mines the cache's access ring for repeated-key and
 // sequential-run patterns and decompresses the predicted keys into the
@@ -89,7 +97,7 @@ func (c *Shard) kickPrefetch() {
 // never starve the demand path. Like the demoter it never takes c.mu:
 // Close stops it (and cancels any in-flight fill) before tearing down the
 // pool and store.
-func (c *Shard) prefetchLoop(stop <-chan struct{}, depth int) {
+func (c *Shard) prefetchLoop(stop <-chan struct{}) {
 	ctx, cancel := context.WithCancel(fanout.WithClass(context.Background(), fanout.Batch))
 	defer cancel()
 	go func() {
@@ -103,7 +111,7 @@ func (c *Shard) prefetchLoop(stop <-chan struct{}, depth int) {
 			return
 		case <-c.prefetchKick:
 		}
-		for _, key := range c.cache.Candidates(maxPerPass, depth) {
+		for _, key := range c.cache.Candidates(maxPerPass, prefetchDepth) {
 			select {
 			case <-stop:
 				return

@@ -175,7 +175,7 @@ func TestCacheInvalidationOnDemotion(t *testing.T) {
 	}
 	rep.Release()
 
-	c.demoteOnce(nil, 0.85, 0.70, 64)
+	c.demoteOnce(nil, 64)
 
 	st := c.CacheStats()
 	if st.Invalidations < 1 {
@@ -332,7 +332,6 @@ func TestSequentialPrefetchWarmsCache(t *testing.T) {
 	cfg := cacheConfig()
 	cfg.DisablePrefetch = false
 	cfg.ReadCacheMinTouches = 2 // demand reads below are single-touch: any resident entry came from prefetch
-	cfg.PrefetchDepth = 2
 	c := newClient(t, cfg)
 	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 64<<10, 3)
 	for i := 0; i < 8; i++ {

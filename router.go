@@ -169,38 +169,7 @@ func (r *Router) CompressBatch(tasks []Task) ([]*Report, error) {
 
 // CompressBatchContext is CompressBatch under a context.
 func (r *Router) CompressBatchContext(ctx context.Context, tasks []Task) ([]*Report, error) {
-	if len(tasks) == 0 {
-		return nil, nil
-	}
-	if len(r.shards) == 1 {
-		return r.shards[0].CompressBatchContext(ctx, tasks)
-	}
-	byShard := make([][]Task, len(r.shards))
-	idx := make([][]int, len(r.shards))
-	for i, t := range tasks {
-		s := r.ShardFor(t.Key)
-		byShard[s] = append(byShard[s], t)
-		idx[s] = append(idx[s], i)
-	}
-	reps := make([]*Report, len(tasks))
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for s := range r.shards {
-		if len(byShard[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sreps, err := r.shards[s].CompressBatchContext(ctx, byShard[s])
-			errs[s] = err
-			for j, rep := range sreps {
-				reps[idx[s][j]] = rep
-			}
-		}(s)
-	}
-	wg.Wait()
-	return reps, errors.Join(errs...)
+	return scatter(ctx, r, tasks, func(t Task) string { return t.Key }, (*Shard).CompressBatchContext)
 }
 
 // DecompressBatch splits the keys by owning shard, reads each sub-batch
@@ -211,20 +180,29 @@ func (r *Router) DecompressBatch(keys []string) ([]*Report, error) {
 
 // DecompressBatchContext is DecompressBatch under a context.
 func (r *Router) DecompressBatchContext(ctx context.Context, keys []string) ([]*Report, error) {
-	if len(keys) == 0 {
+	return scatter(ctx, r, keys, func(k string) string { return k }, (*Shard).DecompressBatchContext)
+}
+
+// scatter is the body of both batch calls: split items by the shard that
+// owns keyOf(item), run each shard's sub-batch concurrently through run,
+// and reassemble the reports in input order; the error joins every
+// shard's error. A single-shard router hands the batch straight through.
+func scatter[T any](ctx context.Context, r *Router, items []T, keyOf func(T) string,
+	run func(*Shard, context.Context, []T) ([]*Report, error)) ([]*Report, error) {
+	if len(items) == 0 {
 		return nil, nil
 	}
 	if len(r.shards) == 1 {
-		return r.shards[0].DecompressBatchContext(ctx, keys)
+		return run(r.shards[0], ctx, items)
 	}
-	byShard := make([][]string, len(r.shards))
+	byShard := make([][]T, len(r.shards))
 	idx := make([][]int, len(r.shards))
-	for i, k := range keys {
-		s := r.ShardFor(k)
-		byShard[s] = append(byShard[s], k)
+	for i, it := range items {
+		s := r.ShardFor(keyOf(it))
+		byShard[s] = append(byShard[s], it)
 		idx[s] = append(idx[s], i)
 	}
-	reps := make([]*Report, len(keys))
+	reps := make([]*Report, len(items))
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
 	for s := range r.shards {
@@ -234,7 +212,7 @@ func (r *Router) DecompressBatchContext(ctx context.Context, keys []string) ([]*
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sreps, err := r.shards[s].DecompressBatchContext(ctx, byShard[s])
+			sreps, err := run(r.shards[s], ctx, byShard[s])
 			errs[s] = err
 			for j, rep := range sreps {
 				reps[idx[s][j]] = rep

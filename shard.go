@@ -169,9 +169,9 @@ type Shard struct {
 	tel       *telemetry.Registry
 	sink      *telemetry.Sink
 	cm        clientMetrics
-	audit     auditLog
-	faults    faultLog // health-transition ring; always on (small, self-locked)
-	slow      *slowLog // slow-op ring; nil unless a SlowOp* policy is set
+	audit     ring[AuditRecord] // decision audits; cap 0 (holds nothing) with telemetry off
+	faults    ring[FaultEvent]  // health transitions; always on
+	slow      *slowLog          // slow-op ring; nil unless a SlowOp* policy is set
 	metricsLn net.Listener
 
 	// Request identity: operations arriving without a propagated request
@@ -282,16 +282,18 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		return nil, err
 	}
 	c.closers.push(c.st.Close)
-	bufpool.SetTelemetry(reg)
+	if reg != nil {
+		// The arena is process-wide and mirrors into the registry set
+		// last; a nil registry would detach every other client's.
+		bufpool.SetTelemetry(reg)
+	}
 	c.pred = predictor.New(sd)
 	c.pred.SetTelemetry(reg)
 	c.mon = monitor.New(c.st, cfg.MonitorIntervalSec)
-	c.mon.SetHealthPolicy(cfg.OfflineThreshold, cfg.ProbeIntervalSec)
 	c.mon.SetTelemetry(reg)
 	c.eng, err = core.New(c.pred, c.mon, core.Config{
 		Weights:            cfg.Priorities.toWeights(),
 		DisableCompression: cfg.DisableCompression,
-		DisablePlanCache:   cfg.DisablePlanCache,
 		Codecs:             cfg.Codecs,
 		Telemetry:          reg,
 	})
@@ -310,12 +312,8 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		if minTouches == 0 {
 			minTouches = 2
 		}
-		ringSize := cfg.AccessRingSize
-		if ringSize == 0 {
-			ringSize = 256
-		}
 		capBytes := int64(cfg.ReadCacheFraction * float64(h.Tiers[0].Capacity))
-		c.cache = readcache.New(capBytes, minTouches, ringSize)
+		c.cache = readcache.New(capBytes, minTouches, accessRingSize)
 		c.cache.SetTelemetry(reg)
 		// Teardown hands cached payloads back to the arena.
 		c.closers.push(func() error { c.cache.InvalidateAll(); return nil })
@@ -332,12 +330,10 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		oracle = manager.ModelOracle{Truth: sd}
 	}
 	c.mgr = manager.New(c.st, c.pred, manager.Options{
-		Oracle:          oracle,
-		Pool:            c.pool,
-		RetryMax:        cfg.RetryMax,
-		RetryBackoffSec: cfg.RetryBackoffSec,
-		DemoteNotify:    demoteNotify,
-		Telemetry:       reg,
+		Oracle:       oracle,
+		Pool:         c.pool,
+		DemoteNotify: demoteNotify,
+		Telemetry:    reg,
 	})
 	// Tasks whose pieces all survived on durable tiers become readable
 	// again here; their schemas are rebuilt from the on-media headers.
@@ -358,12 +354,12 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		c.closers.push(func() error { expvarUnregister(id); return nil })
 	}
 	if cfg.SlowOpThreshold > 0 || cfg.SlowOpSampleEvery > 0 {
-		sl := &slowLog{thresh: cfg.SlowOpThreshold.Seconds(), cap: cfg.SlowOpLogSize}
+		sl := &slowLog{thresh: cfg.SlowOpThreshold.Seconds(), ring: ring[SlowOpRecord]{cap: cfg.SlowOpLogSize}}
 		if cfg.SlowOpSampleEvery > 0 {
 			sl.every = uint64(cfg.SlowOpSampleEvery)
 		}
-		if sl.cap == 0 {
-			sl.cap = 256
+		if sl.ring.cap == 0 {
+			sl.ring.cap = 256
 		}
 		c.slow = sl
 	}
@@ -376,17 +372,12 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		}
 	}
 	if cfg.DemotionInterval > 0 {
-		high, low := cfg.demotionWatermarks()
 		interval, sliceN := cfg.DemotionInterval, cfg.DemotionSliceSubTasks
-		c.background(func(stop <-chan struct{}) { c.demoteLoop(stop, interval, high, low, sliceN) })
+		c.background(func(stop <-chan struct{}) { c.demoteLoop(stop, interval, sliceN) })
 	}
 	if c.cache != nil && !cfg.DisablePrefetch {
-		depth := cfg.PrefetchDepth
-		if depth == 0 {
-			depth = 2
-		}
 		c.prefetchKick = make(chan struct{}, 1)
-		c.background(func(stop <-chan struct{}) { c.prefetchLoop(stop, depth) })
+		c.background(c.prefetchLoop)
 	}
 	return c, nil
 }
@@ -405,13 +396,20 @@ func (c *Shard) background(loop func(stop <-chan struct{})) {
 	c.closers.push(func() error { close(stop); <-done; return nil })
 }
 
+// The demoter starts draining a tier at demotionHighWater of its capacity
+// and pauses once it is down to demotionLowWater.
+const (
+	demotionHighWater = 0.85
+	demotionLowWater  = 0.70
+)
+
 // demoteLoop is the background demoter: every interval it drains any
 // tier filled past its high watermark down to the low watermark, one
 // bounded DemoteSlice at a time. It never takes the lifecycle lock —
 // Close stops the loop before tearing the store down, and each slice
 // synchronizes on the manager lock like any data-path operation — so
 // demotion can never deadlock with or stall behind Close.
-func (c *Shard) demoteLoop(stop <-chan struct{}, interval time.Duration, high, low float64, sliceN int) {
+func (c *Shard) demoteLoop(stop <-chan struct{}, interval time.Duration, sliceN int) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -419,7 +417,7 @@ func (c *Shard) demoteLoop(stop <-chan struct{}, interval time.Duration, high, l
 		case <-stop:
 			return
 		case <-tick.C:
-			c.demoteOnce(stop, high, low, sliceN)
+			c.demoteOnce(stop, sliceN)
 		}
 	}
 }
@@ -427,10 +425,10 @@ func (c *Shard) demoteLoop(stop <-chan struct{}, interval time.Duration, high, l
 // demoteOnce runs one demotion pass over every tier that has something
 // below it to demote into, giving up between slices once stop closes (a
 // nil stop never does).
-func (c *Shard) demoteOnce(stop <-chan struct{}, high, low float64, sliceN int) {
+func (c *Shard) demoteOnce(stop <-chan struct{}, sliceN int) {
 	for i := 0; i < c.hier.Len()-1; i++ {
 		capB := float64(c.hier.Tiers[i].Capacity)
-		if capB <= 0 || float64(c.st.Used(i)) < high*capB {
+		if capB <= 0 || float64(c.st.Used(i)) < demotionHighWater*capB {
 			continue
 		}
 		// Above the high watermark: drain to the low watermark in
@@ -438,7 +436,7 @@ func (c *Shard) demoteOnce(stop <-chan struct{}, high, low float64, sliceN int) 
 		// everything left is pinned above a full tier — give up until
 		// the next tick rather than spin.
 		var sinceWrap int64
-		for float64(c.st.Used(i)) > low*capB {
+		for float64(c.st.Used(i)) > demotionLowWater*capB {
 			select {
 			case <-stop:
 				return

@@ -205,39 +205,20 @@ func (a *AuditRecord) appendJSON(dst []byte, fm *telemetry.FloatMemo) []byte {
 	return append(dst, '}')
 }
 
-// HistogramStat summarizes one histogram series in a MetricsSnapshot.
-type HistogramStat struct {
-	Count int64
-	Sum   float64
-	P50   float64
-	P90   float64
-	P99   float64
-}
+// HistogramStat summarizes one histogram series in a MetricsSnapshot:
+// Count, Sum and the P50/P90/P99 quantile estimates.
+type HistogramStat = telemetry.HistogramStat
 
-// MetricsSnapshot is the typed dump of every metric series, keyed by the
-// canonical Prometheus series name (`name{label="value"}`). It is the
-// test-friendly face of the registry; the same data is served in
-// Prometheus text format on MetricsAddr and by Client.WriteMetrics.
-type MetricsSnapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramStat
-}
+// MetricsSnapshot is the typed dump of every metric series — Counters,
+// Gauges and Histograms maps keyed by the canonical Prometheus series
+// name (`name{label="value"}`). It is the test-friendly face of the
+// registry; the same data is served in Prometheus text format on
+// MetricsAddr and by Client.WriteMetrics.
+type MetricsSnapshot = telemetry.Snapshot
 
 // Snapshot captures the current value of every metric. With telemetry
 // off it returns empty (non-nil) maps.
-func (c *Shard) Snapshot() MetricsSnapshot {
-	s := c.tel.Snapshot()
-	out := MetricsSnapshot{
-		Counters:   s.Counters,
-		Gauges:     s.Gauges,
-		Histograms: make(map[string]HistogramStat, len(s.Histograms)),
-	}
-	for k, h := range s.Histograms {
-		out.Histograms[k] = HistogramStat{Count: h.Count, Sum: h.Sum, P50: h.P50, P90: h.P90, P99: h.P99}
-	}
-	return out
-}
+func (c *Shard) Snapshot() MetricsSnapshot { return c.tel.Snapshot() }
 
 // WriteMetrics renders the Prometheus text-format exposition to w — the
 // same bytes MetricsAddr serves on /metrics. A no-op with telemetry off.
@@ -282,27 +263,7 @@ type FaultEvent struct {
 // the metrics registry this ring is always on — fault visibility must
 // not depend on telemetry being enabled.
 func (c *Shard) FaultEvents() []FaultEvent {
-	c.faults.mu.Lock()
-	defer c.faults.mu.Unlock()
-	out := c.faults.ring
-	c.faults.ring = nil
-	return out
-}
-
-// faultLog is the bounded health-transition ring.
-type faultLog struct {
-	mu   sync.Mutex
-	ring []FaultEvent
-	cap  int
-}
-
-func (f *faultLog) append(ev FaultEvent) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ring = append(f.ring, ev)
-	if over := len(f.ring) - f.cap; over > 0 && f.cap > 0 {
-		f.ring = append([]FaultEvent(nil), f.ring[over:]...)
-	}
+	return c.faults.drain()
 }
 
 // onHealthEvent is the monitor's event sink: every health transition
@@ -354,15 +315,12 @@ type SlowOpRecord struct {
 }
 
 // slowLog is the bounded slow-op ring with its threshold-or-sampled
-// admission policy. nil (telemetry off or no policy configured) means
-// every method no-ops.
+// admission policy. nil (no policy configured) admits nothing.
 type slowLog struct {
 	thresh float64 // wall seconds; 0 disables the threshold arm
 	every  uint64  // record every Nth op; 0 disables the sampling arm
 	seq    atomic.Uint64
-	mu     sync.Mutex
-	ring   []SlowOpRecord
-	cap    int
+	ring   ring[SlowOpRecord]
 }
 
 // shouldRecord rules on one completed op. The sampling counter advances
@@ -378,22 +336,6 @@ func (s *slowLog) shouldRecord(wallSecs float64) bool {
 	return s.every > 0 && n%s.every == 0
 }
 
-func (s *slowLog) append(rec SlowOpRecord) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ring = append(s.ring, rec)
-	// Trim only once the slice holds twice the bound, sliding the newest
-	// cap records down in place: amortized O(1) per append, where trimming
-	// on every append copied the whole ring (49 KB at the default 256)
-	// for each sampled op once warm. SlowOps cuts to the bound on drain.
-	if s.cap > 0 && len(s.ring) >= 2*s.cap {
-		s.ring = append(s.ring[:0], s.ring[len(s.ring)-s.cap:]...)
-	}
-}
-
 // SlowOps drains the slow-op ring: every threshold-crossing or sampled
 // operation recorded since the previous call, oldest first. Empty
 // unless Config.SlowOpThreshold or Config.SlowOpSampleEvery is set.
@@ -401,20 +343,13 @@ func (c *Shard) SlowOps() []SlowOpRecord {
 	if c.slow == nil {
 		return nil
 	}
-	c.slow.mu.Lock()
-	defer c.slow.mu.Unlock()
-	out := c.slow.ring
-	c.slow.ring = nil
-	if over := len(out) - c.slow.cap; over > 0 && c.slow.cap > 0 {
-		out = out[over:]
-	}
-	return out
+	return c.slow.ring.drain()
 }
 
 // slowOp assembles and records one slow-op entry from an executed op's
 // Result and stage timings. Callers gate on slow.shouldRecord first.
 func (c *Shard) slowOp(ri telemetry.ReqInfo, op, key string, res manager.Result, wallSecs, analyzeSecs, planSecs float64, replanned, degraded bool, audits []AuditRecord) {
-	c.slow.append(SlowOpRecord{
+	c.slow.ring.append(SlowOpRecord{
 		Record:         "slowop",
 		Trace:          ri.ID,
 		Tenant:         ri.Tenant,
@@ -433,56 +368,6 @@ func (c *Shard) slowOp(ri telemetry.ReqInfo, op, key string, res manager.Result,
 		Degraded:       degraded,
 		Audits:         audits,
 	})
-}
-
-// auditLog is the bounded decision-audit ring: a fixed circular buffer
-// so steady-state appends never reallocate or shift — overflow just
-// overwrites the oldest slot. (A naive slice-with-trim here cost a
-// full-ring copy per operation once warm, which dominated telemetry
-// overhead on the write path.)
-type auditLog struct {
-	mu    sync.Mutex
-	buf   []AuditRecord
-	start int // index of the oldest record
-	size  int
-	cap   int
-}
-
-func (a *auditLog) append(recs []AuditRecord) {
-	if a.cap <= 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.buf == nil {
-		a.buf = make([]AuditRecord, a.cap)
-	}
-	for i := range recs {
-		if a.size == a.cap {
-			a.buf[a.start] = recs[i]
-			a.start = (a.start + 1) % a.cap
-		} else {
-			a.buf[(a.start+a.size)%a.cap] = recs[i]
-			a.size++
-		}
-	}
-}
-
-// drain returns the buffered records oldest-first and empties the ring,
-// releasing the backing array so an idle shard holds no audit memory.
-func (a *auditLog) drain() []AuditRecord {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.size == 0 {
-		a.buf = nil
-		a.start = 0
-		return nil
-	}
-	out := make([]AuditRecord, a.size)
-	n := copy(out, a.buf[a.start:min(a.start+a.size, a.cap)])
-	copy(out[n:], a.buf[:a.size-n])
-	a.buf, a.start, a.size = nil, 0, 0
-	return out
 }
 
 // clientMetrics are the client-level instruments (nil when off).
@@ -664,7 +549,7 @@ func (c *Shard) compressTrace(ri telemetry.ReqInfo, key string, attr analyzer.Re
 		}
 		audits = append(audits, rec)
 	}
-	c.audit.append(audits)
+	c.audit.append(audits...)
 	if c.sink == nil {
 		return audits
 	}

@@ -281,6 +281,26 @@ func TestTelemetryOff(t *testing.T) {
 	}
 }
 
+// TestPlainClientKeepsArenaCounters: the buffer arena is process-wide and
+// mirrors its counters into one registry, so constructing a telemetry-off
+// client must not detach the telemetry-on client that came before it.
+func TestPlainClientKeepsArenaCounters(t *testing.T) {
+	on := newClient(t, Config{Tiers: scarceTiers(), EnableTelemetry: true})
+	newClient(t, Config{Tiers: scarceTiers()})
+	before := on.Snapshot().Counters["hc_bufpool_puts_total"]
+	if _, err := on.Compress(Task{Key: "k", Data: bytes.Repeat([]byte("arena "), 4096)}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := on.Decompress("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Release() // hands the read buffer back to the arena: at least one put
+	if after := on.Snapshot().Counters["hc_bufpool_puts_total"]; after <= before {
+		t.Fatalf("hc_bufpool_puts_total stayed at %d after a write, a read and a Release", after)
+	}
+}
+
 // TestMetricsAddrDuringClose polls MetricsAddr while Close runs: the
 // accessor shares the lifecycle lock with Close (run under -race), reads
 // the bound address before it and "" after.
