@@ -117,9 +117,9 @@ func BenchmarkTable2Priorities(b *testing.B) {
 		name string
 		w    seed.Weights
 	}{
-		{"async", seed.WeightsAsync},
-		{"archival", seed.WeightsArchival},
-		{"read-after-write", seed.WeightsReadAfterWrite},
+		{"async", PriorityAsync.toWeights()},
+		{"archival", PriorityArchival.toWeights()},
+		{"read-after-write", PriorityReadAfterWrite.toWeights()},
 		{"equal", seed.WeightsEqual},
 	} {
 		b.Run(pr.name, func(b *testing.B) {
@@ -173,7 +173,7 @@ func BenchmarkAblationMemo(b *testing.B) {
 
 // BenchmarkAblationAlignment measures the 4096-byte sub-task alignment
 // choice: coarser quanta reduce DP states, finer quanta increase them.
-// (The production engine fixes Align = 4096; this bench varies the task
+// (The production engine fixes align = 4096; this bench varies the task
 // size granularity instead, which controls memo reuse the same way.)
 func BenchmarkAblationAlignment(b *testing.B) {
 	h := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
@@ -190,7 +190,7 @@ func BenchmarkAblationAlignment(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// spread distinct task sizes; aligned quantization
 				// collapses nearby sizes onto shared sub-problems.
-				size := int64(4<<20 + (i%spread)*core.Align)
+				size := int64(4<<20 + (i%spread)*4096) // 4096: the HCDP sub-task alignment
 				if _, err := eng.Plan(0, attr, size); err != nil {
 					b.Fatal(err)
 				}

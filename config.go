@@ -152,10 +152,6 @@ type Config struct {
 	// AuditLogSize bounds the in-memory decision-audit ring returned by
 	// Client.Audits (default 1024 when telemetry is on).
 	AuditLogSize int
-	// EnableProfiling mounts net/http/pprof handlers under /debug/pprof/
-	// on the MetricsAddr listener. Off by default: profiling endpoints
-	// are a debugging surface, not something to expose unconditionally.
-	EnableProfiling bool
 	// SlowOpThreshold, when positive, records every operation whose wall
 	// latency reaches the threshold into the slow-op ring (Client.SlowOps,
 	// hctool -slow) with its full stage breakdown and HCDP audits.

@@ -18,10 +18,10 @@ import (
 type Format int
 
 const (
-	FormatRaw Format = iota
-	FormatH5Lite
-	FormatCSV
-	FormatJSON
+	formatRaw Format = iota
+	formatH5Lite
+	formatCSV
+	formatJSON
 )
 
 var formatNames = [...]string{"raw", "h5lite", "csv", "json"}
@@ -33,9 +33,9 @@ func (f Format) String() string {
 	return formatNames[f]
 }
 
-// H5LiteMagic is the 4-byte superblock signature of the h5lite container
+// h5liteMagic is the 4-byte superblock signature of the h5lite container
 // (see internal/h5lite); the IA uses it for the self-described fast path.
-var H5LiteMagic = [4]byte{'H', '5', 'L', 'T'}
+var h5liteMagic = [4]byte{'H', '5', 'L', 'T'}
 
 // Result is the IA's verdict on one buffer.
 type Result struct {
@@ -83,7 +83,7 @@ func AnalyzeWithHint(buf []byte, hint *Hint) Result {
 	if hint != nil && hint.Type != nil && hint.Dist != nil {
 		r := Result{Size: len(buf), Type: *hint.Type, Dist: *hint.Dist}
 		if hasH5LiteMagic(buf) {
-			r.Format = FormatH5Lite
+			r.Format = formatH5Lite
 		}
 		return r
 	}
@@ -104,13 +104,13 @@ func AnalyzeWithHint(buf []byte, hint *Hint) Result {
 }
 
 func hasH5LiteMagic(buf []byte) bool {
-	return len(buf) >= 4 && [4]byte(buf[:4]) == H5LiteMagic
+	return len(buf) >= 4 && [4]byte(buf[:4]) == h5liteMagic
 }
 
 // detectFormat sniffs the container format; textual is looksTextual(buf).
 func detectFormat(buf []byte, textual bool) Format {
 	if hasH5LiteMagic(buf) {
-		return FormatH5Lite
+		return formatH5Lite
 	}
 	// Leading-whitespace-tolerant JSON sniff.
 	for _, b := range buf[:min(len(buf), 64)] {
@@ -119,16 +119,16 @@ func detectFormat(buf []byte, textual bool) Format {
 			continue
 		case '{', '[':
 			if textual {
-				return FormatJSON
+				return formatJSON
 			}
-			return FormatRaw
+			return formatRaw
 		}
 		break
 	}
 	if textual && looksCSV(buf) {
-		return FormatCSV
+		return formatCSV
 	}
-	return FormatRaw
+	return formatRaw
 }
 
 // wordStride returns the 4-byte-aligned step that visits at most

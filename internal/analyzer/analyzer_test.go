@@ -47,7 +47,7 @@ func TestDetectBinary(t *testing.T) {
 	if r.Type == stats.TypeText {
 		t.Errorf("random bytes detected as text")
 	}
-	if r.Format != FormatRaw {
+	if r.Format != formatRaw {
 		t.Errorf("random bytes format %v", r.Format)
 	}
 }
@@ -72,7 +72,7 @@ func TestDetectDistribution(t *testing.T) {
 func TestDetectCSV(t *testing.T) {
 	csv := []byte("a,b,c\n1,2,3\n4,5,6\n7,8,9\n")
 	r := Analyze(csv)
-	if r.Format != FormatCSV {
+	if r.Format != formatCSV {
 		t.Errorf("csv detected as %v", r.Format)
 	}
 	if r.Type != stats.TypeText {
@@ -82,18 +82,18 @@ func TestDetectCSV(t *testing.T) {
 
 func TestDetectJSON(t *testing.T) {
 	j := []byte(`  {"particles": [1, 2, 3], "timestep": 5, "name": "vpic"}`)
-	if got := Analyze(j).Format; got != FormatJSON {
+	if got := Analyze(j).Format; got != formatJSON {
 		t.Errorf("json detected as %v", got)
 	}
 	arr := []byte(`[1,2,3,4,5,6,7,8,9,10,11,12]`)
-	if got := Analyze(arr).Format; got != FormatJSON {
+	if got := Analyze(arr).Format; got != formatJSON {
 		t.Errorf("json array detected as %v", got)
 	}
 }
 
 func TestDetectH5Lite(t *testing.T) {
 	buf := append([]byte("H5LT"), make([]byte, 100)...)
-	if got := Analyze(buf).Format; got != FormatH5Lite {
+	if got := Analyze(buf).Format; got != formatH5Lite {
 		t.Errorf("h5lite magic detected as %v", got)
 	}
 }
@@ -126,7 +126,7 @@ func TestEmptyAndTinyBuffers(t *testing.T) {
 
 func TestFormatString(t *testing.T) {
 	names := map[Format]string{
-		FormatRaw: "raw", FormatH5Lite: "h5lite", FormatCSV: "csv", FormatJSON: "json",
+		formatRaw: "raw", formatH5Lite: "h5lite", formatCSV: "csv", formatJSON: "json",
 	}
 	for f, want := range names {
 		if f.String() != want {

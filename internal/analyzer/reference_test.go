@@ -22,9 +22,9 @@ func refAnalyze(buf []byte) Result {
 }
 
 func refDetectFormat(buf []byte) Format {
-	if len(buf) >= 4 && buf[0] == H5LiteMagic[0] && buf[1] == H5LiteMagic[1] &&
-		buf[2] == H5LiteMagic[2] && buf[3] == H5LiteMagic[3] {
-		return FormatH5Lite
+	if len(buf) >= 4 && buf[0] == h5liteMagic[0] && buf[1] == h5liteMagic[1] &&
+		buf[2] == h5liteMagic[2] && buf[3] == h5liteMagic[3] {
+		return formatH5Lite
 	}
 	// Leading-whitespace-tolerant JSON sniff.
 	for _, b := range buf[:minInt(len(buf), 64)] {
@@ -33,18 +33,18 @@ func refDetectFormat(buf []byte) Format {
 			continue
 		case '{', '[':
 			if refLooksTextual(buf) {
-				return FormatJSON
+				return formatJSON
 			}
-			return FormatRaw
+			return formatRaw
 		default:
 			goto notJSON
 		}
 	}
 notJSON:
 	if refLooksTextual(buf) && refLooksCSV(buf) {
-		return FormatCSV
+		return formatCSV
 	}
-	return FormatRaw
+	return formatRaw
 }
 
 // refDetectType classifies element type from a sub-sample: text, then float32,
@@ -180,10 +180,59 @@ func refSampleFloats(buf []byte, dtype stats.DataType, max int) []float64 {
 	return out
 }
 
+// refMoments summarizes a sample as the old stats.ComputeMoments did.
+type refMoments struct {
+	N        int
+	Mean     float64
+	Variance float64 // population variance
+	Skewness float64
+	Kurtosis float64 // excess kurtosis
+	Min, Max float64
+}
+
+// refComputeMoments is the old stats.ComputeMoments: the first four
+// standardized moments of xs.
+func refComputeMoments(xs []float64) refMoments {
+	m := refMoments{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
+	if len(xs) == 0 {
+		return m
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+		if x < m.Min {
+			m.Min = x
+		}
+		if x > m.Max {
+			m.Max = x
+		}
+	}
+	m.Mean = sum / float64(len(xs))
+	var m2, m3, m4 float64
+	for _, x := range xs {
+		d := x - m.Mean
+		d2 := d * d
+		m2 += d2
+		m3 += d2 * d
+		m4 += d2 * d2
+	}
+	n := float64(len(xs))
+	m2 /= n
+	m3 /= n
+	m4 /= n
+	m.Variance = m2
+	if m2 > 0 {
+		sd := math.Sqrt(m2)
+		m.Skewness = m3 / (sd * sd * sd)
+		m.Kurtosis = m4/(m2*m2) - 3
+	}
+	return m
+}
+
 // refClassifyDist is the old stats.ClassifyDist (slice-built candidate
-// list); ComputeMoments is shared because the rewrite leaves it alone.
+// list).
 func refClassifyDist(xs []float64) stats.Dist {
-	m := stats.ComputeMoments(xs)
+	m := refComputeMoments(xs)
 	if m.N < 8 || m.Variance == 0 {
 		return stats.Uniform
 	}

@@ -1,19 +1,15 @@
-// Package bits provides bit-granular readers and writers used by the
-// entropy-coding stages of the codec suite (huffman, brotli, bzip2, bsc).
+// Package bits provides the bit-granular writer used by the entropy-coding
+// stages of the codec suite (huffman, brotli).
 //
-// The Writer packs bits LSB-first into a growing byte slice; the Reader
-// consumes the same layout. Both are allocation-light: the Writer reuses
-// its destination buffer and the Reader operates on a borrowed slice.
+// The Writer packs bits LSB-first into a growing byte slice and reuses its
+// destination buffer. The decoders read the same layout with inlined
+// loops; the tests read it back with a reference Reader.
 package bits
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
-
-// ErrUnexpectedEOF is returned when a Reader runs out of input mid-symbol.
-var ErrUnexpectedEOF = errors.New("bits: unexpected end of bitstream")
 
 // Writer accumulates bits LSB-first and flushes them into a byte slice.
 // The zero value is ready to use.
@@ -21,11 +17,6 @@ type Writer struct {
 	buf  []byte
 	acc  uint64 // bit accumulator, low bits are oldest
 	nacc uint   // number of valid bits in acc
-}
-
-// NewWriter returns a Writer that appends to dst (dst may be nil).
-func NewWriter(dst []byte) *Writer {
-	return &Writer{buf: dst}
 }
 
 // Reset discards buffered state and re-targets dst.
@@ -56,17 +47,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteBit appends a single bit.
-func (w *Writer) WriteBit(b uint) {
-	w.WriteBits(uint64(b&1), 1)
-}
-
-// WriteByte appends a full byte (aligned or not).
-func (w *Writer) WriteByte(b byte) error {
-	w.WriteBits(uint64(b), 8)
-	return nil
-}
-
 // Align pads with zero bits to the next byte boundary.
 func (w *Writer) Align() {
 	if w.nacc%8 != 0 {
@@ -74,107 +54,9 @@ func (w *Writer) Align() {
 	}
 }
 
-// BitsWritten reports the total number of bits written so far.
-func (w *Writer) BitsWritten() int {
-	return len(w.buf)*8 + int(w.nacc)
-}
-
 // Bytes flushes any partial byte (zero-padded) and returns the buffer.
 // The Writer remains usable; subsequent writes start bit-aligned.
 func (w *Writer) Bytes() []byte {
 	w.Align()
 	return w.buf
-}
-
-// Reader consumes bits LSB-first from a byte slice.
-type Reader struct {
-	src  []byte
-	pos  int    // next byte to load
-	acc  uint64 // bit accumulator
-	nacc uint   // valid bits in acc
-}
-
-// NewReader returns a Reader over src. The Reader borrows src.
-func NewReader(src []byte) *Reader {
-	return &Reader{src: src}
-}
-
-// Reset re-targets the reader at src.
-func (r *Reader) Reset(src []byte) {
-	r.src = src
-	r.pos = 0
-	r.acc = 0
-	r.nacc = 0
-}
-
-func (r *Reader) fill() {
-	// Bits above nacc may hold junk from a previous bulk refill; clear
-	// them so the ORs below land on zeroes.
-	r.acc &= 1<<r.nacc - 1
-	if r.pos+8 <= len(r.src) {
-		// Bulk refill: one unaligned 64-bit load tops the accumulator up
-		// to >= 57 valid bits — (64-nacc)/8 whole bytes fit, and fill is
-		// only entered with nacc <= 56, so at least one byte always lands.
-		r.acc |= binary.LittleEndian.Uint64(r.src[r.pos:]) << r.nacc
-		adv := (64 - r.nacc) >> 3
-		r.pos += int(adv)
-		r.nacc += adv * 8
-		return
-	}
-	for r.nacc <= 56 && r.pos < len(r.src) {
-		r.acc |= uint64(r.src[r.pos]) << r.nacc
-		r.pos++
-		r.nacc += 8
-	}
-}
-
-// ReadBits reads n bits (0 <= n <= 57). It returns ErrUnexpectedEOF if the
-// stream has fewer than n bits left.
-func (r *Reader) ReadBits(n uint) (uint64, error) {
-	if n > 57 {
-		panic(fmt.Sprintf("bits: ReadBits n=%d out of range", n))
-	}
-	if r.nacc < n {
-		r.fill()
-		if r.nacc < n {
-			return 0, ErrUnexpectedEOF
-		}
-	}
-	v := r.acc & (1<<n - 1)
-	r.acc >>= n
-	r.nacc -= n
-	return v, nil
-}
-
-// ReadBit reads a single bit.
-func (r *Reader) ReadBit() (uint, error) {
-	v, err := r.ReadBits(1)
-	return uint(v), err
-}
-
-// Peek returns up to n bits without consuming them. Fewer bits may be
-// returned near the end of the stream; use Have to check.
-func (r *Reader) Peek(n uint) uint64 {
-	if r.nacc < n {
-		r.fill()
-	}
-	return r.acc & (1<<n - 1)
-}
-
-// Have reports how many bits can still be read.
-func (r *Reader) Have() int {
-	return int(r.nacc) + (len(r.src)-r.pos)*8
-}
-
-// Skip consumes n bits. It returns ErrUnexpectedEOF when fewer remain.
-func (r *Reader) Skip(n uint) error {
-	_, err := r.ReadBits(n)
-	return err
-}
-
-// Align discards bits up to the next byte boundary.
-func (r *Reader) Align() {
-	drop := r.nacc % 8
-	r.acc >>= drop
-	r.nacc -= drop
 }

@@ -1,17 +1,20 @@
 package bits
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestRoundTripSimple(t *testing.T) {
-	w := NewWriter(nil)
+	w := &Writer{}
 	w.WriteBits(0b101, 3)
 	w.WriteBits(0xFF, 8)
 	w.WriteBits(0x1234, 16)
-	w.WriteBit(1)
+	w.WriteBits(1, 1)
 	out := w.Bytes()
 
 	r := NewReader(out)
@@ -36,7 +39,7 @@ func TestRoundTripRandomWidths(t *testing.T) {
 		n uint
 	}
 	var items []item
-	w := NewWriter(nil)
+	w := &Writer{}
 	for i := 0; i < 10000; i++ {
 		n := uint(rng.Intn(57) + 1)
 		v := rng.Uint64() & (1<<n - 1)
@@ -66,7 +69,7 @@ func TestReadPastEnd(t *testing.T) {
 }
 
 func TestAlign(t *testing.T) {
-	w := NewWriter(nil)
+	w := &Writer{}
 	w.WriteBits(1, 1)
 	w.Align()
 	w.WriteBits(0xCD, 8)
@@ -85,7 +88,7 @@ func TestAlign(t *testing.T) {
 }
 
 func TestPeekDoesNotConsume(t *testing.T) {
-	w := NewWriter(nil)
+	w := &Writer{}
 	w.WriteBits(0x2A, 8)
 	r := NewReader(w.Bytes())
 	if p := r.Peek(8); p != 0x2A {
@@ -109,7 +112,7 @@ func TestHave(t *testing.T) {
 
 func TestQuickBytesRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		w := NewWriter(nil)
+		w := &Writer{}
 		for _, b := range data {
 			w.WriteBits(uint64(b), 8)
 		}
@@ -128,7 +131,7 @@ func TestQuickBytesRoundTrip(t *testing.T) {
 }
 
 func TestWriterReset(t *testing.T) {
-	w := NewWriter(nil)
+	w := &Writer{}
 	w.WriteBits(0xFFFF, 16)
 	w.Reset(nil)
 	w.WriteBits(0x7, 3)
@@ -139,7 +142,7 @@ func TestWriterReset(t *testing.T) {
 }
 
 func BenchmarkWriteBits(b *testing.B) {
-	w := NewWriter(make([]byte, 0, 1<<20))
+	w := &Writer{buf: make([]byte, 0, 1<<20)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w.Reset(w.buf[:0])
@@ -147,4 +150,102 @@ func BenchmarkWriteBits(b *testing.B) {
 			w.WriteBits(uint64(j), 13)
 		}
 	}
+}
+
+// --- Reader: the reference decoder the Writer tests read back with ---
+
+// ErrUnexpectedEOF is returned when a Reader runs out of input mid-symbol.
+var ErrUnexpectedEOF = errors.New("bits: unexpected end of bitstream")
+
+// Reader consumes bits LSB-first from a byte slice.
+type Reader struct {
+	src  []byte
+	pos  int    // next byte to load
+	acc  uint64 // bit accumulator
+	nacc uint   // valid bits in acc
+}
+
+// NewReader returns a Reader over src. The Reader borrows src.
+func NewReader(src []byte) *Reader {
+	return &Reader{src: src}
+}
+
+// Reset re-targets the reader at src.
+func (r *Reader) Reset(src []byte) {
+	r.src = src
+	r.pos = 0
+	r.acc = 0
+	r.nacc = 0
+}
+
+func (r *Reader) fill() {
+	// Bits above nacc may hold junk from a previous bulk refill; clear
+	// them so the ORs below land on zeroes.
+	r.acc &= 1<<r.nacc - 1
+	if r.pos+8 <= len(r.src) {
+		// Bulk refill: one unaligned 64-bit load tops the accumulator up
+		// to >= 57 valid bits — (64-nacc)/8 whole bytes fit, and fill is
+		// only entered with nacc <= 56, so at least one byte always lands.
+		r.acc |= binary.LittleEndian.Uint64(r.src[r.pos:]) << r.nacc
+		adv := (64 - r.nacc) >> 3
+		r.pos += int(adv)
+		r.nacc += adv * 8
+		return
+	}
+	for r.nacc <= 56 && r.pos < len(r.src) {
+		r.acc |= uint64(r.src[r.pos]) << r.nacc
+		r.pos++
+		r.nacc += 8
+	}
+}
+
+// ReadBits reads n bits (0 <= n <= 57). It returns ErrUnexpectedEOF if the
+// stream has fewer than n bits left.
+func (r *Reader) ReadBits(n uint) (uint64, error) {
+	if n > 57 {
+		panic(fmt.Sprintf("bits: ReadBits n=%d out of range", n))
+	}
+	if r.nacc < n {
+		r.fill()
+		if r.nacc < n {
+			return 0, ErrUnexpectedEOF
+		}
+	}
+	v := r.acc & (1<<n - 1)
+	r.acc >>= n
+	r.nacc -= n
+	return v, nil
+}
+
+// ReadBit reads a single bit.
+func (r *Reader) ReadBit() (uint, error) {
+	v, err := r.ReadBits(1)
+	return uint(v), err
+}
+
+// Peek returns up to n bits without consuming them. Fewer bits may be
+// returned near the end of the stream; use Have to check.
+func (r *Reader) Peek(n uint) uint64 {
+	if r.nacc < n {
+		r.fill()
+	}
+	return r.acc & (1<<n - 1)
+}
+
+// Have reports how many bits can still be read.
+func (r *Reader) Have() int {
+	return int(r.nacc) + (len(r.src)-r.pos)*8
+}
+
+// Skip consumes n bits. It returns ErrUnexpectedEOF when fewer remain.
+func (r *Reader) Skip(n uint) error {
+	_, err := r.ReadBits(n)
+	return err
+}
+
+// Align discards bits up to the next byte boundary.
+func (r *Reader) Align() {
+	drop := r.nacc % 8
+	r.acc >>= drop
+	r.nacc -= drop
 }

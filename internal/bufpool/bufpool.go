@@ -31,14 +31,14 @@ import (
 )
 
 const (
-	// MinClass and MaxClass bound the pooled buffer sizes.
-	MinClass = 4 << 10 // 4 KiB: the HCDP alignment quantum
-	MaxClass = 1 << 20 // 1 MiB: the largest codec block size
+	// minClass and maxClass bound the pooled buffer sizes.
+	minClass = 4 << 10 // 4 KiB: the HCDP alignment quantum
+	maxClass = 1 << 20 // 1 MiB: the largest codec block size
 	minBits  = 12
 	numClass = 1 + 4*8 // 4K, then four steps in each of the 8 octaves up to 1M
 )
 
-// classes[i] holds buffers of exactly ClassSize(i) bytes. Pools store the
+// classes[i] holds buffers of exactly classSize(i) bytes. Pools store the
 // raw base pointer (one word, so Get/Put never allocate an interface box);
 // the slice is reconstructed from the class size on Get.
 var classes [numClass]sync.Pool
@@ -79,23 +79,23 @@ func Stats() (hit, miss, out, put int64) {
 	return hits.Load(), misses.Load(), outsize.Load(), puts.Load()
 }
 
-// ClassSize returns the buffer size of class i: class 0 is MinClass, and
-// class 4*o+s (s in 1..4) is (4+s)/4 of MinClass<<o.
-func ClassSize(i int) int {
+// classSize returns the buffer size of class i: class 0 is minClass, and
+// class 4*o+s (s in 1..4) is (4+s)/4 of minClass<<o.
+func classSize(i int) int {
 	if i == 0 {
-		return MinClass
+		return minClass
 	}
 	o, s := (i-1)/4, (i-1)%4+1
-	return (MinClass / 4 << o) * (4 + s)
+	return (minClass / 4 << o) * (4 + s)
 }
 
 // classFor returns the smallest class holding n bytes, or -1 when n
-// exceeds MaxClass.
+// exceeds maxClass.
 func classFor(n int) int {
-	if n > MaxClass {
+	if n > maxClass {
 		return -1
 	}
-	if n <= MinClass {
+	if n <= minClass {
 		return 0
 	}
 	// n-1 has its top bit at position b, so n lies in (1<<b, 2<<b]; the
@@ -123,11 +123,11 @@ func Get(n int) []byte {
 		if debugging() {
 			debugGot(p)
 		}
-		return unsafe.Slice((*byte)(p), ClassSize(ci))[:n]
+		return unsafe.Slice((*byte)(p), classSize(ci))[:n]
 	}
 	misses.Add(1)
 	tm.misses.Inc()
-	return make([]byte, n, ClassSize(ci))
+	return make([]byte, n, classSize(ci))
 }
 
 // Put returns buf to the arena. Only buffers whose capacity is exactly a
@@ -136,11 +136,11 @@ func Get(n int) []byte {
 // buf must not be used after Put.
 func Put(buf []byte) {
 	c := cap(buf)
-	if c < MinClass || c > MaxClass {
+	if c < minClass || c > maxClass {
 		return
 	}
 	ci := classFor(c)
-	if ClassSize(ci) != c {
+	if classSize(ci) != c {
 		return
 	}
 	puts.Add(1)

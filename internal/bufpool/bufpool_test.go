@@ -6,22 +6,22 @@ import (
 )
 
 // TestClassSizes checks the class table as a whole: it starts at
-// MinClass, ends at MaxClass, rises strictly in steps of at most 25 %,
-// and classFor inverts ClassSize.
+// minClass, ends at maxClass, rises strictly in steps of at most 25 %,
+// and classFor inverts classSize.
 func TestClassSizes(t *testing.T) {
-	if ClassSize(0) != MinClass {
-		t.Fatalf("class 0 = %d, want %d", ClassSize(0), MinClass)
+	if classSize(0) != minClass {
+		t.Fatalf("class 0 = %d, want %d", classSize(0), minClass)
 	}
-	if ClassSize(numClass-1) != MaxClass {
-		t.Fatalf("last class = %d, want %d", ClassSize(numClass-1), MaxClass)
+	if classSize(numClass-1) != maxClass {
+		t.Fatalf("last class = %d, want %d", classSize(numClass-1), maxClass)
 	}
 	for i := 0; i < numClass; i++ {
-		size := ClassSize(i)
+		size := classSize(i)
 		if got := classFor(size); got != i {
 			t.Errorf("classFor(ClassSize(%d) = %d) = %d", i, size, got)
 		}
 		if i > 0 {
-			if prev := ClassSize(i - 1); size <= prev || 4*size > 5*prev {
+			if prev := classSize(i - 1); size <= prev || 4*size > 5*prev {
 				t.Errorf("class %d = %d after %d: want a rise of at most 25%%", i, size, prev)
 			}
 		}
@@ -33,42 +33,42 @@ func TestClassSizes(t *testing.T) {
 // never more than a quarter (plus the 1 KiB step of the first octave)
 // larger than the request.
 func TestClassForRounding(t *testing.T) {
-	for n := 1; n <= MaxClass; n += 37 {
+	for n := 1; n <= maxClass; n += 37 {
 		ci := classFor(n)
 		if ci < 0 || ci >= numClass {
 			t.Fatalf("classFor(%d) = %d", n, ci)
 		}
-		size := ClassSize(ci)
+		size := classSize(ci)
 		if size < n {
 			t.Fatalf("classFor(%d) -> class %d of %d bytes: too small", n, ci, size)
 		}
-		if ci > 0 && ClassSize(ci-1) >= n {
-			t.Fatalf("classFor(%d) -> class %d, but class %d (%d bytes) already holds it", n, ci, ci-1, ClassSize(ci-1))
+		if ci > 0 && classSize(ci-1) >= n {
+			t.Fatalf("classFor(%d) -> class %d, but class %d (%d bytes) already holds it", n, ci, ci-1, classSize(ci-1))
 		}
-		if n > MinClass && 4*size > 5*n+4<<10 {
+		if n > minClass && 4*size > 5*n+4<<10 {
 			t.Fatalf("classFor(%d) -> %d bytes: more than 1.25n + 1 KiB", n, size)
 		}
 	}
 	if got := classFor(0); got != 0 {
 		t.Errorf("classFor(0) = %d, want 0", got)
 	}
-	if got := classFor(MaxClass + 1); got != -1 {
+	if got := classFor(maxClass + 1); got != -1 {
 		t.Errorf("classFor(MaxClass+1) = %d, want -1", got)
 	}
 	// The case the classes were cut for: a 64 KiB piece plus its 20-byte
 	// header takes an 80 KiB buffer, not a 128 KiB one.
-	if got := ClassSize(classFor(64<<10 + 20)); got != 80<<10 {
+	if got := classSize(classFor(64<<10 + 20)); got != 80<<10 {
 		t.Errorf("64 KiB + 20 B payload takes a %d-byte buffer, want %d", got, 80<<10)
 	}
 }
 
 func TestGetRoundsUpCapacity(t *testing.T) {
-	for _, n := range []int{1, 100, MinClass, MinClass + 1, 1<<16 + 3, MaxClass} {
+	for _, n := range []int{1, 100, minClass, minClass + 1, 1<<16 + 3, maxClass} {
 		buf := Get(n)
 		if len(buf) != n {
 			t.Fatalf("Get(%d): len %d", n, len(buf))
 		}
-		want := ClassSize(classFor(n))
+		want := classSize(classFor(n))
 		if cap(buf) != want {
 			t.Fatalf("Get(%d): cap %d, want class size %d", n, cap(buf), want)
 		}
@@ -78,8 +78,8 @@ func TestGetRoundsUpCapacity(t *testing.T) {
 
 func TestOversizeFallsThrough(t *testing.T) {
 	_, _, outBefore, putBefore := Stats()
-	buf := Get(MaxClass + 1)
-	if len(buf) != MaxClass+1 {
+	buf := Get(maxClass + 1)
+	if len(buf) != maxClass+1 {
 		t.Fatalf("oversize len %d", len(buf))
 	}
 	_, _, outAfter, _ := Stats()
@@ -98,10 +98,10 @@ func TestPutRejectsOddCapacity(t *testing.T) {
 	_, _, _, putBefore := Stats()
 	Put(make([]byte, 5000))            // cap between two classes
 	Put(make([]byte, 9<<10))           // 4 KiB-aligned, still not a class
-	Put(make([]byte, 100))             // below MinClass
-	Put(make([]byte, 2*MaxClass))      // above MaxClass
+	Put(make([]byte, 100))             // below minClass
+	Put(make([]byte, 2*maxClass))      // above maxClass
 	Put(nil)                           // empty
-	Put(make([]byte, 0, MinClass)[:0]) // zero length but exact class cap: pooled
+	Put(make([]byte, 0, minClass)[:0]) // zero length but exact class cap: pooled
 	_, _, _, putAfter := Stats()
 	if putAfter != putBefore+1 {
 		t.Fatalf("puts %d -> %d, want exactly one accepted", putBefore, putAfter)
@@ -130,7 +130,7 @@ func TestRecycleHit(t *testing.T) {
 func TestDoublePutGuard(t *testing.T) {
 	SetDebug(true)
 	defer SetDebug(false)
-	buf := Get(MinClass)
+	buf := Get(minClass)
 	Put(buf)
 	defer func() {
 		if recover() == nil {
@@ -143,12 +143,12 @@ func TestDoublePutGuard(t *testing.T) {
 func TestDebugGetClearsGuard(t *testing.T) {
 	SetDebug(true)
 	defer SetDebug(false)
-	buf := Get(MinClass)
+	buf := Get(minClass)
 	Put(buf)
 	// Keep getting until the pool hands the same base pointer back (it may
 	// serve fresh buffers); a re-Put of the re-Got buffer must not panic.
 	for i := 0; i < 64; i++ {
-		b := Get(MinClass)
+		b := Get(minClass)
 		Put(b)
 	}
 }

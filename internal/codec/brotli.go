@@ -24,7 +24,7 @@ import (
 type brotliCodec struct{}
 
 func (brotliCodec) Name() string { return "brotli" }
-func (brotliCodec) ID() ID       { return Brotli }
+func (brotliCodec) ID() ID       { return idBrotli }
 
 const (
 	brBlockSize  = 1 << 18
@@ -239,13 +239,13 @@ func (brotliCodec) DecompressScratch(s *bufpool.Scratch, dst, src []byte, srcLen
 	base := len(dst)
 	for len(src) > 0 {
 		if len(src) < 8 {
-			return nil, fmt.Errorf("%w: brotli truncated block header", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli truncated block header", errCorrupt)
 		}
 		rawLen := int(binary.LittleEndian.Uint32(src))
 		compLen := int(binary.LittleEndian.Uint32(src[4:]))
 		src = src[8:]
 		if compLen > len(src) || rawLen > brBlockSize {
-			return nil, fmt.Errorf("%w: brotli block lengths", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli block lengths", errCorrupt)
 		}
 		var err error
 		dst, err = brDecompressBlock(dst, src[:compLen], rawLen, base)
@@ -255,7 +255,7 @@ func (brotliCodec) DecompressScratch(s *bufpool.Scratch, dst, src []byte, srcLen
 		src = src[compLen:]
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: brotli produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: brotli produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -266,7 +266,7 @@ func brDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error) {
 	}
 	const hdrLen = brAlphabet/2 + brNumDstSlot/2
 	if len(payload) < hdrLen {
-		return nil, fmt.Errorf("%w: brotli payload too short", ErrCorrupt)
+		return nil, fmt.Errorf("%w: brotli payload too short", errCorrupt)
 	}
 	var litLens [brAlphabet]uint8
 	for i := 0; i < brAlphabet/2; i++ {
@@ -287,7 +287,7 @@ func brDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error) {
 	if err := buildDecodeTable(dstTable[:], dstLens[:], brMaxCodeLen); err != nil {
 		return nil, err
 	}
-	// Inline bitstream (same LSB-first layout as bits.Reader): a match
+	// Inline bitstream (the LSB-first layout bits.Writer packs): a match
 	// consumes at most 12+12+12+17 = 53 bits, so one bulk refill at the
 	// top of the loop covers every path through an iteration.
 	bs := payload[hdrLen:]
@@ -324,7 +324,7 @@ func brDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error) {
 		}
 		l := uint(e >> 26)
 		if l == 0 || nacc < l {
-			return nil, fmt.Errorf("%w: brotli invalid literal code", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli invalid literal code", errCorrupt)
 		}
 		acc >>= l
 		nacc -= l
@@ -337,7 +337,7 @@ func brDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error) {
 		slot := sym - 256
 		eb := uint(slot >> 1)
 		if nacc < eb {
-			return nil, fmt.Errorf("%w: brotli truncated length extra", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli truncated length extra", errCorrupt)
 		}
 		extra := acc & (1<<eb - 1)
 		acc >>= eb
@@ -347,14 +347,14 @@ func brDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error) {
 		de := dstTable[acc&(1<<brMaxCodeLen-1)]
 		dl := uint(de & 0x0F)
 		if dl == 0 || nacc < dl {
-			return nil, fmt.Errorf("%w: brotli invalid distance code", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli invalid distance code", errCorrupt)
 		}
 		acc >>= dl
 		nacc -= dl
 		dslot := int(de >> 4)
 		deb := uint(dslot >> 1)
 		if nacc < deb {
-			return nil, fmt.Errorf("%w: brotli truncated distance extra", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli truncated distance extra", errCorrupt)
 		}
 		dextra := acc & (1<<deb - 1)
 		acc >>= deb
@@ -369,7 +369,7 @@ func brDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error) {
 		produced += length
 	}
 	if produced != rawLen {
-		return nil, fmt.Errorf("%w: brotli block overproduced", ErrCorrupt)
+		return nil, fmt.Errorf("%w: brotli block overproduced", errCorrupt)
 	}
 	return dst, nil
 }

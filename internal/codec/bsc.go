@@ -10,7 +10,7 @@ import "hcompress/internal/bufpool"
 type bscCodec struct{}
 
 func (bscCodec) Name() string { return "bsc" }
-func (bscCodec) ID() ID       { return BSC }
+func (bscCodec) ID() ID       { return idBSC }
 
 const bscBlockSize = 1 << 20
 
@@ -91,7 +91,7 @@ func (rcEntropy) decode(s *bufpool.Scratch, dst, src []byte, rawLen int) ([]byte
 		ctx = int(byteClassTab[b])
 	}
 	if d.overran() {
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	return dst, nil
 }

@@ -78,7 +78,7 @@ func bwtInverseMTF(s *bufpool.Scratch, dst, mtf []byte, ptr int) ([]byte, error)
 		return dst, nil
 	}
 	if ptr <= 0 || ptr > n {
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	var order [256]byte
 	for i := range order {
@@ -123,7 +123,7 @@ func bwtInverseMTF(s *bufpool.Scratch, dst, mtf []byte, ptr int) ([]byte, error)
 	for k := n - 1; k >= 0; k-- {
 		e := lf[row]
 		if e < 0 {
-			return nil, ErrCorrupt // sentinel reached early
+			return nil, errCorrupt // sentinel reached early
 		}
 		out[k] = byte(e)
 		row = e >> 8
@@ -189,7 +189,7 @@ func rle0Decode(s *bufpool.Scratch, src []byte, wantLen int) ([]byte, error) {
 		shift := 0
 		for {
 			if i >= len(src) || shift > 28 {
-				return nil, ErrCorrupt
+				return nil, errCorrupt
 			}
 			v := src[i]
 			i++
@@ -201,14 +201,14 @@ func rle0Decode(s *bufpool.Scratch, src []byte, wantLen int) ([]byte, error) {
 		}
 		run++
 		if len(out)+run > wantLen {
-			return nil, ErrCorrupt
+			return nil, errCorrupt
 		}
 		for k := 0; k < run; k++ {
 			out = append(out, 0)
 		}
 	}
 	if len(out) != wantLen {
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	return out, nil
 }

@@ -139,7 +139,7 @@ func bwtInverse(s *bufpool.Scratch, dst, bwt []byte, ptr int) ([]byte, error) {
 		return dst, nil
 	}
 	if ptr <= 0 || ptr > n {
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	// C[c]: number of characters strictly smaller than c in the L column,
 	// counting the sentinel (smallest) once.
@@ -176,7 +176,7 @@ func bwtInverse(s *bufpool.Scratch, dst, bwt []byte, ptr int) ([]byte, error) {
 	for k := n - 1; k >= 0; k-- {
 		j := row
 		if row == ptr {
-			return nil, ErrCorrupt // sentinel reached early
+			return nil, errCorrupt // sentinel reached early
 		}
 		if row > ptr {
 			j = row - 1

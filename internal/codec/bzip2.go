@@ -20,7 +20,7 @@ import (
 type bzip2Codec struct{}
 
 func (bzip2Codec) Name() string { return "bzip2" }
-func (bzip2Codec) ID() ID       { return Bzip2 }
+func (bzip2Codec) ID() ID       { return idBzip2 }
 
 const (
 	bz2BlockSize = 1 << 18
@@ -106,7 +106,7 @@ func bwtPipelineDecompress(s *bufpool.Scratch, dst, src []byte, srcLen, blockSiz
 	base := len(dst)
 	for len(src) > 0 {
 		if len(src) < 16 {
-			return nil, fmt.Errorf("%w: %s truncated block header", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s truncated block header", errCorrupt, name)
 		}
 		rawLen := int(binary.LittleEndian.Uint32(src))
 		ptr := binary.LittleEndian.Uint32(src[4:])
@@ -117,11 +117,11 @@ func bwtPipelineDecompress(s *bufpool.Scratch, dst, src []byte, srcLen, blockSiz
 		// bytes and never expands anything else. Guarding it keeps corrupt
 		// headers from driving a huge scratch-buffer grow below.
 		if compLen > len(src) || rawLen > blockSize || rleLen > 2*blockSize+8 {
-			return nil, fmt.Errorf("%w: %s block lengths", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s block lengths", errCorrupt, name)
 		}
 		if ptr == bwtRawMarker {
 			if compLen != rawLen {
-				return nil, fmt.Errorf("%w: %s raw block length", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s raw block length", errCorrupt, name)
 			}
 			dst = append(dst, src[:compLen]...)
 			src = src[compLen:]
@@ -134,15 +134,15 @@ func bwtPipelineDecompress(s *bufpool.Scratch, dst, src []byte, srcLen, blockSiz
 		src = src[compLen:]
 		mtf, err := rle0Decode(s, rle, rawLen)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s rle0", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s rle0", errCorrupt, name)
 		}
 		dst, err = bwtInverseMTF(s, dst, mtf, int(ptr))
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s inverse bwt", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s inverse bwt", errCorrupt, name)
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", ErrCorrupt, name, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", errCorrupt, name, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }

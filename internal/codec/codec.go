@@ -28,26 +28,26 @@ type ID uint8
 // engine must always be allowed to pick.
 const (
 	None ID = iota
-	RLE
-	Huffman
-	LZ4
-	LZO
-	Pithy
-	Snappy
-	QuickLZ
-	Brotli
-	Zlib
-	Bzip2
-	BSC
-	LZMA
+	idRLE
+	idHuffman
+	idLZ4
+	idLZO
+	idPithy
+	idSnappy
+	idQuickLZ
+	idBrotli
+	idZlib
+	idBzip2
+	idBSC
+	idLZMA
 	numIDs
 )
 
-// ErrCorrupt is returned when a compressed payload fails validation.
-var ErrCorrupt = errors.New("codec: corrupt compressed data")
+// errCorrupt is returned when a compressed payload fails validation.
+var errCorrupt = errors.New("codec: corrupt compressed data")
 
-// ErrUnknownCodec is returned when a header references an unregistered ID.
-var ErrUnknownCodec = errors.New("codec: unknown codec id")
+// errUnknownCodec is returned when a header references an unregistered ID.
+var errUnknownCodec = errors.New("codec: unknown codec id")
 
 // Codec is the Compression Library Interface: a uniform facade over one
 // compression algorithm.
@@ -65,7 +65,7 @@ type Codec interface {
 	Decompress(dst, src []byte, srcLen int) ([]byte, error)
 }
 
-// ScratchCodec is implemented by codecs whose work buffers (suffix
+// scratchCodec is implemented by codecs whose work buffers (suffix
 // arrays, hash chains, probability tables, token streams) can live in a
 // caller-owned bufpool.Scratch instead of per-call allocations. The
 // Compression Manager keeps one Scratch per fan-out worker and routes
@@ -75,7 +75,7 @@ type Codec interface {
 // Implementations must be deterministic and leave no state in the
 // Scratch beyond buffer capacity: output is byte-identical whether a
 // Scratch is fresh, reused, or shared across different codecs.
-type ScratchCodec interface {
+type scratchCodec interface {
 	CompressScratch(s *bufpool.Scratch, dst, src []byte) ([]byte, error)
 	DecompressScratch(s *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte, error)
 }
@@ -84,7 +84,7 @@ type ScratchCodec interface {
 // codec supports it. s may be nil (a pooled Scratch is borrowed); dst
 // follows the same append contract as Codec.Compress.
 func CompressWith(s *bufpool.Scratch, c Codec, dst, src []byte) ([]byte, error) {
-	sc, ok := c.(ScratchCodec)
+	sc, ok := c.(scratchCodec)
 	if !ok {
 		return c.Compress(dst, src)
 	}
@@ -97,7 +97,7 @@ func CompressWith(s *bufpool.Scratch, c Codec, dst, src []byte) ([]byte, error) 
 
 // DecompressWith is CompressWith's inverse.
 func DecompressWith(s *bufpool.Scratch, c Codec, dst, src []byte, srcLen int) ([]byte, error) {
-	sc, ok := c.(ScratchCodec)
+	sc, ok := c.(scratchCodec)
 	if !ok {
 		return c.Decompress(dst, src, srcLen)
 	}
@@ -133,12 +133,12 @@ func init() {
 	register(lzmaCodec{})
 }
 
-// ByID returns the codec registered under id, or ErrUnknownCodec.
+// ByID returns the codec registered under id, or errUnknownCodec.
 // This is the Compression Library Factory from the paper: O(1) dispatch
 // from the constant stored in sub-task metadata to an implementation.
 func ByID(id ID) (Codec, error) {
 	if int(id) >= len(registry) || registry[id] == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCodec, id)
+		return nil, fmt.Errorf("%w: %d", errUnknownCodec, id)
 	}
 	return registry[id], nil
 }
@@ -150,7 +150,7 @@ func ByName(name string) (Codec, error) {
 			return c, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownCodec, name)
+	return nil, fmt.Errorf("%w: %q", errUnknownCodec, name)
 }
 
 // All returns every registered codec ordered by ID (None first).
@@ -177,28 +177,6 @@ func Names() []string {
 	return out
 }
 
-// RoundTrip compresses then decompresses src with c and reports the
-// compressed size. It is a convenience for the profiler and for tests.
-func RoundTrip(c Codec, src []byte) (compressedLen int, err error) {
-	comp, err := c.Compress(nil, src)
-	if err != nil {
-		return 0, err
-	}
-	dec, err := c.Decompress(nil, comp, len(src))
-	if err != nil {
-		return 0, err
-	}
-	if len(dec) != len(src) {
-		return 0, fmt.Errorf("codec %s: round-trip length %d != %d", c.Name(), len(dec), len(src))
-	}
-	for i := range dec {
-		if dec[i] != src[i] {
-			return 0, fmt.Errorf("codec %s: round-trip mismatch at byte %d", c.Name(), i)
-		}
-	}
-	return len(comp), nil
-}
-
 // noneCodec is the identity transform: choice c = 0 in the HCDP engine.
 type noneCodec struct{}
 
@@ -211,7 +189,7 @@ func (noneCodec) Compress(dst, src []byte) ([]byte, error) {
 
 func (noneCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 	if len(src) != srcLen {
-		return nil, fmt.Errorf("%w: none payload %d != %d", ErrCorrupt, len(src), srcLen)
+		return nil, fmt.Errorf("%w: none payload %d != %d", errCorrupt, len(src), srcLen)
 	}
 	return append(dst, src...), nil
 }

@@ -26,7 +26,7 @@ import (
 type huffmanCodec struct{}
 
 func (huffmanCodec) Name() string { return "huffman" }
-func (huffmanCodec) ID() ID       { return Huffman }
+func (huffmanCodec) ID() ID       { return idHuffman }
 
 const (
 	huffBlockSize = 1 << 17
@@ -88,13 +88,13 @@ func (huffmanCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 	base := len(dst)
 	for len(src) > 0 {
 		if len(src) < 8 {
-			return nil, fmt.Errorf("%w: huffman truncated block header", ErrCorrupt)
+			return nil, fmt.Errorf("%w: huffman truncated block header", errCorrupt)
 		}
 		rawLen := int(binary.LittleEndian.Uint32(src))
 		compLen := int(binary.LittleEndian.Uint32(src[4:]))
 		src = src[8:]
 		if compLen > len(src) || rawLen > huffBlockSize {
-			return nil, fmt.Errorf("%w: huffman block lengths", ErrCorrupt)
+			return nil, fmt.Errorf("%w: huffman block lengths", errCorrupt)
 		}
 		var err error
 		dst, err = huffDecompressBlock(dst, src[:compLen], rawLen)
@@ -104,7 +104,7 @@ func (huffmanCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		src = src[compLen:]
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: huffman produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: huffman produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -114,7 +114,7 @@ func huffDecompressBlock(dst, payload []byte, rawLen int) ([]byte, error) {
 		return append(dst, payload...), nil // stored raw
 	}
 	if len(payload) < 128 {
-		return nil, fmt.Errorf("%w: huffman payload too short", ErrCorrupt)
+		return nil, fmt.Errorf("%w: huffman payload too short", errCorrupt)
 	}
 	var lengths [256]uint8
 	for i := 0; i < 128; i++ {
@@ -125,8 +125,8 @@ func huffDecompressBlock(dst, payload []byte, rawLen int) ([]byte, error) {
 	if err := buildPairDecodeTable(table[:], lengths[:], huffMaxLen); err != nil {
 		return nil, err
 	}
-	// The bitstream is managed inline (same LSB-first layout as
-	// bits.Reader) so the per-symbol loop runs without function calls:
+	// The bitstream is managed inline (the LSB-first layout
+	// bits.Writer packs) so the per-symbol loop runs without function calls:
 	// one bulk refill plus one table probe yields up to two symbols.
 	bs := payload[128:]
 	var acc uint64
@@ -161,7 +161,7 @@ func huffDecompressBlock(dst, payload []byte, rawLen int) ([]byte, error) {
 		}
 		l := uint(e >> 26)
 		if l == 0 || nacc < l {
-			return nil, fmt.Errorf("%w: huffman invalid code", ErrCorrupt)
+			return nil, fmt.Errorf("%w: huffman invalid code", errCorrupt)
 		}
 		acc >>= l
 		nacc -= l
@@ -340,7 +340,7 @@ func buildDecodeTable(table []uint32, lengths []uint8, maxLen int) error {
 			continue
 		}
 		if int(l) > maxLen {
-			return fmt.Errorf("%w: code length %d > %d", ErrCorrupt, l, maxLen)
+			return fmt.Errorf("%w: code length %d > %d", errCorrupt, l, maxLen)
 		}
 		entry := uint32(s)<<4 | uint32(l)
 		step := 1 << l

@@ -16,7 +16,7 @@ import (
 type lz4Codec struct{}
 
 func (lz4Codec) Name() string { return "lz4" }
-func (lz4Codec) ID() ID       { return LZ4 }
+func (lz4Codec) ID() ID       { return idLZ4 }
 
 const (
 	lz4HashLog  = 16
@@ -137,10 +137,10 @@ func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 			}
 		}
 		if i+litLen > len(src) {
-			return nil, fmt.Errorf("%w: lz4 literals overrun input", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lz4 literals overrun input", errCorrupt)
 		}
 		if w+litLen > limit {
-			return nil, fmt.Errorf("%w: lz4 literals overrun output", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lz4 literals overrun output", errCorrupt)
 		}
 		if litLen <= 16 && i+16 <= len(src) {
 			copy(dst[w:w+16], src[i:i+16]) // overshoot lands in pad
@@ -153,7 +153,7 @@ func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 			break // final literal-only sequence
 		}
 		if i+2 > len(src) {
-			return nil, fmt.Errorf("%w: lz4 truncated offset", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lz4 truncated offset", errCorrupt)
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
@@ -167,10 +167,10 @@ func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 		mlen += lz4MinMatch
 		if offset <= 0 || offset > w-base {
-			return nil, fmt.Errorf("%w: lz4 match offset %d out of window", ErrCorrupt, offset)
+			return nil, fmt.Errorf("%w: lz4 match offset %d out of window", errCorrupt, offset)
 		}
 		if w+mlen > limit {
-			return nil, fmt.Errorf("%w: lz4 match overruns output", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lz4 match overruns output", errCorrupt)
 		}
 		s := w - offset
 		end := w + mlen
@@ -193,7 +193,7 @@ func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 	}
 	if w != limit {
-		return nil, fmt.Errorf("%w: lz4 produced %d bytes, want %d", ErrCorrupt, w-base, srcLen)
+		return nil, fmt.Errorf("%w: lz4 produced %d bytes, want %d", errCorrupt, w-base, srcLen)
 	}
 	return dst[:limit], nil
 }
@@ -201,7 +201,7 @@ func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 func lz4ReadExtLen(src []byte, i, n int) (int, int, error) {
 	for {
 		if i >= len(src) {
-			return 0, 0, fmt.Errorf("%w: lz4 truncated length", ErrCorrupt)
+			return 0, 0, fmt.Errorf("%w: lz4 truncated length", errCorrupt)
 		}
 		b := src[i]
 		i++

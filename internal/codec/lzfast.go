@@ -42,7 +42,7 @@ func lzExtendMatch(src []byte, c, i, n, max int) int {
 // so a length-L run costs O(log(L/offset)) copy calls.
 func lzCopyMatch(dst []byte, base, offset, mlen int, name string) ([]byte, error) {
 	if offset <= 0 || offset > len(dst)-base {
-		return nil, fmt.Errorf("%w: %s match offset %d out of window", ErrCorrupt, name, offset)
+		return nil, fmt.Errorf("%w: %s match offset %d out of window", errCorrupt, name, offset)
 	}
 	d := len(dst)
 	dst = extendSlice(dst, mlen)

@@ -25,7 +25,7 @@ import (
 type lzmaCodec struct{}
 
 func (lzmaCodec) Name() string { return "lzma" }
-func (lzmaCodec) ID() ID       { return LZMA }
+func (lzmaCodec) ID() ID       { return idLZMA }
 
 const (
 	lzmaWindow     = 1 << 20
@@ -180,11 +180,11 @@ func (lzmaCodec) CompressScratch(s *bufpool.Scratch, dst, src []byte) ([]byte, e
 
 func (lzmaCodec) DecompressScratch(s *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte, error) {
 	if len(src) < 4 {
-		return nil, fmt.Errorf("%w: lzma truncated header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lzma truncated header", errCorrupt)
 	}
 	rawLen := int(binary.LittleEndian.Uint32(src))
 	if rawLen != srcLen {
-		return nil, fmt.Errorf("%w: lzma header %d != %d", ErrCorrupt, rawLen, srcLen)
+		return nil, fmt.Errorf("%w: lzma header %d != %d", errCorrupt, rawLen, srcLen)
 	}
 	src = src[4:]
 	if rawLen == 0 {
@@ -221,7 +221,7 @@ func (lzmaCodec) DecompressScratch(s *bufpool.Scratch, dst, src []byte, srcLen i
 		state = 1
 	}
 	if d.overran() || len(dst)-base != rawLen {
-		return nil, fmt.Errorf("%w: lzma stream", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lzma stream", errCorrupt)
 	}
 	return dst, nil
 }

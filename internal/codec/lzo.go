@@ -20,7 +20,7 @@ import (
 type lzoCodec struct{}
 
 func (lzoCodec) Name() string { return "lzo" }
-func (lzoCodec) ID() ID       { return LZO }
+func (lzoCodec) ID() ID       { return idLZO }
 
 const (
 	lzoHashLog    = 15
@@ -148,7 +148,7 @@ func (lzoCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		if tag&1 == 0 {
 			n := int(tag>>1) + 1
 			if i+n > len(src) {
-				return nil, fmt.Errorf("%w: lzo literals overrun", ErrCorrupt)
+				return nil, fmt.Errorf("%w: lzo literals overrun", errCorrupt)
 			}
 			dst = append(dst, src[i:i+n]...)
 			i += n
@@ -157,13 +157,13 @@ func (lzoCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		mlen := int(tag>>1&0x3F) + lzoMinMatch
 		if tag&0x80 != 0 {
 			if i >= len(src) {
-				return nil, fmt.Errorf("%w: lzo truncated length ext", ErrCorrupt)
+				return nil, fmt.Errorf("%w: lzo truncated length ext", errCorrupt)
 			}
 			mlen += int(src[i])
 			i++
 		}
 		if i+2 > len(src) {
-			return nil, fmt.Errorf("%w: lzo truncated offset", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lzo truncated offset", errCorrupt)
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
@@ -174,7 +174,7 @@ func (lzoCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: lzo produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: lzo produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }

@@ -20,7 +20,7 @@ import (
 type quicklzCodec struct{}
 
 func (quicklzCodec) Name() string { return "quicklz" }
-func (quicklzCodec) ID() ID       { return QuickLZ }
+func (quicklzCodec) ID() ID       { return idQuickLZ }
 
 const (
 	qlzHashLog   = 14
@@ -102,13 +102,13 @@ func (quicklzCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		case tag <= 0x7F:
 			n := int(tag) + 1
 			if i+n > len(src) {
-				return nil, fmt.Errorf("%w: quicklz literals overrun", ErrCorrupt)
+				return nil, fmt.Errorf("%w: quicklz literals overrun", errCorrupt)
 			}
 			dst = append(dst, src[i:i+n]...)
 			i += n
 		case tag <= 0xBF:
 			if i+2 > len(src) {
-				return nil, fmt.Errorf("%w: quicklz truncated offset", ErrCorrupt)
+				return nil, fmt.Errorf("%w: quicklz truncated offset", errCorrupt)
 			}
 			mlen := int(tag&0x3F) + qlzMinMatch
 			offset := int(src[i]) | int(src[i+1])<<8
@@ -121,7 +121,7 @@ func (quicklzCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		default:
 			words := int(tag&0x3F) + 1
 			if len(dst)-base < 4 {
-				return nil, fmt.Errorf("%w: quicklz word run without history", ErrCorrupt)
+				return nil, fmt.Errorf("%w: quicklz word run without history", errCorrupt)
 			}
 			var err error
 			dst, err = lzCopyMatch(dst, base, 4, 4*words, "quicklz")
@@ -131,7 +131,7 @@ func (quicklzCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: quicklz produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: quicklz produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }

@@ -15,7 +15,7 @@ import (
 	"hcompress/internal/bufpool"
 )
 
-// ---- pre-pass bits.Reader (byte-at-a-time refill) ----
+// ---- pre-pass bit reader (byte-at-a-time refill) ----
 
 type refBitsReader struct {
 	src  []byte
@@ -80,7 +80,7 @@ func refBuildDecodeTable(table []uint32, lengths []uint8, maxLen int) error {
 			continue
 		}
 		if int(l) > maxLen {
-			return fmt.Errorf("%w: code length %d > %d", ErrCorrupt, l, maxLen)
+			return fmt.Errorf("%w: code length %d > %d", errCorrupt, l, maxLen)
 		}
 		entry := uint32(s)<<4 | uint32(l)
 		step := 1 << l
@@ -96,7 +96,7 @@ func refHuffDecompressBlock(dst, payload []byte, rawLen int) ([]byte, error) {
 		return append(dst, payload...), nil
 	}
 	if len(payload) < 128 {
-		return nil, fmt.Errorf("%w: huffman payload too short", ErrCorrupt)
+		return nil, fmt.Errorf("%w: huffman payload too short", errCorrupt)
 	}
 	var lengths [256]uint8
 	for i := 0; i < 128; i++ {
@@ -113,7 +113,7 @@ func refHuffDecompressBlock(dst, payload []byte, rawLen int) ([]byte, error) {
 		e := table[r.peek(huffMaxLen)]
 		l := uint(e & 0x0F)
 		if l == 0 || r.have() < int(l) {
-			return nil, fmt.Errorf("%w: huffman invalid code", ErrCorrupt)
+			return nil, fmt.Errorf("%w: huffman invalid code", errCorrupt)
 		}
 		r.skip(l)
 		dst = append(dst, byte(e>>4))
@@ -125,13 +125,13 @@ func refHuffmanDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 	base := len(dst)
 	for len(src) > 0 {
 		if len(src) < 8 {
-			return nil, fmt.Errorf("%w: huffman truncated block header", ErrCorrupt)
+			return nil, fmt.Errorf("%w: huffman truncated block header", errCorrupt)
 		}
 		rawLen := int(binary.LittleEndian.Uint32(src))
 		compLen := int(binary.LittleEndian.Uint32(src[4:]))
 		src = src[8:]
 		if compLen > len(src) || rawLen > huffBlockSize {
-			return nil, fmt.Errorf("%w: huffman block lengths", ErrCorrupt)
+			return nil, fmt.Errorf("%w: huffman block lengths", errCorrupt)
 		}
 		var err error
 		dst, err = refHuffDecompressBlock(dst, src[:compLen], rawLen)
@@ -141,7 +141,7 @@ func refHuffmanDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		src = src[compLen:]
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: huffman produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: huffman produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -150,7 +150,7 @@ func refHuffmanDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 
 func refLzCopyMatch(dst []byte, base, offset, mlen int, name string) ([]byte, error) {
 	if offset <= 0 || offset > len(dst)-base {
-		return nil, fmt.Errorf("%w: %s match offset %d out of window", ErrCorrupt, name, offset)
+		return nil, fmt.Errorf("%w: %s match offset %d out of window", errCorrupt, name, offset)
 	}
 	pos := len(dst) - offset
 	if offset >= mlen {
@@ -179,7 +179,7 @@ func refLZ4Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 			}
 		}
 		if i+litLen > len(src) {
-			return nil, fmt.Errorf("%w: lz4 literals overrun input", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lz4 literals overrun input", errCorrupt)
 		}
 		dst = append(dst, src[i:i+litLen]...)
 		i += litLen
@@ -187,7 +187,7 @@ func refLZ4Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 			break
 		}
 		if i+2 > len(src) {
-			return nil, fmt.Errorf("%w: lz4 truncated offset", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lz4 truncated offset", errCorrupt)
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
@@ -207,7 +207,7 @@ func refLZ4Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: lz4 produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: lz4 produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -217,10 +217,10 @@ func refLZ4Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 func refSnapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error) {
 	want, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: %s bad preamble", ErrCorrupt, name)
+		return nil, fmt.Errorf("%w: %s bad preamble", errCorrupt, name)
 	}
 	if int(want) != srcLen {
-		return nil, fmt.Errorf("%w: %s preamble %d != header %d", ErrCorrupt, name, want, srcLen)
+		return nil, fmt.Errorf("%w: %s preamble %d != header %d", errCorrupt, name, want, srcLen)
 	}
 	src = src[n:]
 	base := len(dst)
@@ -236,33 +236,33 @@ func refSnapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error)
 				litLen++
 			case litLen == 60:
 				if i >= len(src) {
-					return nil, fmt.Errorf("%w: %s literal length", ErrCorrupt, name)
+					return nil, fmt.Errorf("%w: %s literal length", errCorrupt, name)
 				}
 				litLen = int(src[i]) + 1
 				i++
 			case litLen == 61:
 				if i+1 >= len(src) {
-					return nil, fmt.Errorf("%w: %s literal length", ErrCorrupt, name)
+					return nil, fmt.Errorf("%w: %s literal length", errCorrupt, name)
 				}
 				litLen = int(src[i]) | int(src[i+1])<<8
 				litLen++
 				i += 2
 			default:
 				if i+2 >= len(src) {
-					return nil, fmt.Errorf("%w: %s literal length", ErrCorrupt, name)
+					return nil, fmt.Errorf("%w: %s literal length", errCorrupt, name)
 				}
 				litLen = int(src[i]) | int(src[i+1])<<8 | int(src[i+2])<<16
 				litLen++
 				i += 3
 			}
 			if i+litLen > len(src) {
-				return nil, fmt.Errorf("%w: %s literals overrun", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s literals overrun", errCorrupt, name)
 			}
 			dst = append(dst, src[i:i+litLen]...)
 			i += litLen
 		case snapTagCopy1:
 			if i >= len(src) {
-				return nil, fmt.Errorf("%w: %s copy1 truncated", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s copy1 truncated", errCorrupt, name)
 			}
 			mlen := int(tag>>2&0x7) + 4
 			offset := int(tag>>5)<<8 | int(src[i])
@@ -274,7 +274,7 @@ func refSnapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error)
 			}
 		case snapTagCopy2:
 			if i+1 >= len(src) {
-				return nil, fmt.Errorf("%w: %s copy2 truncated", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s copy2 truncated", errCorrupt, name)
 			}
 			mlen := int(tag>>2) + 1
 			offset := int(src[i]) | int(src[i+1])<<8
@@ -286,7 +286,7 @@ func refSnapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error)
 			}
 		default:
 			if i+3 >= len(src) {
-				return nil, fmt.Errorf("%w: %s copy4 truncated", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s copy4 truncated", errCorrupt, name)
 			}
 			mlen := int(tag>>2) + 1
 			offset := int(binary.LittleEndian.Uint32(src[i:]))
@@ -299,7 +299,7 @@ func refSnapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error)
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", ErrCorrupt, name, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", errCorrupt, name, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -315,7 +315,7 @@ func refLZODecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		if tag&1 == 0 {
 			n := int(tag>>1) + 1
 			if i+n > len(src) {
-				return nil, fmt.Errorf("%w: lzo literals overrun", ErrCorrupt)
+				return nil, fmt.Errorf("%w: lzo literals overrun", errCorrupt)
 			}
 			dst = append(dst, src[i:i+n]...)
 			i += n
@@ -324,13 +324,13 @@ func refLZODecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		mlen := int(tag>>1&0x3F) + lzoMinMatch
 		if tag&0x80 != 0 {
 			if i >= len(src) {
-				return nil, fmt.Errorf("%w: lzo truncated length ext", ErrCorrupt)
+				return nil, fmt.Errorf("%w: lzo truncated length ext", errCorrupt)
 			}
 			mlen += int(src[i])
 			i++
 		}
 		if i+2 > len(src) {
-			return nil, fmt.Errorf("%w: lzo truncated offset", ErrCorrupt)
+			return nil, fmt.Errorf("%w: lzo truncated offset", errCorrupt)
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
@@ -341,7 +341,7 @@ func refLZODecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: lzo produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: lzo produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -358,13 +358,13 @@ func refQlzDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		case tag <= 0x7F:
 			n := int(tag) + 1
 			if i+n > len(src) {
-				return nil, fmt.Errorf("%w: quicklz literals overrun", ErrCorrupt)
+				return nil, fmt.Errorf("%w: quicklz literals overrun", errCorrupt)
 			}
 			dst = append(dst, src[i:i+n]...)
 			i += n
 		case tag <= 0xBF:
 			if i+2 > len(src) {
-				return nil, fmt.Errorf("%w: quicklz truncated offset", ErrCorrupt)
+				return nil, fmt.Errorf("%w: quicklz truncated offset", errCorrupt)
 			}
 			mlen := int(tag&0x3F) + qlzMinMatch
 			offset := int(src[i]) | int(src[i+1])<<8
@@ -377,7 +377,7 @@ func refQlzDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		default:
 			words := int(tag&0x3F) + 1
 			if len(dst)-base < 4 {
-				return nil, fmt.Errorf("%w: quicklz word run without history", ErrCorrupt)
+				return nil, fmt.Errorf("%w: quicklz word run without history", errCorrupt)
 			}
 			var err error
 			dst, err = refLzCopyMatch(dst, base, 4, 4*words, "quicklz")
@@ -387,7 +387,7 @@ func refQlzDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: quicklz produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: quicklz produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -398,13 +398,13 @@ func refBrotliDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 	base := len(dst)
 	for len(src) > 0 {
 		if len(src) < 8 {
-			return nil, fmt.Errorf("%w: brotli truncated block header", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli truncated block header", errCorrupt)
 		}
 		rawLen := int(binary.LittleEndian.Uint32(src))
 		compLen := int(binary.LittleEndian.Uint32(src[4:]))
 		src = src[8:]
 		if compLen > len(src) || rawLen > brBlockSize {
-			return nil, fmt.Errorf("%w: brotli block lengths", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli block lengths", errCorrupt)
 		}
 		var err error
 		dst, err = refBrDecompressBlock(dst, src[:compLen], rawLen, base)
@@ -414,7 +414,7 @@ func refBrotliDecompress(dst, src []byte, srcLen int) ([]byte, error) {
 		src = src[compLen:]
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: brotli produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: brotli produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -425,7 +425,7 @@ func refBrDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error)
 	}
 	const hdrLen = brAlphabet/2 + brNumDstSlot/2
 	if len(payload) < hdrLen {
-		return nil, fmt.Errorf("%w: brotli payload too short", ErrCorrupt)
+		return nil, fmt.Errorf("%w: brotli payload too short", errCorrupt)
 	}
 	var litLens [brAlphabet]uint8
 	for i := 0; i < brAlphabet/2; i++ {
@@ -453,7 +453,7 @@ func refBrDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error)
 		e := litTable[r.peek(brMaxCodeLen)]
 		l := uint(e & 0x0F)
 		if l == 0 || r.have() < int(l) {
-			return nil, fmt.Errorf("%w: brotli invalid literal code", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli invalid literal code", errCorrupt)
 		}
 		r.skip(l)
 		sym := int(e >> 4)
@@ -465,20 +465,20 @@ func refBrDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error)
 		slot := sym - 256
 		extra, err := r.readBits(uint(slot >> 1))
 		if err != nil {
-			return nil, fmt.Errorf("%w: brotli truncated length extra", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli truncated length extra", errCorrupt)
 		}
 		length := slotBase(slot, brMinMatch) + int(extra)
 
 		de := dstTable[r.peek(brMaxCodeLen)]
 		dl := uint(de & 0x0F)
 		if dl == 0 || r.have() < int(dl) {
-			return nil, fmt.Errorf("%w: brotli invalid distance code", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli invalid distance code", errCorrupt)
 		}
 		r.skip(dl)
 		dslot := int(de >> 4)
 		dextra, err := r.readBits(uint(dslot >> 1))
 		if err != nil {
-			return nil, fmt.Errorf("%w: brotli truncated distance extra", ErrCorrupt)
+			return nil, fmt.Errorf("%w: brotli truncated distance extra", errCorrupt)
 		}
 		dist := slotBase(dslot, 1) + int(dextra)
 
@@ -489,7 +489,7 @@ func refBrDecompressBlock(dst, payload []byte, rawLen, base int) ([]byte, error)
 		produced += length
 	}
 	if produced != rawLen {
-		return nil, fmt.Errorf("%w: brotli block overproduced", ErrCorrupt)
+		return nil, fmt.Errorf("%w: brotli block overproduced", errCorrupt)
 	}
 	return dst, nil
 }
@@ -587,7 +587,7 @@ func refRle0Decode(s *bufpool.Scratch, src []byte, wantLen int) ([]byte, error) 
 		shift := 0
 		for {
 			if i >= len(src) || shift > 28 {
-				return nil, ErrCorrupt
+				return nil, errCorrupt
 			}
 			v := src[i]
 			i++
@@ -599,14 +599,14 @@ func refRle0Decode(s *bufpool.Scratch, src []byte, wantLen int) ([]byte, error) 
 		}
 		run++
 		if len(out)+run > wantLen {
-			return nil, ErrCorrupt
+			return nil, errCorrupt
 		}
 		for k := 0; k < run; k++ {
 			out = append(out, 0)
 		}
 	}
 	if len(out) != wantLen {
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	return out, nil
 }
@@ -625,7 +625,7 @@ func refRcEntropyDecode(s *bufpool.Scratch, dst, src []byte, rawLen int) ([]byte
 		ctx = byteClass(b)
 	}
 	if d.overran() {
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	return dst, nil
 }
@@ -635,7 +635,7 @@ func refBwtPipelineDecompress(s *bufpool.Scratch, dst, src []byte, srcLen, block
 	base := len(dst)
 	for len(src) > 0 {
 		if len(src) < 16 {
-			return nil, fmt.Errorf("%w: %s truncated block header", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s truncated block header", errCorrupt, name)
 		}
 		rawLen := int(binary.LittleEndian.Uint32(src))
 		ptr := binary.LittleEndian.Uint32(src[4:])
@@ -643,11 +643,11 @@ func refBwtPipelineDecompress(s *bufpool.Scratch, dst, src []byte, srcLen, block
 		compLen := int(binary.LittleEndian.Uint32(src[12:]))
 		src = src[16:]
 		if compLen > len(src) || rawLen > blockSize || rleLen > 2*blockSize+8 {
-			return nil, fmt.Errorf("%w: %s block lengths", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s block lengths", errCorrupt, name)
 		}
 		if ptr == bwtRawMarker {
 			if compLen != rawLen {
-				return nil, fmt.Errorf("%w: %s raw block length", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s raw block length", errCorrupt, name)
 			}
 			dst = append(dst, src[:compLen]...)
 			src = src[compLen:]
@@ -660,16 +660,16 @@ func refBwtPipelineDecompress(s *bufpool.Scratch, dst, src []byte, srcLen, block
 		src = src[compLen:]
 		mtf, err := refRle0Decode(s, rle, rawLen)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s rle0", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s rle0", errCorrupt, name)
 		}
 		mtfDecode(mtf)
 		dst, err = bwtInverse(s, dst, mtf, int(ptr))
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s inverse bwt", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: %s inverse bwt", errCorrupt, name)
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", ErrCorrupt, name, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", errCorrupt, name, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }
@@ -690,11 +690,11 @@ func refBzip2Decompress(s *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte
 
 func refLzmaDecompress(s *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte, error) {
 	if len(src) < 4 {
-		return nil, fmt.Errorf("%w: lzma truncated header", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lzma truncated header", errCorrupt)
 	}
 	rawLen := int(binary.LittleEndian.Uint32(src))
 	if rawLen != srcLen {
-		return nil, fmt.Errorf("%w: lzma header %d != %d", ErrCorrupt, rawLen, srcLen)
+		return nil, fmt.Errorf("%w: lzma header %d != %d", errCorrupt, rawLen, srcLen)
 	}
 	src = src[4:]
 	if rawLen == 0 {
@@ -731,7 +731,7 @@ func refLzmaDecompress(s *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte,
 		state = 1
 	}
 	if d.overran() || len(dst)-base != rawLen {
-		return nil, fmt.Errorf("%w: lzma stream", ErrCorrupt)
+		return nil, fmt.Errorf("%w: lzma stream", errCorrupt)
 	}
 	return dst, nil
 }
@@ -741,25 +741,25 @@ func refLzmaDecompress(s *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte,
 // implementation (so the gate still watches them for regressions).
 func refDecompress(c Codec, s *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte, error) {
 	switch c.ID() {
-	case Huffman:
+	case idHuffman:
 		return refHuffmanDecompress(dst, src, srcLen)
-	case LZ4:
+	case idLZ4:
 		return refLZ4Decompress(dst, src, srcLen)
-	case LZO:
+	case idLZO:
 		return refLZODecompress(dst, src, srcLen)
-	case Pithy:
+	case idPithy:
 		return refSnapDecompress(dst, src, srcLen, "pithy")
-	case Snappy:
+	case idSnappy:
 		return refSnapDecompress(dst, src, srcLen, "snappy")
-	case QuickLZ:
+	case idQuickLZ:
 		return refQlzDecompress(dst, src, srcLen)
-	case Brotli:
+	case idBrotli:
 		return refBrotliDecompress(dst, src, srcLen)
-	case Bzip2:
+	case idBzip2:
 		return refBzip2Decompress(s, dst, src, srcLen)
-	case BSC:
+	case idBSC:
 		return refBscDecompress(s, dst, src, srcLen)
-	case LZMA:
+	case idLZMA:
 		return refLzmaDecompress(s, dst, src, srcLen)
 	default:
 		return DecompressWith(s, c, dst, src, srcLen)

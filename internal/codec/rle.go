@@ -14,7 +14,7 @@ import "fmt"
 type rleCodec struct{}
 
 func (rleCodec) Name() string { return "rle" }
-func (rleCodec) ID() ID       { return RLE }
+func (rleCodec) ID() ID       { return idRLE }
 
 func (rleCodec) Compress(dst, src []byte) ([]byte, error) {
 	i := 0
@@ -55,13 +55,13 @@ func (rleCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		case n <= 127:
 			lit := int(n) + 1
 			if i+lit > len(src) {
-				return nil, fmt.Errorf("%w: rle literal overruns input", ErrCorrupt)
+				return nil, fmt.Errorf("%w: rle literal overruns input", errCorrupt)
 			}
 			dst = append(dst, src[i:i+lit]...)
 			i += lit
 		case n >= 129:
 			if i >= len(src) {
-				return nil, fmt.Errorf("%w: rle run missing byte", ErrCorrupt)
+				return nil, fmt.Errorf("%w: rle run missing byte", errCorrupt)
 			}
 			count := 257 - int(n)
 			b := src[i]
@@ -70,11 +70,11 @@ func (rleCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 				dst = append(dst, b)
 			}
 		default:
-			return nil, fmt.Errorf("%w: rle reserved control byte", ErrCorrupt)
+			return nil, fmt.Errorf("%w: rle reserved control byte", errCorrupt)
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: rle produced %d bytes, want %d", ErrCorrupt, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: rle produced %d bytes, want %d", errCorrupt, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }

@@ -17,12 +17,12 @@ import (
 type snappyCodec struct{}
 
 func (snappyCodec) Name() string { return "snappy" }
-func (snappyCodec) ID() ID       { return Snappy }
+func (snappyCodec) ID() ID       { return idSnappy }
 
 type pithyCodec struct{}
 
 func (pithyCodec) Name() string { return "pithy" }
-func (pithyCodec) ID() ID       { return Pithy }
+func (pithyCodec) ID() ID       { return idPithy }
 
 const (
 	snapTagLiteral = 0x00
@@ -159,10 +159,10 @@ func snapEmitCopy(dst []byte, offset, mlen int) []byte {
 func snapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error) {
 	want, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: %s bad preamble", ErrCorrupt, name)
+		return nil, fmt.Errorf("%w: %s bad preamble", errCorrupt, name)
 	}
 	if int(want) != srcLen {
-		return nil, fmt.Errorf("%w: %s preamble %d != header %d", ErrCorrupt, name, want, srcLen)
+		return nil, fmt.Errorf("%w: %s preamble %d != header %d", errCorrupt, name, want, srcLen)
 	}
 	src = src[n:]
 	base := len(dst)
@@ -178,33 +178,33 @@ func snapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error) {
 				litLen++
 			case litLen == 60:
 				if i >= len(src) {
-					return nil, fmt.Errorf("%w: %s literal length", ErrCorrupt, name)
+					return nil, fmt.Errorf("%w: %s literal length", errCorrupt, name)
 				}
 				litLen = int(src[i]) + 1
 				i++
 			case litLen == 61:
 				if i+1 >= len(src) {
-					return nil, fmt.Errorf("%w: %s literal length", ErrCorrupt, name)
+					return nil, fmt.Errorf("%w: %s literal length", errCorrupt, name)
 				}
 				litLen = int(src[i]) | int(src[i+1])<<8
 				litLen++
 				i += 2
 			default:
 				if i+2 >= len(src) {
-					return nil, fmt.Errorf("%w: %s literal length", ErrCorrupt, name)
+					return nil, fmt.Errorf("%w: %s literal length", errCorrupt, name)
 				}
 				litLen = int(src[i]) | int(src[i+1])<<8 | int(src[i+2])<<16
 				litLen++
 				i += 3
 			}
 			if i+litLen > len(src) {
-				return nil, fmt.Errorf("%w: %s literals overrun", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s literals overrun", errCorrupt, name)
 			}
 			dst = append(dst, src[i:i+litLen]...)
 			i += litLen
 		case snapTagCopy1:
 			if i >= len(src) {
-				return nil, fmt.Errorf("%w: %s copy1 truncated", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s copy1 truncated", errCorrupt, name)
 			}
 			mlen := int(tag>>2&0x7) + 4
 			offset := int(tag>>5)<<8 | int(src[i])
@@ -216,7 +216,7 @@ func snapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error) {
 			}
 		case snapTagCopy2:
 			if i+1 >= len(src) {
-				return nil, fmt.Errorf("%w: %s copy2 truncated", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s copy2 truncated", errCorrupt, name)
 			}
 			mlen := int(tag>>2) + 1
 			offset := int(src[i]) | int(src[i+1])<<8
@@ -228,7 +228,7 @@ func snapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error) {
 			}
 		default: // snapTagCopy4: accepted for format completeness
 			if i+3 >= len(src) {
-				return nil, fmt.Errorf("%w: %s copy4 truncated", ErrCorrupt, name)
+				return nil, fmt.Errorf("%w: %s copy4 truncated", errCorrupt, name)
 			}
 			mlen := int(tag>>2) + 1
 			offset := int(binary.LittleEndian.Uint32(src[i:]))
@@ -241,7 +241,7 @@ func snapDecompress(dst, src []byte, srcLen int, name string) ([]byte, error) {
 		}
 	}
 	if len(dst)-base != srcLen {
-		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", ErrCorrupt, name, len(dst)-base, srcLen)
+		return nil, fmt.Errorf("%w: %s produced %d bytes, want %d", errCorrupt, name, len(dst)-base, srcLen)
 	}
 	return dst, nil
 }

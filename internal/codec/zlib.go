@@ -18,7 +18,7 @@ import (
 type zlibCodec struct{}
 
 func (zlibCodec) Name() string { return "zlib" }
-func (zlibCodec) ID() ID       { return Zlib }
+func (zlibCodec) ID() ID       { return idZlib }
 
 // sliceWriter adapts the append-style dst contract to io.Writer so the
 // flate writer streams straight into the caller's buffer with no
@@ -103,7 +103,7 @@ func (zlibCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 	if _, err := io.ReadFull(d.r, dst[base:]); err != nil {
 		d.br.Reset(nil)
 		zlibDecPool.Put(d)
-		return nil, fmt.Errorf("%w: zlib: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: zlib: %v", errCorrupt, err)
 	}
 	// The stream must end exactly here.
 	var one [1]byte
@@ -111,7 +111,7 @@ func (zlibCodec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 	d.br.Reset(nil)
 	zlibDecPool.Put(d)
 	if n != 0 {
-		return nil, fmt.Errorf("%w: zlib trailing data", ErrCorrupt)
+		return nil, fmt.Errorf("%w: zlib trailing data", errCorrupt)
 	}
 	return dst, nil
 }

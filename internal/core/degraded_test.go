@@ -53,7 +53,7 @@ func TestPlanFailsWhenAllTiersOffline(t *testing.T) {
 	for ti := 0; ti < f.hier.Len(); ti++ {
 		takeOffline(f, ti)
 	}
-	if _, err := e.Plan(0, textAttr(), 1<<20); !errors.Is(err, ErrNoSpace) {
+	if _, err := e.Plan(0, textAttr(), 1<<20); !errors.Is(err, errNoSpace) {
 		t.Fatalf("want ErrNoSpace with every tier offline, got %v", err)
 	}
 }

@@ -41,13 +41,13 @@ import (
 	"hcompress/internal/telemetry"
 )
 
-// Align is the sub-task alignment from constraint 1: the RAM page size and
+// align is the sub-task alignment from constraint 1: the RAM page size and
 // the block size of modern NVMe devices.
-const Align = 4096
+const align = 4096
 
-// ErrNoSpace is returned when a task cannot be placed anywhere in the
+// errNoSpace is returned when a task cannot be placed anywhere in the
 // hierarchy even uncompressed.
-var ErrNoSpace = errors.New("hcdp: no tier can hold the task")
+var errNoSpace = errors.New("hcdp: no tier can hold the task")
 
 // SubTask is one (byte range, tier, codec) assignment within a schema.
 type SubTask struct {
@@ -68,39 +68,6 @@ type Schema struct {
 	SubTasks []SubTask
 	// PredTime is the total modeled task duration.
 	PredTime float64
-}
-
-// Validate checks the Table I constraints against a hierarchy of nTiers
-// tiers with the given total lane concurrency.
-func (s Schema) Validate(taskSize int64, nTiers, concurrency int) error {
-	if len(s.SubTasks) > nTiers {
-		return fmt.Errorf("hcdp: %d sub-tasks exceed %d tiers (constraint 3)", len(s.SubTasks), nTiers)
-	}
-	if len(s.SubTasks) > concurrency {
-		return fmt.Errorf("hcdp: %d sub-tasks exceed concurrency %d (constraint 2)", len(s.SubTasks), concurrency)
-	}
-	var covered int64
-	lastTier := -1
-	for k, st := range s.SubTasks {
-		if st.Offset != covered {
-			return fmt.Errorf("hcdp: sub-task %d offset %d, want %d", k, st.Offset, covered)
-		}
-		if st.Length <= 0 {
-			return fmt.Errorf("hcdp: sub-task %d has non-positive length", k)
-		}
-		if k < len(s.SubTasks)-1 && st.Length%Align != 0 {
-			return fmt.Errorf("hcdp: non-final sub-task %d length %d unaligned (constraint 1)", k, st.Length)
-		}
-		if st.Tier <= lastTier && k > 0 {
-			return fmt.Errorf("hcdp: sub-task tiers not strictly descending")
-		}
-		lastTier = st.Tier
-		covered += st.Length
-	}
-	if covered != taskSize {
-		return fmt.Errorf("hcdp: schema covers %d bytes, task is %d", covered, taskSize)
-	}
-	return nil
 }
 
 // Config tunes the engine; zero value gives the paper's defaults.
@@ -361,17 +328,6 @@ func (e *Engine) SetWeights(w seed.Weights) {
 	e.tm.weightBumps.Inc()
 }
 
-// Weights returns the active (normalized) weights.
-func (e *Engine) Weights() seed.Weights {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.w
-}
-
-// Generation reports the weight-change generation counter; the memo table
-// is only valid for the generation it was built under.
-func (e *Engine) Generation() int64 { return e.gen.Load() }
-
 // MemoStats reports DP cache behaviour (hits, misses).
 func (e *Engine) MemoStats() (hits, misses int64) {
 	return e.memoHits.Load(), e.memoMisses.Load()
@@ -392,12 +348,12 @@ func (e *Engine) planCacheUsable() bool {
 // alignUp rounds n up to the alignment quantum.
 func alignUp(n int64) int64 {
 	if n <= 0 {
-		return Align
+		return align
 	}
-	return (n + Align - 1) / Align * Align
+	return (n + align - 1) / align * align
 }
 
-func alignDown(n int64) int64 { return n / Align * Align }
+func alignDown(n int64) int64 { return n / align * align }
 
 // Plan produces the compression + placement schema for a task of the given
 // size and analyzed attributes at virtual time now. It is safe for
@@ -535,7 +491,7 @@ func (e *Engine) match(size int64, l int, attr analyzer.Result, statuses []store
 		return 0, nil
 	}
 	if l >= len(statuses) {
-		return math.Inf(1), ErrNoSpace
+		return math.Inf(1), errNoSpace
 	}
 	key := memoKey{size, l}
 	if !e.cfg.DisableMemo {
@@ -559,7 +515,7 @@ func (e *Engine) match(size int64, l int, attr analyzer.Result, statuses []store
 	// schema — fresh or replayed from the plan cache — ever targets it.
 	if !statuses[l].Available {
 		if math.IsInf(best.time, 1) {
-			return best.time, ErrNoSpace
+			return best.time, errNoSpace
 		}
 		e.memo[key] = best
 		return best.time, nil
@@ -585,7 +541,7 @@ func (e *Engine) match(size int64, l int, attr analyzer.Result, statuses []store
 	}
 
 	if math.IsInf(best.time, 1) {
-		return best.time, ErrNoSpace
+		return best.time, errNoSpace
 	}
 	if !e.cfg.DisableMemo {
 		e.memo[key] = best
@@ -620,14 +576,14 @@ func (e *Engine) consider(best *planVal, size int64, l int, id codec.ID, rc, ful
 	}
 	// Split: the part that fits stays, the rest recurses to tier l+1
 	// (equation 2). Both parts stay 4096-aligned (constraint 1).
-	if remaining < Align || l+1 >= len(statuses) {
+	if remaining < align || l+1 >= len(statuses) {
 		return
 	}
 	origFit := alignDown(int64(float64(remaining) * rc))
 	if origFit >= size {
-		origFit = size - Align // fitting "almost all" still forces a split
+		origFit = size - align // fitting "almost all" still forces a split
 	}
-	if origFit < Align {
+	if origFit < align {
 		return
 	}
 	partTime := fullTime * float64(origFit) / float64(size)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,6 +16,22 @@ import (
 	"hcompress/internal/store"
 	"hcompress/internal/tier"
 )
+
+// The Table II presets the tests plan under: asynchronous I/O weighs
+// compression speed only, archival I/O weighs ratio only.
+var (
+	weightsAsync    = seed.Weights{Compression: 1}
+	weightsArchival = seed.Weights{Ratio: 1}
+)
+
+// lz4ID is the lz4 codec's header ID, looked up by name as callers do.
+var lz4ID = func() codec.ID {
+	c, err := codec.ByName("lz4")
+	if err != nil {
+		panic(err)
+	}
+	return c.ID()
+}()
 
 type fixture struct {
 	st   *store.Store
@@ -125,12 +142,12 @@ func TestPlanSkipsCompressionOnIncompressibleData(t *testing.T) {
 func TestPriorityWeightsChangeSelection(t *testing.T) {
 	f := newFixture(t, tier.GB, tier.GB, tier.GB, tier.TB)
 
-	eAsync := f.engine(t, Config{Weights: seed.WeightsAsync})
+	eAsync := f.engine(t, Config{Weights: weightsAsync})
 	scA, err := eAsync.Plan(0, textAttr(), 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eArch := f.engine(t, Config{Weights: seed.WeightsArchival})
+	eArch := f.engine(t, Config{Weights: weightsArchival})
 	scR, err := eArch.Plan(0, textAttr(), 16<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +214,8 @@ func TestPlanNoSpace(t *testing.T) {
 	f := newFixture(t, 1*tier.MB, 1*tier.MB, 1*tier.MB, 1*tier.MB)
 	e := f.engine(t, Config{Weights: seed.WeightsEqual})
 	_, err := e.Plan(0, floatAttr(), 1<<30)
-	if !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("want ErrNoSpace, got %v", err)
+	if !errors.Is(err, errNoSpace) {
+		t.Fatalf("want errNoSpace, got %v", err)
 	}
 }
 
@@ -298,16 +315,17 @@ func TestMemoInvalidatedByCapacityChange(t *testing.T) {
 
 func TestSetWeightsInvalidatesPlans(t *testing.T) {
 	f := newFixture(t, tier.GB, tier.GB, tier.GB, tier.TB)
-	e := f.engine(t, Config{Weights: seed.WeightsAsync})
+	e := f.engine(t, Config{Weights: weightsAsync})
 	sc1, _ := e.Plan(0, textAttr(), 16<<20)
-	e.SetWeights(seed.WeightsArchival)
+	e.SetWeights(weightsArchival)
 	sc2, _ := e.Plan(0, textAttr(), 16<<20)
 	if sc1.SubTasks[0].Codec == sc2.SubTasks[0].Codec {
 		t.Log("note: same codec under both priorities (legal but unusual)")
 	}
-	w := e.Weights()
-	if w.Ratio != 1 {
-		t.Errorf("weights not applied: %+v", w)
+	// The new weights are in force: the plan matches a fresh engine's.
+	fresh, _ := f.engine(t, Config{Weights: weightsArchival}).Plan(0, textAttr(), 16<<20)
+	if !reflect.DeepEqual(sc2.SubTasks, fresh.SubTasks) {
+		t.Errorf("weights not applied: %+v, fresh engine plans %+v", sc2.SubTasks, fresh.SubTasks)
 	}
 }
 
@@ -319,7 +337,7 @@ func TestRestrictedCodecPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range sc.SubTasks {
-		if st.Codec != codec.None && st.Codec != codec.LZ4 {
+		if st.Codec != codec.None && st.Codec != lz4ID {
 			t.Errorf("codec %d outside restricted pool", st.Codec)
 		}
 	}
@@ -330,7 +348,7 @@ func TestRestrictedCodecPool(t *testing.T) {
 
 func TestSchemaValidateCatchesViolations(t *testing.T) {
 	good := Schema{SubTasks: []SubTask{
-		{Offset: 0, Length: 8192, Tier: 0, Codec: codec.LZ4},
+		{Offset: 0, Length: 8192, Tier: 0, Codec: lz4ID},
 		{Offset: 8192, Length: 100, Tier: 1, Codec: codec.None},
 	}}
 	if err := good.Validate(8292, 4, 100); err != nil {
@@ -400,7 +418,7 @@ func TestPlanHeavyCompressionOnFasterTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pfsOnly := tier.PFSOnly(tier.TB)
+	pfsOnly := tier.Hierarchy{Tiers: tier.Ares(1, 1, 1, tier.TB).Tiers[3:]}
 	stPFS, _ := store.Open(pfsOnly, store.Options{})
 	ePFS, _ := New(predictor.New(seed.Builtin(pfsOnly)), monitor.New(stPFS, 0), Config{Weights: seed.WeightsEqual})
 	scPFS, err := ePFS.Plan(0, textAttr(), 16<<20)
@@ -496,8 +514,8 @@ func TestPlanCacheDeterminism(t *testing.T) {
 	}
 	for i, s := range steps {
 		if i == 25 {
-			on.SetWeights(seed.WeightsArchival)
-			off.SetWeights(seed.WeightsArchival)
+			on.SetWeights(weightsArchival)
+			off.SetWeights(weightsArchival)
 		}
 		a, err1 := on.Plan(0, s.attr, s.size)
 		b, err2 := off.Plan(0, s.attr, s.size)
@@ -518,14 +536,14 @@ func TestPlanCacheDeterminism(t *testing.T) {
 
 func TestPlanCacheInvalidatedBySetWeights(t *testing.T) {
 	f := newFixture(t, tier.GB, tier.GB, tier.GB, tier.TB)
-	e := f.engine(t, Config{Weights: seed.WeightsAsync})
+	e := f.engine(t, Config{Weights: weightsAsync})
 	e.Plan(0, textAttr(), 16<<20)
 	e.Plan(0, textAttr(), 16<<20)
 	hits1, _ := e.PlanCacheStats()
 	if hits1 == 0 {
 		t.Fatal("no hit before weight change")
 	}
-	e.SetWeights(seed.WeightsArchival)
+	e.SetWeights(weightsArchival)
 	e.Plan(0, textAttr(), 16<<20)
 	hits2, misses := e.PlanCacheStats()
 	if hits2 != hits1 {
@@ -566,4 +584,37 @@ func TestPlanCacheBypassedWithMemoDisabled(t *testing.T) {
 	if h, m := e.PlanCacheStats(); h != 0 || m != 0 {
 		t.Errorf("plan cache active under DisableMemo: %d hits %d misses", h, m)
 	}
+}
+
+// Validate checks the Table I constraints against a hierarchy of nTiers
+// tiers with the given total lane concurrency.
+func (s Schema) Validate(taskSize int64, nTiers, concurrency int) error {
+	if len(s.SubTasks) > nTiers {
+		return fmt.Errorf("hcdp: %d sub-tasks exceed %d tiers (constraint 3)", len(s.SubTasks), nTiers)
+	}
+	if len(s.SubTasks) > concurrency {
+		return fmt.Errorf("hcdp: %d sub-tasks exceed concurrency %d (constraint 2)", len(s.SubTasks), concurrency)
+	}
+	var covered int64
+	lastTier := -1
+	for k, st := range s.SubTasks {
+		if st.Offset != covered {
+			return fmt.Errorf("hcdp: sub-task %d offset %d, want %d", k, st.Offset, covered)
+		}
+		if st.Length <= 0 {
+			return fmt.Errorf("hcdp: sub-task %d has non-positive length", k)
+		}
+		if k < len(s.SubTasks)-1 && st.Length%align != 0 {
+			return fmt.Errorf("hcdp: non-final sub-task %d length %d unaligned (constraint 1)", k, st.Length)
+		}
+		if st.Tier <= lastTier && k > 0 {
+			return fmt.Errorf("hcdp: sub-task tiers not strictly descending")
+		}
+		lastTier = st.Tier
+		covered += st.Length
+	}
+	if covered != taskSize {
+		return fmt.Errorf("hcdp: schema covers %d bytes, task is %d", covered, taskSize)
+	}
+	return nil
 }

@@ -10,39 +10,39 @@ import (
 	"hcompress/internal/workload"
 )
 
-// SystemConfig enumerates Table IV's test configurations.
-type SystemConfig string
+// systemConfig enumerates Table IV's test configurations.
+type systemConfig string
 
 // The four systems compared in Figs. 7 and 8.
 const (
-	ConfigBASE SystemConfig = "BASE" // vanilla PFS
-	ConfigSTWC SystemConfig = "STWC" // single tier with compression
-	ConfigMTNC SystemConfig = "MTNC" // multi-tiered, no compression
-	ConfigHC   SystemConfig = "HC"   // HCompress
+	configBASE systemConfig = "BASE" // vanilla PFS
+	configSTWC systemConfig = "STWC" // single tier with compression
+	configMTNC systemConfig = "MTNC" // multi-tiered, no compression
+	configHC   systemConfig = "HC"   // HCompress
 )
 
-// AllConfigs lists Table IV in presentation order.
-func AllConfigs() []SystemConfig {
-	return []SystemConfig{ConfigBASE, ConfigSTWC, ConfigMTNC, ConfigHC}
+// allConfigs lists Table IV in presentation order.
+func allConfigs() []systemConfig {
+	return []systemConfig{configBASE, configSTWC, configMTNC, configHC}
 }
 
-// STWCCodec is the fixed library used by the single-tier-with-compression
+// stwcCodec is the fixed library used by the single-tier-with-compression
 // configuration. The paper does not name its choice; zlib reproduces the
 // ~1.5x gain the paper reports for STWC on VPIC float checkpoints (fast
 // LZ codecs barely dent float data and would make STWC a no-op) and is
 // recorded in EXPERIMENTS.md as a reproduction decision.
-const STWCCodec = "zlib"
+const stwcCodec = "zlib"
 
 // buildConfig assembles one Table IV system over the given hierarchies.
-func buildConfig(cfg SystemConfig, pfsOnly, multi tier.Hierarchy, truth *seed.Seed, w seed.Weights) (*stack, error) {
+func buildConfig(cfg systemConfig, pfsOnly, multi tier.Hierarchy, truth *seed.Seed, w seed.Weights) (*stack, error) {
 	switch cfg {
-	case ConfigBASE:
+	case configBASE:
 		return newBaselineStack(pfsOnly, truth, "")
-	case ConfigSTWC:
-		return newBaselineStack(pfsOnly, truth, STWCCodec)
-	case ConfigMTNC:
+	case configSTWC:
+		return newBaselineStack(pfsOnly, truth, stwcCodec)
+	case configMTNC:
 		return newBaselineStack(multi, truth, "")
-	case ConfigHC:
+	case configHC:
 		return newHCStack(multi, truth, w, core.Config{})
 	default:
 		return nil, fmt.Errorf("experiments: unknown config %q", cfg)
@@ -98,7 +98,7 @@ func Fig7VPIC(o Fig7Options) (Table, error) {
 			truth = seed.Builtin(multi)
 		}
 		var base float64
-		for _, cfg := range AllConfigs() {
+		for _, cfg := range allConfigs() {
 			stk, err := buildConfig(cfg, pfs, multi, truth,
 				seed.Weights{Compression: 0.5, Ratio: 0.5})
 			if err != nil {
@@ -117,7 +117,7 @@ func Fig7VPIC(o Fig7Options) (Table, error) {
 				}
 			}
 			total := sim.Now()
-			if cfg == ConfigBASE {
+			if cfg == configBASE {
 				base = total
 			}
 			t.Rows = append(t.Rows, []string{
@@ -174,7 +174,7 @@ func Fig8Workflow(o Fig8Options) (Table, error) {
 			truth = seed.Builtin(multi)
 		}
 		var base float64
-		for _, cfg := range AllConfigs() {
+		for _, cfg := range allConfigs() {
 			stk, err := buildConfig(cfg, pfs, multi, truth, seed.WeightsEqual)
 			if err != nil {
 				return t, err
@@ -194,7 +194,7 @@ func Fig8Workflow(o Fig8Options) (Table, error) {
 				}
 			}
 			total := sim.Now()
-			if cfg == ConfigBASE {
+			if cfg == configBASE {
 				base = total
 			}
 			t.Rows = append(t.Rows, []string{

@@ -101,16 +101,6 @@ func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
 	p.runs = reg.Counter("hc_pool_jobs_total", "jobs submitted to the shared worker pool")
 }
 
-// Workers reports the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
-// QueueDepth reports the items submitted but not yet claimed.
-func (p *Pool) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queued
-}
-
 // chunkFor sizes the claim quantum: large jobs hand out multi-item
 // chunks to keep lock traffic low, but never so large that round-robin
 // interleaving degenerates into run-to-completion.

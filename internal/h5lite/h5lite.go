@@ -20,14 +20,14 @@ import (
 	"hcompress/internal/stats"
 )
 
-// Magic is the superblock signature (matches analyzer.H5LiteMagic).
-var Magic = [4]byte{'H', '5', 'L', 'T'}
+// magic is the superblock signature (matches the analyzer's h5liteMagic).
+var magic = [4]byte{'H', '5', 'L', 'T'}
 
-// Version is the current format version.
-const Version = 1
+// version is the current format version.
+const version = 1
 
-// ErrBadFormat is returned for malformed containers.
-var ErrBadFormat = errors.New("h5lite: malformed container")
+// errBadFormat is returned for malformed containers.
+var errBadFormat = errors.New("h5lite: malformed container")
 
 const distUnknown = 255
 
@@ -85,8 +85,8 @@ func (f *File) Encode() ([]byte, error) {
 		size += 2 + len(d.Name) + 3 + 8*len(d.Dims) + 8 + len(d.Data)
 	}
 	out := make([]byte, 0, size)
-	out = append(out, Magic[:]...)
-	out = append(out, Version)
+	out = append(out, magic[:]...)
+	out = append(out, version)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(f.Datasets)))
 	for _, d := range f.Datasets {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(d.Name)))
@@ -109,23 +109,23 @@ func (f *File) Encode() ([]byte, error) {
 
 // Decode parses a container. Dataset Data slices alias buf.
 func Decode(buf []byte) (*File, error) {
-	if len(buf) < 9 || buf[0] != Magic[0] || buf[1] != Magic[1] || buf[2] != Magic[2] || buf[3] != Magic[3] {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+	if len(buf) < 9 || buf[0] != magic[0] || buf[1] != magic[1] || buf[2] != magic[2] || buf[3] != magic[3] {
+		return nil, fmt.Errorf("%w: bad magic", errBadFormat)
 	}
-	if buf[4] != Version {
-		return nil, fmt.Errorf("%w: version %d", ErrBadFormat, buf[4])
+	if buf[4] != version {
+		return nil, fmt.Errorf("%w: version %d", errBadFormat, buf[4])
 	}
 	n := int(binary.LittleEndian.Uint32(buf[5:]))
 	pos := 9
 	f := &File{}
 	for i := 0; i < n; i++ {
 		if pos+2 > len(buf) {
-			return nil, fmt.Errorf("%w: truncated name length", ErrBadFormat)
+			return nil, fmt.Errorf("%w: truncated name length", errBadFormat)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(buf[pos:]))
 		pos += 2
 		if pos+nameLen+3 > len(buf) {
-			return nil, fmt.Errorf("%w: truncated header", ErrBadFormat)
+			return nil, fmt.Errorf("%w: truncated header", errBadFormat)
 		}
 		d := Dataset{Name: string(buf[pos : pos+nameLen])}
 		pos += nameLen
@@ -138,7 +138,7 @@ func Decode(buf []byte) (*File, error) {
 			d.Dist = &dist
 		}
 		if pos+8*ndims+8 > len(buf) {
-			return nil, fmt.Errorf("%w: truncated dims", ErrBadFormat)
+			return nil, fmt.Errorf("%w: truncated dims", errBadFormat)
 		}
 		for k := 0; k < ndims; k++ {
 			d.Dims = append(d.Dims, binary.LittleEndian.Uint64(buf[pos:]))
@@ -147,30 +147,14 @@ func Decode(buf []byte) (*File, error) {
 		dataLen := binary.LittleEndian.Uint64(buf[pos:])
 		pos += 8
 		if uint64(len(buf)-pos) < dataLen {
-			return nil, fmt.Errorf("%w: truncated data", ErrBadFormat)
+			return nil, fmt.Errorf("%w: truncated data", errBadFormat)
 		}
 		d.Data = buf[pos : pos+int(dataLen)]
 		pos += int(dataLen)
 		f.Datasets = append(f.Datasets, d)
 	}
 	if pos != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(buf)-pos)
+		return nil, fmt.Errorf("%w: %d trailing bytes", errBadFormat, len(buf)-pos)
 	}
 	return f, nil
-}
-
-// Hint extracts the analyzer hint of the container's dominant dataset
-// (the largest by payload), implementing the self-described fast path.
-func Hint(buf []byte) (dtype stats.DataType, dist *stats.Dist, ok bool) {
-	f, err := Decode(buf)
-	if err != nil || len(f.Datasets) == 0 {
-		return 0, nil, false
-	}
-	best := 0
-	for i, d := range f.Datasets {
-		if len(d.Data) > len(f.Datasets[best].Data) {
-			best = i
-		}
-	}
-	return f.Datasets[best].Type, f.Datasets[best].Dist, true
 }

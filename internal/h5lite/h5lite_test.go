@@ -98,36 +98,22 @@ func TestEmptyFile(t *testing.T) {
 	}
 }
 
-func TestHintFastPath(t *testing.T) {
-	f := sampleFile()
-	buf, _ := f.Encode()
-	// Both datasets are 4096 bytes; the first wins ties.
-	dtype, dist, ok := Hint(buf)
-	if !ok || dtype != stats.TypeFloat {
-		t.Fatalf("hint: %v %v %v", dtype, dist, ok)
-	}
-	if dist == nil || *dist != stats.Gamma {
-		t.Error("dist hint lost")
-	}
-	if _, _, ok := Hint([]byte("garbage")); ok {
-		t.Error("hint on garbage")
-	}
-}
-
 func TestAnalyzerIntegration(t *testing.T) {
-	// The analyzer recognizes h5lite containers by magic, and the Hint
-	// fast path supplies the attributes without statistical detection.
+	// The analyzer recognizes h5lite containers by magic, and the
+	// container's self-described attributes supply the hint without
+	// statistical detection.
 	f := sampleFile()
 	buf, _ := f.Encode()
 	r := analyzer.Analyze(buf)
-	if r.Format != analyzer.FormatH5Lite {
+	if r.Format.String() != "h5lite" {
 		t.Errorf("format %v", r.Format)
 	}
-	dtype, dist, ok := Hint(buf)
-	if !ok {
-		t.Fatal("hint failed")
+	back, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r2 := analyzer.AnalyzeWithHint(buf, &analyzer.Hint{Type: &dtype, Dist: dist})
+	d := back.Datasets[0]
+	r2 := analyzer.AnalyzeWithHint(buf, &analyzer.Hint{Type: &d.Type, Dist: d.Dist})
 	if r2.Type != stats.TypeFloat || r2.Dist != stats.Gamma {
 		t.Errorf("fast path attributes: %+v", r2)
 	}

@@ -75,7 +75,7 @@ func TestWriteReadWithFixedCodec(t *testing.T) {
 }
 
 func TestUnknownCodecRejected(t *testing.T) {
-	st, _ := store.Open(tier.PFSOnly(tier.GB), store.Options{KeepData: true})
+	st, _ := store.Open(tier.Hierarchy{Tiers: tier.Ares(1, 1, 1, tier.GB).Tiers[3:]}, store.Options{KeepData: true})
 	if _, err := New(st, "zstd", nil); err == nil {
 		t.Fatal("unknown codec accepted")
 	}
@@ -206,7 +206,7 @@ func TestModeledBaseline(t *testing.T) {
 }
 
 func TestReadUnknownTask(t *testing.T) {
-	b := realBaseline(t, "", tier.PFSOnly(tier.GB))
+	b := realBaseline(t, "", tier.Hierarchy{Tiers: tier.Ares(1, 1, 1, tier.GB).Tiers[3:]})
 	if _, err := b.Read(0, "nope"); err == nil {
 		t.Fatal("unknown task read accepted")
 	}

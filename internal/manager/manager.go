@@ -517,9 +517,6 @@ func (m *Manager) demoteSlice(now float64, from, maxSub int) (moved int64, wrapp
 	return moved, wrapped, movedKeys
 }
 
-// Store returns the underlying store.
-func (m *Manager) Store() *store.Store { return m.st }
-
 func subKey(key string, k int) string {
 	var buf [64]byte
 	b := append(buf[:0], key...)
@@ -1292,17 +1289,6 @@ func (m *Manager) Delete(key string) error {
 		}
 	}
 	return nil
-}
-
-// TaskSize reports the original size of a written task.
-func (m *Manager) TaskSize(key string) (int64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	meta, ok := m.tasks[key]
-	if !ok {
-		return 0, false
-	}
-	return meta.size, true
 }
 
 // TaskInfo reports the original size and the Input Analyzer result that

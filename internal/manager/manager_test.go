@@ -20,8 +20,29 @@ import (
 	"hcompress/internal/tier"
 )
 
+// taskSize reports the original size of a written task.
+func taskSize(m *Manager, key string) (int64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	meta, ok := m.tasks[key]
+	if !ok {
+		return 0, false
+	}
+	return meta.size, true
+}
+
+// codecID looks a codec's header ID up by name.
+func codecID(t testing.TB, name string) codec.ID {
+	t.Helper()
+	c, err := codec.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.ID()
+}
+
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{Offset: 12345, Length: 1 << 20, Codec: codec.Snappy, Stored: 4242}
+	h := Header{Offset: 12345, Length: 1 << 20, Codec: codecID(t, "snappy"), Stored: 4242}
 	buf, err := h.Encode(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +63,44 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeHeader: on arbitrary bytes DecodeHeader either fails or
+// returns a header whose Stored matches the bytes after it, and never
+// panics. A decoded header re-encodes to the input's bytes 0-8 and 12-19
+// (bytes 9-11 are reserved and ignored on read).
+func FuzzDecodeHeader(f *testing.F) {
+	for _, seed := range []struct {
+		h    Header
+		rest int
+	}{
+		{Header{Offset: 12345, Length: 1 << 20, Codec: codecID(f, "snappy"), Stored: 4242}, 4242},
+		{Header{Length: 10, Codec: codecID(f, "lz4"), Stored: 5}, 5},
+		{Header{Length: 10, Codec: codecID(f, "lz4"), Stored: 5}, 8},
+	} {
+		buf, err := seed.h.Encode(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append(buf, make([]byte, seed.rest)...))
+	}
+	f.Add([]byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		h, rest, err := DecodeHeader(payload)
+		if err != nil {
+			return
+		}
+		if int64(len(rest)) != h.Stored {
+			t.Fatalf("rest %d bytes, header says %d", len(rest), h.Stored)
+		}
+		enc, err := h.Encode(nil)
+		if err != nil {
+			t.Fatalf("decoded header does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc[:9], payload[:9]) || !bytes.Equal(enc[12:], payload[12:HeaderSize]) {
+			t.Fatalf("re-encoded % x, input header % x", enc, payload[:HeaderSize])
+		}
+	})
+}
+
 func TestHeaderRejectsOverflowAndCorruption(t *testing.T) {
 	if _, err := (Header{Offset: 1 << 40}).Encode(nil); err == nil {
 		t.Error("u32 overflow accepted")
@@ -49,7 +108,7 @@ func TestHeaderRejectsOverflowAndCorruption(t *testing.T) {
 	if _, _, err := DecodeHeader([]byte{1, 2, 3}); err == nil {
 		t.Error("short payload accepted")
 	}
-	h := Header{Length: 10, Codec: codec.LZ4, Stored: 5}
+	h := Header{Length: 10, Codec: codecID(t, "lz4"), Stored: 5}
 	buf, _ := h.Encode(nil)
 	if _, _, err := DecodeHeader(append(buf, 1, 2, 3)); err == nil {
 		t.Error("stored-size mismatch accepted")
@@ -328,10 +387,10 @@ func TestTaskAccessors(t *testing.T) {
 	attr := analyzer.Analyze(data)
 	sc, _ := e.eng.Plan(0, attr, 4096)
 	writeOne(e.mgr, 0, "t", data, 4096, attr, sc)
-	if n, ok := e.mgr.TaskSize("t"); !ok || n != 4096 {
-		t.Errorf("TaskSize = %d, %v", n, ok)
+	if n, ok := taskSize(e.mgr, "t"); !ok || n != 4096 {
+		t.Errorf("taskSize = %d, %v", n, ok)
 	}
-	if _, ok := e.mgr.TaskSize("missing"); ok {
+	if _, ok := taskSize(e.mgr, "missing"); ok {
 		t.Error("missing task reported")
 	}
 	if e.mgr.Tasks() != 1 {

@@ -404,7 +404,7 @@ func TestExecuteFailsIndependently(t *testing.T) {
 	if reqs[2].Err != planErr {
 		t.Fatalf("a request arriving with Err set must be left untouched, got %v", reqs[2].Err)
 	}
-	if _, ok := e.mgr.TaskSize("skipped"); ok {
+	if _, ok := taskSize(e.mgr, "skipped"); ok {
 		t.Fatal("a request arriving with Err set was executed")
 	}
 

@@ -13,22 +13,22 @@ func TestHealthDegradedThenOffline(t *testing.T) {
 	m.SetEventSink(func(ev Event) { events = append(events, ev) })
 
 	m.Observe(1, 0, errBoom)
-	if h := m.Health()[0]; h.State != Degraded || h.ErrStreak != 1 {
+	if h := m.Health()[0]; h.State != degraded || h.ErrStreak != 1 {
 		t.Fatalf("after one error: %+v", h)
 	}
 	m.Observe(2, 0, errBoom)
 	m.Observe(3, 0, errBoom) // third consecutive error: offline
-	if h := m.Health()[0]; h.State != Offline {
+	if h := m.Health()[0]; h.State != offline {
 		t.Fatalf("after three errors: %+v", h)
 	}
-	if len(events) != 2 || events[0].To != Degraded || events[1].To != Offline {
+	if len(events) != 2 || events[0].To != degraded || events[1].To != offline {
 		t.Fatalf("transition events: %+v", events)
 	}
 	if events[1].VTime != 3 {
 		t.Fatalf("offline transition time %v want 3", events[1].VTime)
 	}
 	// The other tier is untouched.
-	if h := m.Health()[1]; h.State != Healthy {
+	if h := m.Health()[1]; h.State != healthy {
 		t.Fatalf("tier 1 should be healthy: %+v", h)
 	}
 }
@@ -38,7 +38,7 @@ func TestOfflineTierMaskedFromStatus(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		m.Observe(float64(i), 0, errBoom)
 	}
-	// Offline at now=2 with the first probe due at 2.5: sample before it.
+	// offline at now=2 with the first probe due at 2.5: sample before it.
 	sts := m.Status(2.1)
 	if sts[0].Available {
 		t.Fatal("offline tier must report Available=false")
@@ -63,7 +63,7 @@ func TestRecoveryProbeAndHeal(t *testing.T) {
 	}
 	// A success heals it back to Healthy immediately.
 	m.Observe(0.7, 0, nil)
-	if h := m.Health()[0]; h.State != Healthy || h.ErrStreak != 0 {
+	if h := m.Health()[0]; h.State != healthy || h.ErrStreak != 0 {
 		t.Fatalf("after healing success: %+v", h)
 	}
 	if sts := m.Status(0.8); !sts[0].Available {

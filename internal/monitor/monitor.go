@@ -25,24 +25,24 @@ import (
 type HealthState uint8
 
 const (
-	// Healthy: no outstanding errors.
-	Healthy HealthState = iota
-	// Degraded: recent errors below the offline threshold; the tier is
+	// healthy: no outstanding errors.
+	healthy HealthState = iota
+	// degraded: recent errors below the offline threshold; the tier is
 	// still offered for placement but callers should expect retries.
-	Degraded
-	// Offline: consecutive errors reached the threshold; the tier is
+	degraded
+	// offline: consecutive errors reached the threshold; the tier is
 	// masked from planning except for periodic recovery probes.
-	Offline
+	offline
 )
 
 // String names the state for reports and metrics.
 func (s HealthState) String() string {
 	switch s {
-	case Healthy:
+	case healthy:
 		return "healthy"
-	case Degraded:
+	case degraded:
 		return "degraded"
-	case Offline:
+	case offline:
 		return "offline"
 	}
 	return "unknown"
@@ -173,7 +173,7 @@ func (m *SystemMonitor) Status(now float64) []store.TierStatus {
 	sts := m.st.Status(now)
 	for i := range sts {
 		h := &m.health[i]
-		if h.state != Offline {
+		if h.state != offline {
 			continue
 		}
 		if now >= h.nextProbe {
@@ -221,19 +221,19 @@ func (m *SystemMonitor) Observe(now float64, tier int, err error) {
 			return // steady state: one atomic load per store op
 		}
 		m.mu.Lock()
-		if h.state == Healthy && h.streak == 0 {
+		if h.state == healthy && h.streak == 0 {
 			m.mu.Unlock()
 			return
 		}
-		ev := Event{Tier: tier, Name: m.tierName(tier), From: h.state, To: Healthy, VTime: now}
-		h.state = Healthy
+		ev := Event{Tier: tier, Name: m.tierName(tier), From: h.state, To: healthy, VTime: now}
+		h.state = healthy
 		h.streak = 0
 		h.probeN = 0
 		h.nextProbe = 0
 		h.lastTransition = now
 		h.clean.Store(true)
 		m.lastRefresh = -1 // re-expose the tier on the next refresh
-		m.setHealthGauge(tier, Healthy)
+		m.setHealthGauge(tier, healthy)
 		m.mu.Unlock()
 		m.emit(ev)
 		return
@@ -244,8 +244,8 @@ func (m *SystemMonitor) Observe(now float64, tier int, err error) {
 	h.streak++
 	prev := h.state
 	if h.streak >= offlineAfter {
-		h.state = Offline
-		if prev == Offline {
+		h.state = offline
+		if prev == offline {
 			// A failed probe (or late straggler): back the next probe off.
 			if h.probeN < 62 {
 				h.probeN++
@@ -253,7 +253,7 @@ func (m *SystemMonitor) Observe(now float64, tier int, err error) {
 		}
 		h.nextProbe = now + m.probeBackoff(h.probeN)
 	} else {
-		h.state = Degraded
+		h.state = degraded
 	}
 	var ev Event
 	transitioned := h.state != prev

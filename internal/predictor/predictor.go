@@ -18,13 +18,13 @@ import (
 	"hcompress/internal/telemetry"
 )
 
-// Target indexes the three predicted quantities.
-type Target int
+// predTarget indexes the three predicted quantities.
+type predTarget int
 
 const (
-	TargetCompress Target = iota
-	TargetDecompress
-	TargetRatio
+	targetCompress predTarget = iota
+	targetDecompress
+	targetRatio
 	numTargets
 )
 
@@ -48,7 +48,7 @@ func features(dt stats.DataType, dist stats.Dist) []float64 {
 
 type modelKey struct {
 	codec  string
-	target Target
+	target predTarget
 }
 
 type observation struct {
@@ -147,7 +147,7 @@ func New(s *seed.Seed) *CCP {
 	return c
 }
 
-func (c *CCP) model(name string, t Target) *stats.RLS {
+func (c *CCP) model(name string, t predTarget) *stats.RLS {
 	k := modelKey{name, t}
 	m, ok := c.models[k]
 	if !ok {
@@ -166,16 +166,16 @@ func (c *CCP) model(name string, t Target) *stats.RLS {
 func (c *CCP) absorb(o observation) {
 	f := features(o.dt, o.dist)
 	if o.actual.CompressMBps > 0 {
-		c.observeRelErr(modelKey{o.codec, TargetCompress}, f, o.actual.CompressMBps)
-		c.model(o.codec, TargetCompress).Observe(f, o.actual.CompressMBps)
+		c.observeRelErr(modelKey{o.codec, targetCompress}, f, o.actual.CompressMBps)
+		c.model(o.codec, targetCompress).Observe(f, o.actual.CompressMBps)
 	}
 	if o.actual.DecompressMBps > 0 {
-		c.observeRelErr(modelKey{o.codec, TargetDecompress}, f, o.actual.DecompressMBps)
-		c.model(o.codec, TargetDecompress).Observe(f, o.actual.DecompressMBps)
+		c.observeRelErr(modelKey{o.codec, targetDecompress}, f, o.actual.DecompressMBps)
+		c.model(o.codec, targetDecompress).Observe(f, o.actual.DecompressMBps)
 	}
 	if o.actual.Ratio >= 1 {
-		c.observeRelErr(modelKey{o.codec, TargetRatio}, f, o.actual.Ratio)
-		c.model(o.codec, TargetRatio).Observe(f, o.actual.Ratio)
+		c.observeRelErr(modelKey{o.codec, targetRatio}, f, o.actual.Ratio)
+		c.model(o.codec, targetRatio).Observe(f, o.actual.Ratio)
 	}
 	c.feedbacks++
 	c.tmAbsorbed.Inc()
@@ -186,7 +186,7 @@ func (c *CCP) absorb(o observation) {
 func (c *CCP) Predict(dt stats.DataType, dist stats.Dist, codecName string) (seed.CodecCost, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mc, ok := c.models[modelKey{codecName, TargetCompress}]
+	mc, ok := c.models[modelKey{codecName, targetCompress}]
 	if !ok || mc.Seen() == 0 {
 		return seed.CodecCost{}, false
 	}
@@ -196,10 +196,10 @@ func (c *CCP) Predict(dt stats.DataType, dist stats.Dist, codecName string) (see
 		DecompressMBps: 0.1,
 		Ratio:          1,
 	}
-	if md, ok := c.models[modelKey{codecName, TargetDecompress}]; ok {
+	if md, ok := c.models[modelKey{codecName, targetDecompress}]; ok {
 		cost.DecompressMBps = clamp(md.Predict(f), 0.1, 1e6)
 	}
-	if mr, ok := c.models[modelKey{codecName, TargetRatio}]; ok {
+	if mr, ok := c.models[modelKey{codecName, targetRatio}]; ok {
 		cost.Ratio = clamp(mr.Predict(f), 1, 1e4)
 	}
 	return cost, true
@@ -304,13 +304,13 @@ func (c *CCP) absorbRun(o observation) {
 		}
 	}
 	if len(comp) > 0 {
-		c.model(o.codec, TargetCompress).ObserveRun(f, comp)
+		c.model(o.codec, targetCompress).ObserveRun(f, comp)
 	}
 	if len(dec) > 0 {
-		c.model(o.codec, TargetDecompress).ObserveRun(f, dec)
+		c.model(o.codec, targetDecompress).ObserveRun(f, dec)
 	}
 	if len(ratio) > 0 {
-		c.model(o.codec, TargetRatio).ObserveRun(f, ratio)
+		c.model(o.codec, targetRatio).ObserveRun(f, ratio)
 	}
 	c.feedbacks += len(o.run)
 }

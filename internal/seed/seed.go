@@ -75,20 +75,10 @@ func (w Weights) Normalize() Weights {
 	return Weights{Compression: w.Compression / s, Decompression: w.Decompression / s, Ratio: w.Ratio / s, Cost: w.Cost / s}
 }
 
-// Canonical priority presets from Table II of the paper.
-var (
-	// WeightsAsync prioritizes compression speed (asynchronous I/O:
-	// writes are hidden, only the compress stall matters).
-	WeightsAsync = Weights{Compression: 1, Decompression: 0, Ratio: 0}
-	// WeightsArchival prioritizes ratio (archival I/O).
-	WeightsArchival = Weights{Compression: 0, Decompression: 0, Ratio: 1}
-	// WeightsReadAfterWrite balances all three (read-after-write
-	// workflows such as VPIC + BD-CATS).
-	WeightsReadAfterWrite = Weights{Compression: 0.3, Decompression: 0.3, Ratio: 0.4}
-	// WeightsEqual is the evaluation default ("we set the workload
-	// priority to equal for compression metrics").
-	WeightsEqual = Weights{Compression: 1.0 / 3, Decompression: 1.0 / 3, Ratio: 1.0 / 3}
-)
+// WeightsEqual is the evaluation default ("we set the workload priority
+// to equal for compression metrics"); the other Table II presets are the
+// root package's Priority* values.
+var WeightsEqual = Weights{Compression: 1.0 / 3, Decompression: 1.0 / 3, Ratio: 1.0 / 3}
 
 // Lookup returns the cost for the exact combination, falling back to the
 // average over distributions for the type, then over everything for the
@@ -160,9 +150,8 @@ const DefaultFeedbackInterval = 64
 
 // ProfileOptions controls Generate.
 type ProfileOptions struct {
-	BufSize  int   // bytes per probe buffer (default 256 KiB)
-	Repeats  int   // timing repeats per combination (default 1)
-	SeedBase int64 // RNG base seed
+	BufSize int // bytes per probe buffer (default 256 KiB)
+	Repeats int // timing repeats per combination (default 1)
 	// Codecs restricts profiling to these library names (default: all).
 	Codecs []string
 }
@@ -192,7 +181,7 @@ func Generate(h tier.Hierarchy, opts ProfileOptions) (*Seed, error) {
 	}
 	for _, dt := range stats.AllTypes() {
 		for _, dist := range stats.AllDists() {
-			buf := stats.GenBuffer(dt, dist, opts.BufSize, opts.SeedBase+int64(dt)*100+int64(dist))
+			buf := stats.GenBuffer(dt, dist, opts.BufSize, int64(dt)*100+int64(dist))
 			for _, c := range codec.All() {
 				if c.ID() == codec.None {
 					continue
@@ -200,7 +189,7 @@ func Generate(h tier.Hierarchy, opts ProfileOptions) (*Seed, error) {
 				if len(want) > 0 && !want[c.Name()] {
 					continue
 				}
-				cost, err := MeasureCodec(c, buf, opts.Repeats)
+				cost, err := measureCodec(c, buf, opts.Repeats)
 				if err != nil {
 					return nil, fmt.Errorf("seed: profiling %s on %s/%s: %w", c.Name(), dt, dist, err)
 				}
@@ -211,8 +200,8 @@ func Generate(h tier.Hierarchy, opts ProfileOptions) (*Seed, error) {
 	return s, nil
 }
 
-// MeasureCodec times one codec on one buffer and returns the cost tuple.
-func MeasureCodec(c codec.Codec, buf []byte, repeats int) (CodecCost, error) {
+// measureCodec times one codec on one buffer and returns the cost tuple.
+func measureCodec(c codec.Codec, buf []byte, repeats int) (CodecCost, error) {
 	if repeats < 1 {
 		repeats = 1
 	}

@@ -88,7 +88,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seed.json")
 	s := Builtin(tier.Ares(2*tier.GB, 4*tier.GB, tier.TB, 10*tier.TB))
-	s.Weights = WeightsReadAfterWrite
+	readAfterWrite := Weights{Compression: 0.3, Decompression: 0.3, Ratio: 0.4}
+	s.Weights = readAfterWrite
 	s.FeedbackInterval = 32
 	s.ModelCoef = map[string][]float64{"lz4/ratio": {1.5, 0.2}}
 	if err := s.Save(path); err != nil {
@@ -101,7 +102,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.FeedbackInterval != 32 {
 		t.Errorf("interval %d", back.FeedbackInterval)
 	}
-	if back.Weights != WeightsReadAfterWrite {
+	if back.Weights != readAfterWrite {
 		t.Errorf("weights %+v", back.Weights)
 	}
 	if len(back.Costs) != len(s.Costs) {
@@ -154,7 +155,7 @@ func TestGenerateProfilesRealCodecs(t *testing.T) {
 func TestMeasureCodecAgainstKnownInput(t *testing.T) {
 	c, _ := codec.ByName("rle")
 	buf := make([]byte, 64<<10) // zeros: RLE compresses massively
-	cost, err := MeasureCodec(c, buf, 2)
+	cost, err := measureCodec(c, buf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +175,6 @@ func TestWeightsNormalize(t *testing.T) {
 	z := Weights{}.Normalize()
 	if math.Abs(z.Compression+z.Decompression+z.Ratio-1) > 1e-12 {
 		t.Errorf("zero weights should normalize to equal: %+v", z)
-	}
-	// Table II presets.
-	if WeightsAsync.Normalize().Compression != 1 {
-		t.Error("async preset")
-	}
-	if WeightsArchival.Normalize().Ratio != 1 {
-		t.Error("archival preset")
-	}
-	raw := WeightsReadAfterWrite.Normalize()
-	if math.Abs(raw.Ratio-0.4) > 1e-12 {
-		t.Errorf("read-after-write preset: %+v", raw)
 	}
 }
 

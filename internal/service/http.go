@@ -61,21 +61,21 @@ type DecompressResponse struct {
 	Shard int    `json:"shard"`
 }
 
-// DeleteRequest is the POST /v1/delete body.
-type DeleteRequest struct {
+// deleteRequest is the POST /v1/delete body.
+type deleteRequest struct {
 	Tenant string `json:"tenant"`
 	Key    string `json:"key"`
 }
 
-// ErrorResponse is every non-2xx body: a human message and a stable
+// errorResponse is every non-2xx body: a human message and a stable
 // machine code ("throttled", "quota_exceeded", "not_found", ...).
-type ErrorResponse struct {
+type errorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
 }
 
-// StatResponse is the GET /v1/stat reply.
-type StatResponse struct {
+// statResponse is the GET /v1/stat reply.
+type statResponse struct {
 	Shards  int                          `json:"shards"`
 	Tenants []TenantStat                 `json:"tenants,omitempty"`
 	Tenant  *TenantStat                  `json:"tenant,omitempty"`
@@ -135,7 +135,7 @@ func reqContext(r *http.Request) context.Context {
 }
 
 // writeError maps the typed error taxonomy onto HTTP statuses. Every
-// body is an ErrorResponse; errors.Is keeps working across the wire via
+// body is an errorResponse; errors.Is keeps working across the wire via
 // the machine code.
 func writeError(w http.ResponseWriter, err error) {
 	code, status := "internal", http.StatusInternalServerError
@@ -151,7 +151,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, hcerr.ErrTierOffline), errors.Is(err, hcerr.ErrNoCapacity):
 		code, status = "unavailable", http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+	writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -160,10 +160,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxRequestBody bounds a request body. The largest request the tests,
+// examples and benchmark probes send is a 256 KiB task, about 342 KiB as
+// base64 JSON; 16 MiB carries tasks up to 12 MiB.
+const maxRequestBody = 16 << 20
+
+// decodeBody decodes the JSON request body into v, answering 413 when the
+// body passes maxRequestBody and 400 when it does not decode.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	defer func() { _, _ = io.Copy(io.Discard, r.Body) }()
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	defer func() { _, _ = io.Copy(io.Discard, body) }()
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+				Error: fmt.Sprintf("service: request body over %d bytes", tooLarge.Limit), Code: "too_large"})
+			return false
+		}
+		writeJSON(w, http.StatusBadRequest, errorResponse{
 			Error: fmt.Sprintf("service: bad request body: %v", err), Code: "bad_request"})
 		return false
 	}
@@ -176,7 +190,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Data) == 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "service: empty task data", Code: "bad_request"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "service: empty task data", Code: "bad_request"})
 		return
 	}
 	rep, err := s.Compress(reqContext(r), req.Tenant, hcompress.Task{
@@ -221,7 +235,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req DeleteRequest
+	var req deleteRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -237,7 +251,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	shards, _ := s.shardInfo("")
-	resp := StatResponse{Shards: shards}
+	resp := statResponse{Shards: shards}
 	if name := r.URL.Query().Get("tenant"); name != "" {
 		st := s.TenantUsage(name)
 		resp.Tenant = &st
@@ -251,14 +265,14 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// SLOResponse is the GET /v1/slo reply: one entry per (tenant, op)
+// sloResponse is the GET /v1/slo reply: one entry per (tenant, op)
 // series seen inside the rolling window.
-type SLOResponse struct {
+type sloResponse struct {
 	SLOs []telemetry.SLOStatus `json:"slos"`
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, SLOResponse{SLOs: s.SLOReport()})
+	writeJSON(w, http.StatusOK, sloResponse{SLOs: s.SLOReport()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -270,7 +284,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, status, StatResponse{Health: health})
+	writeJSON(w, status, statResponse{Health: health})
 }
 
 // handleMetrics serves the backend's merged exposition followed by the

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -208,6 +209,45 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimit: a body one byte over maxRequestBody is refused
+// with 413/too_large and stores nothing; a body exactly at the limit is
+// served as before.
+func TestRequestBodyLimit(t *testing.T) {
+	s := newServer(t, Config{})
+	h := s.Handler()
+	post := func(key string, size int) (int, errorResponse) {
+		// Whitespace pads the object before its closing brace, so the
+		// decoder has to read all size bytes.
+		head := `{"tenant":"t","key":"` + key + `","data":"AAAA"`
+		body := io.MultiReader(strings.NewReader(head),
+			io.LimitReader(spaces{}, int64(size-len(head)-1)), strings.NewReader("}"))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compress", body))
+		var er errorResponse
+		_ = json.Unmarshal(rec.Body.Bytes(), &er)
+		return rec.Code, er
+	}
+	if code, er := post("over", maxRequestBody+1); code != http.StatusRequestEntityTooLarge || er.Code != "too_large" {
+		t.Fatalf("limit+1: HTTP %d code %q, want 413 too_large", code, er.Code)
+	}
+	if _, err := s.Decompress(context.Background(), "t", "over", ""); !errors.Is(err, hcerr.ErrNotFound) {
+		t.Fatalf("an over-limit request stored its task: %v", err)
+	}
+	if code, er := post("at", maxRequestBody); code != http.StatusOK {
+		t.Fatalf("at the limit: HTTP %d code %q, want 200", code, er.Code)
+	}
+}
+
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // postJSON is the test HTTP client: marshal req, POST, decode into out,
 // and return the status code.
 func postJSON(t *testing.T, url string, req, out any) int {
@@ -264,7 +304,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 
 	// Cross-tenant read: 404 with the stable machine code.
-	var er ErrorResponse
+	var er errorResponse
 	if code := postJSON(t, base+"/v1/decompress", DecompressRequest{Tenant: "capped", Key: "doc"}, &er); code != http.StatusNotFound {
 		t.Fatalf("cross-tenant read: HTTP %d, want 404", code)
 	}
@@ -296,7 +336,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 
 	// Delete, then the key is gone.
 	var del struct{}
-	if code := postJSON(t, base+"/v1/delete", DeleteRequest{Tenant: "alpha", Key: "doc"}, &del); code != http.StatusOK {
+	if code := postJSON(t, base+"/v1/delete", deleteRequest{Tenant: "alpha", Key: "doc"}, &del); code != http.StatusOK {
 		t.Fatalf("delete: HTTP %d", code)
 	}
 	if code := postJSON(t, base+"/v1/decompress", DecompressRequest{Tenant: "alpha", Key: "doc"}, &er); code != http.StatusNotFound {
@@ -316,7 +356,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stat StatResponse
+	var stat statResponse
 	err = json.NewDecoder(sres.Body).Decode(&stat)
 	sres.Body.Close()
 	if err != nil {

@@ -70,7 +70,7 @@ func TestSLOEndpointAndRequestMetrics(t *testing.T) {
 	if code := postJSON(t, base+"/v1/decompress", DecompressRequest{Tenant: "alpha", Key: "doc"}, &dr); code != http.StatusOK {
 		t.Fatalf("decompress doc: HTTP %d", code)
 	}
-	var er ErrorResponse
+	var er errorResponse
 	if code := postJSON(t, base+"/v1/decompress", DecompressRequest{Tenant: "alpha", Key: "ghost"}, &er); code != http.StatusNotFound {
 		t.Fatalf("decompress ghost: HTTP %d, want 404", code)
 	}
@@ -80,7 +80,7 @@ func TestSLOEndpointAndRequestMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slo SLOResponse
+	var slo sloResponse
 	err = json.NewDecoder(sres.Body).Decode(&slo)
 	sres.Body.Close()
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package stats provides the statistical substrate for HCompress: random
 // data generators over the four distributions the paper's Input Analyzer
 // distinguishes (uniform, normal, exponential, gamma), moment estimators,
-// a moment-based distribution classifier, and linear regression (batch OLS
-// with inference statistics plus recursive least squares for the CCP's
-// reinforcement-learning feedback loop).
+// a moment-based distribution classifier, and recursive least squares for
+// the CCP's reinforcement-learning feedback loop (its tests check it
+// against a batch OLS kept beside them).
 package stats
 
 import (
@@ -104,8 +104,8 @@ func sampleGamma(rng *rand.Rand, k, theta float64) float64 {
 	}
 }
 
-// Moments summarizes a sample.
-type Moments struct {
+// moments summarizes a sample.
+type moments struct {
 	N        int
 	Mean     float64
 	Variance float64 // population variance
@@ -114,9 +114,9 @@ type Moments struct {
 	Min, Max float64
 }
 
-// ComputeMoments returns the first four standardized moments of xs.
-func ComputeMoments(xs []float64) Moments {
-	m := Moments{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
+// computeMoments returns the first four standardized moments of xs.
+func computeMoments(xs []float64) moments {
+	m := moments{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
 	if len(xs) == 0 {
 		return m
 	}
@@ -166,7 +166,7 @@ func ComputeMoments(xs []float64) Moments {
 // "statically using techniques such as sub-sampling" and treats it as a
 // fast pre-pass, not an inference problem.
 func ClassifyDist(xs []float64) Dist {
-	m := ComputeMoments(xs)
+	m := computeMoments(xs)
 	if m.N < 8 || m.Variance == 0 {
 		return Uniform
 	}

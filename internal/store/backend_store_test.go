@@ -124,7 +124,7 @@ func TestBackendPutFailureObservedAndSpillable(t *testing.T) {
 	var observed []error
 	s, err := Open(testHier(), Options{
 		KeepData: true,
-		Backends: []backend.TierBackend{
+		backends: []backend.TierBackend{
 			&failBackend{Mem: backend.NewMem(), putErr: devErr},
 			backend.NewMem(),
 		},

@@ -141,7 +141,7 @@ func crash(b *Backend) {
 // surviving input coexist, and replay must fold them into one copy.
 func TestCrashMidDeleteLeavesIdempotentReplay(t *testing.T) {
 	dir := t.TempDir()
-	b := New(dir, Options{SegmentBytes: 256})
+	b := New(dir, Options{segmentBytes: 256})
 	if err := b.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -81,35 +81,22 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrClosed is returned by operations on a closed backend.
-var ErrClosed = errors.New("durable: backend closed")
+// errClosed is returned by operations on a closed backend.
+var errClosed = errors.New("durable: backend closed")
 
 // Options tune a file backend. The zero value selects the defaults.
+// Every append (put or tombstone) is fsynced before it returns, and
+// compaction runs once compactMinDead of the sealed bytes are dead.
 type Options struct {
-	// SegmentBytes seals the active journal into an immutable segment
-	// once it grows past this size. Default 4 MiB.
-	SegmentBytes int64
-	// SyncEvery fsyncs the journal every N put appends (1 = every put,
-	// the crash-safest and the default). Tombstone appends ride on the
-	// same cadence.
-	SyncEvery int
-	// CompactMinDead is the dead fraction of sealed bytes that triggers
-	// compaction. Default 0.5.
-	CompactMinDead float64
+	// segmentBytes seals the active journal into an immutable segment
+	// once it grows past this size. Default 4 MiB; tests shrink it to
+	// force rotation.
+	segmentBytes int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
-	}
-	if o.CompactMinDead <= 0 {
-		o.CompactMinDead = 0.5
-	}
-	return o
-}
+// compactMinDead is the dead fraction of sealed bytes that triggers
+// compaction.
+const compactMinDead = 0.5
 
 // entry locates one live payload on disk.
 type entry struct {
@@ -127,14 +114,13 @@ type entry struct {
 // shared descriptors but share the lock so compaction never closes a
 // descriptor mid-read).
 type Backend struct {
-	dir  string
-	opts Options
+	dir          string
+	segmentBytes int64
 
 	mu        sync.Mutex
 	wal       *os.File
 	walID     int64
 	walSize   int64
-	sinceSync int
 	files     map[int64]*os.File // read descriptors, active journal included
 	fileSize  map[int64]int64
 	live      map[int64]int64 // live record bytes per file
@@ -157,14 +143,17 @@ type Backend struct {
 // New creates a file backend rooted at dir. Nothing touches the disk
 // until Open.
 func New(dir string, opts Options) *Backend {
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = 4 << 20
+	}
 	return &Backend{
-		dir:      dir,
-		opts:     opts.withDefaults(),
-		files:    make(map[int64]*os.File),
-		fileSize: make(map[int64]int64),
-		live:     make(map[int64]int64),
-		index:    make(map[backend.Handle]entry),
-		syncFn:   func(f *os.File) error { return f.Sync() },
+		dir:          dir,
+		segmentBytes: opts.segmentBytes,
+		files:        make(map[int64]*os.File),
+		fileSize:     make(map[int64]int64),
+		live:         make(map[int64]int64),
+		index:        make(map[backend.Handle]entry),
+		syncFn:       func(f *os.File) error { return f.Sync() },
 	}
 }
 
@@ -424,7 +413,6 @@ func (b *Backend) openWAL() error {
 	b.wal = f
 	b.walID = id
 	b.walSize = 0
-	b.sinceSync = 0
 	b.files[id] = f
 	b.fileSize[id] = 0
 	return nil
@@ -440,26 +428,18 @@ func (b *Backend) seal() error {
 	if err := os.Rename(filepath.Join(b.dir, walName(b.walID)), filepath.Join(b.dir, segName(b.walID))); err != nil {
 		return err
 	}
-	b.sinceSync = 0
 	b.wal = nil
 	return nil
 }
 
-// append writes rec at the journal tail and applies the sync cadence.
+// append writes rec at the journal tail and fsyncs it.
 func (b *Backend) append(rec []byte) error {
 	if _, err := b.wal.WriteAt(rec, b.walSize); err != nil {
 		return err
 	}
 	b.walSize += int64(len(rec))
 	b.fileSize[b.walID] = b.walSize
-	b.sinceSync++
-	if b.sinceSync >= b.opts.SyncEvery {
-		if err := b.syncFn(b.wal); err != nil {
-			return err
-		}
-		b.sinceSync = 0
-	}
-	return nil
+	return b.syncFn(b.wal)
 }
 
 // Put implements backend.TierBackend: the payload is appended to the
@@ -470,7 +450,7 @@ func (b *Backend) Put(_ float64, key string, r *backend.Ref) (backend.Handle, er
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	if b.wal == nil { // a prior seal/compact failure left no journal
 		if err := b.openWAL(); err != nil {
@@ -512,7 +492,7 @@ func (b *Backend) Put(_ float64, key string, r *backend.Ref) (backend.Handle, er
 	// Seal/compact housekeeping is best-effort: the put itself is already
 	// durable, so a maintenance failure must not be reported as a failed
 	// write (the next Put reopens the journal if none is active).
-	if b.walSize >= b.opts.SegmentBytes {
+	if b.walSize >= b.segmentBytes {
 		if err := b.seal(); err == nil {
 			b.maybeCompact()
 			if b.wal == nil {
@@ -548,7 +528,7 @@ func (b *Backend) Peek(_ float64, h backend.Handle) (*backend.Ref, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	e, ok := b.index[h]
 	if !ok {
@@ -567,7 +547,7 @@ func (b *Backend) MoveOut(_ float64, h backend.Handle) (*backend.Ref, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	e, ok := b.index[h]
 	if !ok {
@@ -606,7 +586,7 @@ func (b *Backend) Delete(h backend.Handle) {
 		return
 	}
 	b.deleteEntry(h, e)
-	if b.wal != nil && b.walSize >= b.opts.SegmentBytes {
+	if b.wal != nil && b.walSize >= b.segmentBytes {
 		b.seal()
 	}
 	b.maybeCompact()
@@ -632,7 +612,7 @@ func (b *Backend) sealedStats() (total, live int64) {
 // the threshold. Caller holds b.mu.
 func (b *Backend) maybeCompact() error {
 	total, live := b.sealedStats()
-	if total < b.opts.SegmentBytes || float64(total-live)/float64(total) < b.opts.CompactMinDead {
+	if total < b.segmentBytes || float64(total-live)/float64(total) < compactMinDead {
 		return nil
 	}
 	return b.compact()
@@ -646,7 +626,7 @@ func (b *Backend) Compact() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return ErrClosed
+		return errClosed
 	}
 	return b.compact()
 }
@@ -794,11 +774,7 @@ func (b *Backend) Sync() error {
 	if b.closed || b.wal == nil {
 		return nil
 	}
-	if err := b.syncFn(b.wal); err != nil {
-		return err
-	}
-	b.sinceSync = 0
-	return nil
+	return b.syncFn(b.wal)
 }
 
 // Close implements backend.TierBackend: sync the journal and close every

@@ -181,7 +181,7 @@ func TestDurableTornTailTruncated(t *testing.T) {
 func TestDurableNonTailCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force several sealed files.
-	b := New(dir, Options{SegmentBytes: 256})
+	b := New(dir, Options{segmentBytes: 256})
 	if err := b.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestDurablePayloadChecksumVerifiedOnRead(t *testing.T) {
 
 func TestDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
-	b := New(dir, Options{SegmentBytes: 512})
+	b := New(dir, Options{segmentBytes: 512})
 	if err := b.Open(); err != nil {
 		t.Fatal(err)
 	}

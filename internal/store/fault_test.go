@@ -38,7 +38,7 @@ func TestPutFailsDuringOutage(t *testing.T) {
 		t.Fatal("outage must be sticky, not transient")
 	}
 	// No side effects: the key does not exist.
-	if _, err := s.Stat("k"); !errors.Is(err, ErrNotFound) {
+	if _, err := stat(s, "k"); !errors.Is(err, errNotFound) {
 		t.Fatalf("failed put must leave no blob: %v", err)
 	}
 	// Outside the window the same put succeeds, and the other tier was

@@ -52,8 +52,8 @@ import (
 // It is the canonical hcerr sentinel, so errors.Is matches across layers.
 var ErrNoCapacity = hcerr.ErrNoCapacity
 
-// ErrNotFound is returned when a key is absent.
-var ErrNotFound = hcerr.ErrNotFound
+// errNotFound is returned when a key is absent.
+var errNotFound = hcerr.ErrNotFound
 
 // Blob is one stored object.
 type Blob struct {
@@ -143,9 +143,6 @@ type Options struct {
 	// "file" journals its payloads under DataDir/<tier-name>. Required
 	// when any tier is file-backed.
 	DataDir string
-	// Durable tunes the file-backed tiers (segment size, sync cadence,
-	// compaction threshold). The zero value uses durable's defaults.
-	Durable durable.Options
 	// FaultInjector, when non-nil, rules on every tier operation.
 	FaultInjector fault.Injector
 	// HealthSink, when non-nil, observes per-tier outcomes: a nil error
@@ -154,17 +151,17 @@ type Options struct {
 	HealthSink func(now float64, tier int, err error)
 	// Telemetry, when non-nil, registers per-tier instruments.
 	Telemetry *telemetry.Registry
-	// Backends, when non-nil, supplies one pre-built backend per tier and
-	// overrides selection from the tier specs (used by tests and custom
-	// assemblies). Must match the hierarchy's tier count; the store
-	// Opens and Closes them.
-	Backends []backend.TierBackend
+	// backends, when non-nil, supplies one pre-built backend per tier and
+	// overrides selection from the tier specs (tests use it to run the
+	// store over a backend of their choosing). Must match the hierarchy's
+	// tier count; the store Opens and Closes them.
+	backends []backend.TierBackend
 }
 
 // Open creates a store over the hierarchy, building one payload backend
 // per tier from its spec (Backend "" or "mem" → in-memory, "file" →
 // durable journal under DataDir, "cloud" → modeled object store) unless
-// opts.Backends overrides them. File-backed tiers replay their journals
+// opts.backends overrides them. File-backed tiers replay their journals
 // here: whatever payloads survive recovery re-enter the blob directory
 // and re-charge their tier's capacity ledger before the first operation.
 func Open(h tier.Hierarchy, opts Options) (*Store, error) {
@@ -178,16 +175,16 @@ func Open(h tier.Hierarchy, opts Options) (*Store, error) {
 		flt:        opts.FaultInjector,
 		healthSink: opts.HealthSink,
 	}
-	if opts.Backends != nil && len(opts.Backends) != len(h.Tiers) {
-		return nil, fmt.Errorf("store: %d backends for %d tiers", len(opts.Backends), len(h.Tiers))
+	if opts.backends != nil && len(opts.backends) != len(h.Tiers) {
+		return nil, fmt.Errorf("store: %d backends for %d tiers", len(opts.backends), len(h.Tiers))
 	}
 	for i, spec := range h.Tiers {
 		s.tiers = append(s.tiers, &tierState{
 			spec: spec,
 			res:  des.NewResource(spec.Name, spec.Lanes, spec.Latency, spec.Bandwidth),
 		})
-		if opts.Backends != nil {
-			s.be = append(s.be, opts.Backends[i])
+		if opts.backends != nil {
+			s.be = append(s.be, opts.backends[i])
 			continue
 		}
 		switch spec.Backend {
@@ -197,7 +194,7 @@ func Open(h tier.Hierarchy, opts Options) (*Store, error) {
 			if opts.DataDir == "" {
 				return nil, fmt.Errorf("store: tier %s has a file backend but no DataDir was configured", spec.Name)
 			}
-			s.be = append(s.be, durable.New(filepath.Join(opts.DataDir, spec.Name), opts.Durable))
+			s.be = append(s.be, durable.New(filepath.Join(opts.DataDir, spec.Name), durable.Options{}))
 		case tier.BackendCloud:
 			s.be = append(s.be, cloudtier.New(spec.CostPerGBMonth, spec.EgressCostPerGB))
 		default:
@@ -288,15 +285,6 @@ func (s *Store) Hierarchy() tier.Hierarchy { return s.hier }
 
 // KeepsData reports whether payloads are retained.
 func (s *Store) KeepsData() bool { return s.keepData }
-
-// Backend exposes tier t's payload backend (benchmarks and tests; cost
-// reports come from type-asserting the cloud backend).
-func (s *Store) Backend(t int) backend.TierBackend {
-	if t < 0 || t >= len(s.be) {
-		return nil
-	}
-	return s.be[t]
-}
 
 // release returns size bytes of capacity to tier t.
 func (s *Store) release(t int, size int64) {
@@ -478,7 +466,7 @@ func (s *Store) Get(now float64, key string) (b Blob, end float64, err error) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return Blob{}, now, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return Blob{}, now, fmt.Errorf("%w: %q", errNotFound, key)
 	}
 	if perr != nil {
 		perr = errors.Join(hcerr.ErrBackendIO, perr)
@@ -558,7 +546,7 @@ func (s *Store) Peek(now float64, key string) (Blob, error) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return Blob{}, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return Blob{}, fmt.Errorf("%w: %q", errNotFound, key)
 	}
 	if perr != nil {
 		perr = errors.Join(hcerr.ErrBackendIO, perr)
@@ -589,7 +577,7 @@ func (s *Store) ReadTime(now float64, key string) (end float64, err error) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return now, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return now, fmt.Errorf("%w: %q", errNotFound, key)
 	}
 	if d := s.decide(now, t, fault.OpGet, key, size); d.Err != nil {
 		s.observe(now, t, d.Err)
@@ -608,20 +596,6 @@ func (s *Store) ReadTime(now float64, key string) (end float64, err error) {
 	return end, nil
 }
 
-// Stat returns blob metadata without modeling an I/O.
-func (s *Store) Stat(key string) (Blob, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	blob, ok := s.blobs[key]
-	if !ok {
-		return Blob{}, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	b := *blob
-	b.Data = nil
-	b.ref = nil
-	return b, nil
-}
-
 // Delete removes a blob and releases its capacity.
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()
@@ -631,7 +605,7 @@ func (s *Store) Delete(key string) error {
 	}
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, key)
+		return fmt.Errorf("%w: %q", errNotFound, key)
 	}
 	s.tiers[blob.Tier].tm.deletes.Inc()
 	s.release(blob.Tier, blob.Size)
@@ -651,7 +625,7 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 	defer s.mu.Unlock()
 	blob, ok := s.blobs[key]
 	if !ok {
-		return now, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return now, fmt.Errorf("%w: %q", errNotFound, key)
 	}
 	if dst < 0 || dst >= len(s.tiers) {
 		return now, fmt.Errorf("store: tier %d out of range", dst)
@@ -793,17 +767,6 @@ func (s *Store) Used(t int) int64 {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return ts.used
-}
-
-// Remaining reports free capacity on tier t.
-func (s *Store) Remaining(t int) int64 {
-	if t < 0 || t >= len(s.tiers) {
-		return 0
-	}
-	ts := s.tiers[t]
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.spec.Capacity - ts.used
 }
 
 // Reset clears all blobs and virtual-time state, keeping the hierarchy

@@ -11,6 +11,20 @@ import (
 	"hcompress/internal/tier"
 )
 
+// stat returns blob metadata without modeling an I/O.
+func stat(s *Store, key string) (Blob, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	blob, ok := s.blobs[key]
+	if !ok {
+		return Blob{}, fmt.Errorf("%w: %q", errNotFound, key)
+	}
+	b := *blob
+	b.Data = nil
+	b.ref = nil
+	return b, nil
+}
+
 func testHier() tier.Hierarchy {
 	return tier.Hierarchy{Tiers: []tier.Spec{
 		{Name: "ram", Capacity: 1000, Latency: 0, Bandwidth: 1e9, Lanes: 2},
@@ -104,7 +118,7 @@ func TestOverwriteReleasesOldAllocation(t *testing.T) {
 	if _, err := s.Put(0, 0, "k", nil, 200); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("want ErrNoCapacity, got %v", err)
 	}
-	if got, err := s.Stat("k"); err != nil || got.Tier != 1 || got.Size != 100 {
+	if got, err := stat(s, "k"); err != nil || got.Tier != 1 || got.Size != 100 {
 		t.Fatalf("rollback corrupted blob: %+v %v", got, err)
 	}
 }
@@ -118,10 +132,10 @@ func TestDelete(t *testing.T) {
 	if s.Used(0) != 0 {
 		t.Fatal("delete must release capacity")
 	}
-	if err := s.Delete("k"); !errors.Is(err, ErrNotFound) {
+	if err := s.Delete("k"); !errors.Is(err, errNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	if _, _, err := s.Get(0, "k"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Get(0, "k"); !errors.Is(err, errNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }
@@ -139,7 +153,7 @@ func TestMove(t *testing.T) {
 	if s.Used(0) != 0 || s.Used(1) != 400 {
 		t.Fatalf("used = %d/%d", s.Used(0), s.Used(1))
 	}
-	b, _ := s.Stat("k")
+	b, _ := stat(s, "k")
 	if b.Tier != 1 {
 		t.Fatalf("tier %d", b.Tier)
 	}
@@ -201,7 +215,7 @@ func TestResetClearsEverything(t *testing.T) {
 	if s.Len() != 0 || s.Used(0) != 0 {
 		t.Fatal("reset incomplete")
 	}
-	if _, _, err := s.Get(0, "k"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Get(0, "k"); !errors.Is(err, errNotFound) {
 		t.Fatal("blob survived reset")
 	}
 }
@@ -217,8 +231,8 @@ func TestInvalidTier(t *testing.T) {
 	if _, err := s.Put(0, 0, "k", nil, -5); err == nil {
 		t.Error("negative size accepted")
 	}
-	if s.Used(9) != 0 || s.Remaining(9) != 0 {
-		t.Error("out-of-range accessors should return 0")
+	if s.Used(9) != 0 {
+		t.Error("out-of-range Used should return 0")
 	}
 }
 

@@ -24,8 +24,9 @@ type SLOOptions struct {
 	LatencyTarget time.Duration
 	// Window is the rolling measurement window (default 60s).
 	Window time.Duration
-	// Buckets is the ring granularity inside the window (default 30).
-	Buckets int
+	// buckets is the ring granularity inside the window (default 30;
+	// tests pick their own).
+	buckets int
 	// Now is the clock, injectable for deterministic tests
 	// (default time.Now).
 	Now func() time.Time
@@ -41,8 +42,8 @@ func (o SLOOptions) withDefaults() SLOOptions {
 	if o.Window <= 0 {
 		o.Window = time.Minute
 	}
-	if o.Buckets <= 0 {
-		o.Buckets = 30
+	if o.buckets <= 0 {
+		o.buckets = 30
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -96,7 +97,7 @@ func NewSLOEngine(opt SLOOptions, reg *Registry) *SLOEngine {
 	opt = opt.withDefaults()
 	return &SLOEngine{
 		opt:    opt,
-		bucket: opt.Window / time.Duration(opt.Buckets),
+		bucket: opt.Window / time.Duration(opt.buckets),
 		reg:    reg,
 		series: make(map[sloKey]*sloSeries),
 	}
@@ -108,8 +109,8 @@ func (e *SLOEngine) seriesFor(k sloKey, now time.Time) *sloSeries {
 	sr, ok := e.series[k]
 	if !ok {
 		sr = &sloSeries{
-			good:     make([]int64, e.opt.Buckets),
-			total:    make([]int64, e.opt.Buckets),
+			good:     make([]int64, e.opt.buckets),
+			total:    make([]int64, e.opt.buckets),
 			curStart: now,
 		}
 		if e.reg != nil {
@@ -131,14 +132,14 @@ func (e *SLOEngine) advance(sr *sloSeries, now time.Time) {
 	if steps <= 0 {
 		return
 	}
-	if steps > e.opt.Buckets {
-		steps = e.opt.Buckets
+	if steps > e.opt.buckets {
+		steps = e.opt.buckets
 		sr.curStart = now
 	} else {
 		sr.curStart = sr.curStart.Add(time.Duration(steps) * e.bucket)
 	}
 	for i := 0; i < steps; i++ {
-		sr.cur = (sr.cur + 1) % e.opt.Buckets
+		sr.cur = (sr.cur + 1) % e.opt.buckets
 		sr.good[sr.cur] = 0
 		sr.total[sr.cur] = 0
 	}

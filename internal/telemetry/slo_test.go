@@ -17,7 +17,7 @@ func newTestEngine(reg *Registry) (*SLOEngine, *sloClock) {
 		Objective:     0.9,
 		LatencyTarget: 100 * time.Millisecond,
 		Window:        10 * time.Second,
-		Buckets:       10,
+		buckets:       10,
 		Now:           clk.Now,
 	}, reg)
 	return e, clk

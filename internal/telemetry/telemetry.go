@@ -181,26 +181,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// ExpBuckets returns n exponentially spaced bounds starting at start.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n linearly spaced bounds starting at start.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // Shared bucket layouts, so the same quantity is always comparable.
 var (
 	// SecondsBuckets spans 1µs..10s — codec, I/O, and op latencies.
@@ -281,16 +261,6 @@ func labelKey(labels []Label) string {
 func escapeLabel(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-// SeriesName renders the canonical "name{k="v"}" series identifier used
-// as the key in Snapshot maps.
-func SeriesName(name string, labels ...Label) string {
-	lk := labelKey(labels)
-	if lk == "" {
-		return name
-	}
-	return name + "{" + lk + "}"
 }
 
 // lookup finds or creates the series for (name, labels), creating the

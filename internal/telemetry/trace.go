@@ -32,13 +32,13 @@ func NewSink(w io.Writer) *Sink {
 	return &Sink{w: w}
 }
 
-// Appender is the fast-path encoding hook: a record that knows how to
+// appender is the fast-path encoding hook: a record that knows how to
 // append itself as one JSON object skips encoding/json's reflection
 // walk entirely. The hot per-operation records (spans, audits)
 // implement it; rare records (fault events) fall back to json.Marshal.
 // Implementations must produce the same bytes encoding/json would, so
 // a record kind can move between paths without changing the export.
-type Appender interface {
+type appender interface {
 	AppendJSON(dst []byte) []byte
 }
 
@@ -62,7 +62,7 @@ func (s *Sink) Emit(records ...any) {
 	bp := emitBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
 	for _, rec := range records {
-		if a, ok := rec.(Appender); ok {
+		if a, ok := rec.(appender); ok {
 			buf = append(a.AppendJSON(buf), '\n')
 			continue
 		}
@@ -101,7 +101,7 @@ func (s *Sink) EmitBatch(fill func(dst []byte) []byte) {
 	emitBufs.Put(bp)
 }
 
-// The append helpers below are the building blocks for Appender
+// The append helpers below are the building blocks for appender
 // implementations. They reproduce encoding/json's output byte for byte
 // — same float formatting, same string escaping (including the default
 // HTML-safe escapes) — so hand-encoded and reflected records are
@@ -146,11 +146,11 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// AppendJSONFloat appends v in encoding/json's float format: %g-style
+// appendJSONFloat appends v in encoding/json's float format: %g-style
 // with 'e' notation outside [1e-6, 1e21) and single-digit negative
 // exponents unpadded. Non-finite values (which encoding/json rejects)
 // encode as 0.
-func AppendJSONFloat(dst []byte, v float64) []byte {
+func appendJSONFloat(dst []byte, v float64) []byte {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return append(dst, '0')
 	}
@@ -177,7 +177,7 @@ func AppendJSONFloat(dst []byte, v float64) []byte {
 // is the most expensive step of encoding them: the first Append of a
 // value formats it and remembers where the digits landed in dst, later
 // Appends of the same bits copy them. The output is byte-identical to
-// AppendJSONFloat. A memo belongs to one growing buffer; the zero value
+// appendJSONFloat. A memo belongs to one growing buffer; the zero value
 // is ready, and a nil memo formats every time.
 type FloatMemo struct {
 	n    int // values recorded so far; slot n%len is overwritten next
@@ -186,10 +186,10 @@ type FloatMemo struct {
 	size [16]uint8
 }
 
-// Append appends v to dst as AppendJSONFloat would.
+// Append appends v to dst as appendJSONFloat would.
 func (m *FloatMemo) Append(dst []byte, v float64) []byte {
 	if m == nil {
-		return AppendJSONFloat(dst, v)
+		return appendJSONFloat(dst, v)
 	}
 	b := math.Float64bits(v)
 	for i := 0; i < min(m.n, len(m.bits)); i++ {
@@ -199,7 +199,7 @@ func (m *FloatMemo) Append(dst []byte, v float64) []byte {
 		}
 	}
 	start := len(dst)
-	dst = AppendJSONFloat(dst, v)
+	dst = appendJSONFloat(dst, v)
 	i := m.n % len(m.bits)
 	m.bits[i], m.off[i], m.size[i] = b, int32(start), uint8(len(dst)-start)
 	m.n++

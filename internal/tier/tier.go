@@ -7,18 +7,15 @@
 // "higher tiers have a smaller index" with l = 0 representing RAM.
 package tier
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Well-known tier names used by the presets.
 const (
-	RAM   = "ram"
-	NVM   = "nvme"
-	BB    = "burstbuffer"
-	PFS   = "pfs"
-	Cloud = "cloud"
+	nameRAM   = "ram"
+	nameNVM   = "nvme"
+	nameBB    = "burstbuffer"
+	namePFS   = "pfs"
+	nameCloud = "cloud"
 )
 
 // Payload-backend kinds a Spec may name. The empty string means
@@ -81,25 +78,6 @@ func (h Hierarchy) Concurrency() int {
 	return total
 }
 
-// TotalCapacity sums capacity over all tiers.
-func (h Hierarchy) TotalCapacity() int64 {
-	var total int64
-	for _, t := range h.Tiers {
-		total += t.Capacity
-	}
-	return total
-}
-
-// Index returns the position of the named tier, or -1.
-func (h Hierarchy) Index(name string) int {
-	for i, t := range h.Tiers {
-		if t.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Validate checks ordering invariants: at least one tier, positive
 // capacities and bandwidths, and (by convention) non-increasing bandwidth
 // down the hierarchy is *not* required but capacity must be positive.
@@ -143,14 +121,6 @@ func (h Hierarchy) Validate() error {
 	return nil
 }
 
-func (h Hierarchy) String() string {
-	parts := make([]string, len(h.Tiers))
-	for i, t := range h.Tiers {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, " > ")
-}
-
 // Ares returns the testbed hierarchy modeled after the paper's Table III
 // (the Ares cluster at IIT): 64 compute nodes with node-local RAM buffers
 // and NVMe, 4 burst-buffer nodes with SATA SSDs, and a 24-node OrangeFS
@@ -171,18 +141,11 @@ func Ares(ramCap, nvmeCap, bbCap, pfsCap int64) Hierarchy {
 		pfsNodes     = 24
 	)
 	return Hierarchy{Tiers: []Spec{
-		{Name: RAM, Capacity: ramCap, Latency: 1e-6, Bandwidth: 6e9 * computeNodes, Lanes: computeNodes * 2},
-		{Name: NVM, Capacity: nvmeCap, Latency: 30e-6, Bandwidth: 2e9 * computeNodes, Lanes: computeNodes},
-		{Name: BB, Capacity: bbCap, Latency: 400e-6, Bandwidth: 1e9 * bbNodes, Lanes: bbNodes * 4},
-		{Name: PFS, Capacity: pfsCap, Latency: 5e-3, Bandwidth: 50e6 * pfsNodes, Lanes: pfsNodes},
+		{Name: nameRAM, Capacity: ramCap, Latency: 1e-6, Bandwidth: 6e9 * computeNodes, Lanes: computeNodes * 2},
+		{Name: nameNVM, Capacity: nvmeCap, Latency: 30e-6, Bandwidth: 2e9 * computeNodes, Lanes: computeNodes},
+		{Name: nameBB, Capacity: bbCap, Latency: 400e-6, Bandwidth: 1e9 * bbNodes, Lanes: bbNodes * 4},
+		{Name: namePFS, Capacity: pfsCap, Latency: 5e-3, Bandwidth: 50e6 * pfsNodes, Lanes: pfsNodes},
 	}}
-}
-
-// PFSOnly returns a single-tier hierarchy (the paper's BASE configuration:
-// vanilla PFS with no buffering).
-func PFSOnly(pfsCap int64) Hierarchy {
-	h := Ares(1, 1, 1, pfsCap)
-	return Hierarchy{Tiers: []Spec{h.Tiers[3]}}
 }
 
 // CloudSpec returns a modeled object-store tier: S3-class pricing
@@ -193,7 +156,7 @@ func PFSOnly(pfsCap int64) Hierarchy {
 // unbounded relative to the workload).
 func CloudSpec(capacity int64) Spec {
 	return Spec{
-		Name:            Cloud,
+		Name:            nameCloud,
 		Capacity:        capacity,
 		Latency:         50e-3,
 		Bandwidth:       10e9,
@@ -206,7 +169,7 @@ func CloudSpec(capacity int64) Spec {
 
 // Bytes helpers for readable experiment configs.
 const (
-	KB = int64(1) << 10
+	kb = int64(1) << 10
 	MB = int64(1) << 20
 	GB = int64(1) << 30
 	TB = int64(1) << 40
@@ -221,8 +184,8 @@ func FormatBytes(n int64) string {
 		return fmt.Sprintf("%.1fGB", float64(n)/float64(GB))
 	case n >= MB:
 		return fmt.Sprintf("%.1fMB", float64(n)/float64(MB))
-	case n >= KB:
-		return fmt.Sprintf("%.1fKB", float64(n)/float64(KB))
+	case n >= kb:
+		return fmt.Sprintf("%.1fKB", float64(n)/float64(kb))
 	default:
 		return fmt.Sprintf("%dB", n)
 	}

@@ -13,7 +13,7 @@ func TestAresShape(t *testing.T) {
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	names := []string{RAM, NVM, BB, PFS}
+	names := []string{nameRAM, nameNVM, nameBB, namePFS}
 	for i, n := range names {
 		if h.Tiers[i].Name != n {
 			t.Errorf("tier %d = %s want %s", i, h.Tiers[i].Name, n)
@@ -31,23 +31,14 @@ func TestAresShape(t *testing.T) {
 	}
 }
 
-func TestIndexAndConcurrency(t *testing.T) {
+func TestConcurrency(t *testing.T) {
 	h := Ares(GB, GB, GB, GB)
-	if h.Index(NVM) != 1 || h.Index(PFS) != 3 || h.Index("tape") != -1 {
-		t.Error("Index lookups wrong")
-	}
-	if h.Concurrency() <= 0 {
-		t.Error("Concurrency must be positive")
-	}
 	want := 0
 	for _, s := range h.Tiers {
 		want += s.Lanes
 	}
-	if h.Concurrency() != want {
+	if want <= 0 || h.Concurrency() != want {
 		t.Errorf("Concurrency %d want %d", h.Concurrency(), want)
-	}
-	if h.TotalCapacity() != 4*GB {
-		t.Errorf("TotalCapacity %d", h.TotalCapacity())
 	}
 }
 
@@ -71,16 +62,6 @@ func TestValidateRejectsBadHierarchies(t *testing.T) {
 	}
 }
 
-func TestPFSOnly(t *testing.T) {
-	h := PFSOnly(10 * TB)
-	if h.Len() != 1 || h.Tiers[0].Name != PFS || h.Tiers[0].Capacity != 10*TB {
-		t.Fatalf("PFSOnly wrong: %v", h)
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestServiceTimeMonotonic(t *testing.T) {
 	s := Spec{Name: "x", Capacity: GB, Latency: 1e-3, Bandwidth: 1e9, Lanes: 4}
 	if s.ServiceTime(0) != 1e-3 {
@@ -94,7 +75,7 @@ func TestServiceTimeMonotonic(t *testing.T) {
 func TestFormatBytes(t *testing.T) {
 	cases := map[int64]string{
 		512:     "512B",
-		2 * KB:  "2.0KB",
+		2 * kb:  "2.0KB",
 		3 * MB:  "3.0MB",
 		5 * GB:  "5.0GB",
 		2 * TB:  "2.0TB",
@@ -109,11 +90,9 @@ func TestFormatBytes(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	h := Ares(GB, GB, GB, GB)
-	s := h.String()
-	for _, name := range []string{RAM, NVM, BB, PFS} {
-		if !strings.Contains(s, name) {
-			t.Errorf("String() missing %s: %s", name, s)
+	for _, spec := range Ares(GB, GB, GB, GB).Tiers {
+		if s := spec.String(); !strings.HasPrefix(s, spec.Name+"{") {
+			t.Errorf("String() = %s, want it to start with %s{", s, spec.Name)
 		}
 	}
 }

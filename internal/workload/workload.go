@@ -106,42 +106,16 @@ func (c VPICConfig) GenStepBuffer(rank, step, nParticles int) ([]byte, error) {
 	return f.Encode()
 }
 
-// BDCATSConfig describes the BD-CATS-IO read kernel: it reads datasets
-// "similar to those produced by VPIC" for parallel clustering.
-type BDCATSConfig struct {
-	Ranks     int
-	Timesteps int
-	// Producer is the VPIC run whose output is consumed.
-	Producer VPICConfig
-}
-
-// PaperBDCATS pairs a BD-CATS reader with its VPIC producer.
-func PaperBDCATS(v VPICConfig) BDCATSConfig {
-	return BDCATSConfig{Ranks: v.Ranks, Timesteps: v.Timesteps, Producer: v}
-}
-
-// MicroConfig is the HDF5-source micro-benchmark: each process
+// MicroConfig is the HDF5-source micro-benchmark's task: each process
 // reads/writes an independent but overall contiguous block of a shared
-// file.
+// file, one TaskBytes task at a time.
 type MicroConfig struct {
-	Ranks        int
-	TasksPerRank int
-	TaskBytes    int64
-	Type         stats.DataType
-	Dist         stats.Dist
+	TaskBytes int64
+	Type      stats.DataType
+	Dist      stats.Dist
 }
 
 // Attr returns the micro-benchmark's data attributes.
 func (m MicroConfig) Attr() analyzer.Result {
 	return analyzer.Result{Type: m.Type, Dist: m.Dist, Size: int(m.TaskBytes)}
-}
-
-// TotalBytes is the volume written by the whole micro-benchmark.
-func (m MicroConfig) TotalBytes() int64 {
-	return m.TaskBytes * int64(m.Ranks) * int64(m.TasksPerRank)
-}
-
-// GenTaskBuffer materializes one micro-benchmark task buffer.
-func (m MicroConfig) GenTaskBuffer(rank, task int, n int) []byte {
-	return stats.GenBuffer(m.Type, m.Dist, n, int64(rank)*7919+int64(task))
 }

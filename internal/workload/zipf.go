@@ -44,9 +44,6 @@ func NewZipf(n int, s float64, seed int64) *Zipf {
 	return &Zipf{rng: rand.New(rand.NewSource(seed)), cdf: cdf}
 }
 
-// N is the rank count.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next draws the next rank in [0, N).
 func (z *Zipf) Next() int {
 	u := z.rng.Float64()

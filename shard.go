@@ -367,7 +367,7 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		c.reqPrefix = "s" + cfg.shardLabel + "-"
 	}
 	if cfg.MetricsAddr != "" {
-		if err = c.startMetricsServer(cfg.MetricsAddr, cfg.EnableProfiling); err != nil {
+		if err = c.startMetricsServer(cfg.MetricsAddr); err != nil {
 			return nil, err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -86,8 +85,9 @@ func jsonField(dst []byte, key string) []byte {
 }
 
 // AppendJSON encodes the span exactly as encoding/json would, field
-// order and omitempty semantics included — the telemetry.Appender fast
-// path that keeps per-operation tracing off the reflection walk.
+// order and omitempty semantics included — the telemetry package's
+// appender fast path that keeps per-operation tracing off the
+// reflection walk.
 func (s TraceSpan) AppendJSON(dst []byte) []byte { return s.appendJSON(dst, nil) }
 
 // appendJSON is AppendJSON with the floats going through fm (nil formats
@@ -182,8 +182,8 @@ type AuditRecord struct {
 }
 
 // AppendJSON encodes the audit record exactly as encoding/json would —
-// the telemetry.Appender fast path (every field is unconditional, so
-// this is a straight field walk).
+// the telemetry package's appender fast path (every field is
+// unconditional, so this is a straight field walk).
 func (a AuditRecord) AppendJSON(dst []byte) []byte { return a.appendJSON(dst, nil) }
 
 func (a *AuditRecord) appendJSON(dst []byte, fm *telemetry.FloatMemo) []byte {
@@ -605,9 +605,8 @@ func abs(v float64) float64 {
 
 // startMetricsServer binds addr and serves /metrics (Prometheus text
 // format) and /debug/vars (expvar) until the shard's closer stack, on
-// which it pushes the server's shutdown, unwinds. With profiling enabled
-// the net/http/pprof handlers mount under /debug/pprof/.
-func (c *Shard) startMetricsServer(addr string, profiling bool) error {
+// which it pushes the server's shutdown, unwinds.
+func (c *Shard) startMetricsServer(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("hcompress: metrics listener: %w", err)
@@ -622,13 +621,6 @@ func (c *Shard) startMetricsServer(addr string, profiling bool) error {
 		_ = c.tel.WritePrometheus(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	if profiling {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	srv := &http.Server{Handler: mux}
 	c.metricsLn = ln
 	c.closers.push(srv.Close)
