@@ -143,20 +143,20 @@ func BenchmarkTable2Priorities(b *testing.B) {
 
 // --- ablations (DESIGN.md §5) ---
 
-// BenchmarkAblationMemo measures the DP memoization claim: with the memo
-// the amortized planning cost is near-constant; without it every plan
+// BenchmarkAblationMemo measures the amortized-planning claim: with the
+// plan cache a repeated task costs a lookup; without it every plan
 // re-runs the Match/Place recursion.
 func BenchmarkAblationMemo(b *testing.B) {
-	for _, memo := range []bool{true, false} {
+	for _, cached := range []bool{true, false} {
 		name := "memo-on"
-		if !memo {
+		if !cached {
 			name = "memo-off"
 		}
 		b.Run(name, func(b *testing.B) {
 			h := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
 			st, _ := store.Open(h, store.Options{})
 			eng, err := core.New(predictor.New(seed.Builtin(h)), monitor.New(st, 1e9),
-				core.Config{Weights: seed.WeightsEqual, DisableMemo: !memo})
+				core.Config{Weights: seed.WeightsEqual, DisablePlanCache: !cached})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -173,8 +173,9 @@ func BenchmarkAblationMemo(b *testing.B) {
 
 // BenchmarkAblationAlignment measures the 4096-byte sub-task alignment
 // choice: coarser quanta reduce DP states, finer quanta increase them.
-// (The production engine fixes align = 4096; this bench varies the task
-// size granularity instead, which controls memo reuse the same way.)
+// (The production engine fixes align = 4096; this bench varies how many
+// distinct task sizes arrive instead: a few fit the plan cache, and
+// thousands make every plan a full DP over aligned sub-problems.)
 func BenchmarkAblationAlignment(b *testing.B) {
 	h := tier.Ares(8*tier.MB, 32*tier.MB, 128*tier.MB, tier.TB)
 	st, _ := store.Open(h, store.Options{})
@@ -188,8 +189,8 @@ func BenchmarkAblationAlignment(b *testing.B) {
 		b.Run("distinct-sizes-"+strconv.Itoa(spread), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// spread distinct task sizes; aligned quantization
-				// collapses nearby sizes onto shared sub-problems.
+				// spread distinct task sizes, each its own plan-cache
+				// entry.
 				size := int64(4<<20 + (i%spread)*4096) // 4096: the HCDP sub-task alignment
 				if _, err := eng.Plan(0, attr, size); err != nil {
 					b.Fatal(err)

@@ -288,7 +288,7 @@ func TestManySmallTasks(t *testing.T) {
 	if s.Tasks != 50 {
 		t.Errorf("tasks %d", s.Tasks)
 	}
-	if s.MemoHits == 0 {
-		t.Error("repeated identical tasks should hit the DP memo")
+	if s.PlanCacheHits == 0 {
+		t.Error("repeated identical tasks should be served by the plan cache")
 	}
 }

@@ -17,10 +17,13 @@
 //  4. rc >= 1                       (compression must not expand)
 //  5. Size(p) <= Size(l)            (sub-task fits its tier)
 //
-// The DP is memoized on (remaining size, tier); because sizes are
-// alignment-quantized and the engine additionally reuses its memo table
-// across tasks while the System Monitor snapshot is stable, the amortized
-// planning cost is practically O(1) — the property Fig. 4(a) measures.
+// Each plan runs its own DP, memoized on (remaining size, tier) and with
+// every candidate codec's cost predicted once for the task's data. The
+// only state shared across plans is the plan cache, which keys finished
+// schemas on everything a plan depends on — data type, distribution,
+// size, weight generation and the System Monitor's capacity stamp — so a
+// repeated task is planned in practically O(1), the property Fig. 4(a)
+// measures, and a task never inherits a plan made for other data.
 package core
 
 import (
@@ -28,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,6 +43,7 @@ import (
 	"hcompress/internal/stats"
 	"hcompress/internal/store"
 	"hcompress/internal/telemetry"
+	"hcompress/internal/tier"
 )
 
 // align is the sub-task alignment from constraint 1: the RAM page size and
@@ -74,36 +79,31 @@ type Schema struct {
 type Config struct {
 	// Weights are the application's compression priorities (Table II).
 	Weights seed.Weights
-	// DisableMemo turns off DP memoization (ablation).
-	DisableMemo bool
 	// DisableCompression restricts the engine to placement only
 	// (the MTNC baseline uses this).
 	DisableCompression bool
 	// LoadAware adds the tier's queue backlog to the modeled I/O time.
 	LoadAware bool
-	// DisablePlanCache turns off the whole-schema plan cache that sits
-	// in front of the DP memo (ablation / debugging). The cache is also
-	// bypassed automatically when it cannot be correct: under
-	// DisableMemo (plans are recomputed each call by design) and under
-	// LoadAware (the cost depends on continuously-varying backlog that
-	// no fingerprint captures).
+	// DisablePlanCache turns off the whole-schema plan cache, so every
+	// plan runs the DP (ablation / debugging). The cache is also bypassed
+	// automatically under LoadAware: the cost depends on
+	// continuously-varying backlog that no capacity stamp captures.
 	DisablePlanCache bool
 	// Codecs restricts selection to these library names (default: all
 	// registered codecs).
 	Codecs []string
-	// Telemetry, when non-nil, receives the engine's instruments: memo
-	// hit/miss, plans served, weight-generation bumps, and the plan-depth
-	// histogram (sub-tasks per schema).
+	// Telemetry, when non-nil, receives the engine's instruments: DP
+	// sub-problem reuse, plans served, plan-cache hit/miss, weight-
+	// generation bumps, and the plan-depth histogram (sub-tasks per
+	// schema).
 	Telemetry *telemetry.Registry
 }
 
-// Engine is the HCDP engine. It is safe for concurrent callers: the memo
-// table and capacity fingerprint are guarded by an RWMutex so planners
-// whose answer is already memoized share a read lock (the common steady
-// state), and only a planner that must run the Match/Place recursion
-// takes the write lock. SetWeights is atomic with respect to Plan and
-// invalidates the memo through a generation counter rather than by
-// clearing the table inline.
+// Engine is the HCDP engine. It is safe for concurrent callers: every
+// Plan runs its DP as a value of its own over a snapshot of the weights
+// and tier statuses, so planners share nothing mutable but the plan cache,
+// which has its own lock. mu guards only the weights: SetWeights swaps
+// them together with their generation, which is part of every cache key.
 type Engine struct {
 	pred   *predictor.CCP
 	mon    *monitor.SystemMonitor
@@ -112,21 +112,14 @@ type Engine struct {
 	price  []float64     // per-tier displacement price (sec/byte); immutable
 	dollar []float64     // per-tier $ price ($/byte, storage+egress); immutable
 
-	mu        sync.RWMutex // guards w, memo, memoStamp, memoGen, memoEpoch
-	w         seed.Weights
-	memo      map[memoKey]planVal
-	memoStamp []int64 // bucketed remaining-capacity fingerprint
-	memoGen   int64   // generation the memo was built under
-	memoEpoch int64   // bumped every time the memo table is rebuilt
+	mu  sync.RWMutex // guards w and gen
+	w   seed.Weights
+	gen int64 // bumped whenever weights change
 
-	// Plan cache: finished schemas keyed by the analysis fingerprint
-	// and task size, valid for exactly one memo epoch (see planCache).
 	pc planCache
 
-	gen         atomic.Int64 // bumped whenever weights change
-	memoHits    atomic.Int64
-	memoMisses  atomic.Int64
-	plansServed atomic.Int64
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
 
 	tm engineMetrics // nil instruments when telemetry is off
 }
@@ -135,10 +128,9 @@ type Engine struct {
 // size), so steady-state workloads touch a handful of entries.
 const planCacheSize = 128
 
-// planKey is the analysis fingerprint a schema depends on: of the
-// analyzer's verdict only Type and Dist feed the cost model (via the
-// CCP), and the task size selects the DP root. Capacity fingerprint and
-// weight generation are carried by the memo epoch, not the key.
+// planKey selects a plan-cache slot: of the analyzer's verdict only Type
+// and Dist feed the cost model (via the CCP), and the task size selects
+// the DP root.
 type planKey struct {
 	typ  stats.DataType
 	dist stats.Dist
@@ -147,18 +139,17 @@ type planKey struct {
 
 type planEntry struct {
 	key    planKey
-	epoch  int64  // memo epoch the schema was reconstructed under
-	schema Schema // shared, read-only
-	hits   int64  // memo entries the original reconstruction consumed
+	gen    int64   // weight generation the schema was planned under
+	stamp  []int64 // capacity stamp the schema was planned under
+	schema Schema  // shared, read-only
 }
 
-// planCache is a small LRU of finished schemas in front of the DP memo.
-// An entry is valid only while the memo table it was reconstructed from
-// is still live (same epoch): the epoch bumps whenever the memo is
-// rebuilt — weight-generation change, capacity-bucket drift — so a hit
-// returns byte-for-byte the schema the memo path would have produced.
-// It has its own lock (never held together with Engine.mu ordering
-// concerns: callers never take Engine.mu while holding it).
+// planCache is a small LRU of finished schemas. An entry answers only a
+// plan with its key, weight generation and capacity stamp, so a hit
+// returns the schema the DP would produce for the same inputs; a slot
+// whose generation or stamp has moved is dropped on lookup. The CCP's
+// model is not part of the key: feedback reaches a cached task once its
+// weights or stamp move.
 type planCache struct {
 	mu  sync.Mutex
 	lru list.List // of *planEntry, front = most recent
@@ -168,26 +159,24 @@ type planCache struct {
 	misses atomic.Int64
 }
 
-func (p *planCache) get(key planKey, epoch int64) (Schema, int64, bool) {
+func (p *planCache) get(key planKey, gen int64, stamp []int64) (Schema, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	el, ok := p.idx[key]
 	if !ok {
-		return Schema{}, 0, false
+		return Schema{}, false
 	}
 	e := el.Value.(*planEntry)
-	if e.epoch != epoch {
-		// Stale epoch: the memo was rebuilt since this schema was
-		// cached. Drop it eagerly.
+	if e.gen != gen || !slices.Equal(e.stamp, stamp) {
 		p.lru.Remove(el)
 		delete(p.idx, key)
-		return Schema{}, 0, false
+		return Schema{}, false
 	}
 	p.lru.MoveToFront(el)
-	return e.schema, e.hits, true
+	return e.schema, true
 }
 
-func (p *planCache) put(key planKey, epoch int64, schema Schema, hits int64) {
+func (p *planCache) put(key planKey, gen int64, stamp []int64, schema Schema) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.idx == nil {
@@ -195,7 +184,7 @@ func (p *planCache) put(key planKey, epoch int64, schema Schema, hits int64) {
 	}
 	if el, ok := p.idx[key]; ok {
 		e := el.Value.(*planEntry)
-		e.epoch, e.schema, e.hits = epoch, schema, hits
+		e.gen, e.stamp, e.schema = gen, append(e.stamp[:0], stamp...), schema
 		p.lru.MoveToFront(el)
 		return
 	}
@@ -204,7 +193,7 @@ func (p *planCache) put(key planKey, epoch int64, schema Schema, hits int64) {
 		delete(p.idx, back.Value.(*planEntry).key)
 		p.lru.Remove(back)
 	}
-	p.idx[key] = p.lru.PushFront(&planEntry{key: key, epoch: epoch, schema: schema, hits: hits})
+	p.idx[key] = p.lru.PushFront(&planEntry{key: key, gen: gen, stamp: slices.Clone(stamp), schema: schema})
 }
 
 // engineMetrics are the HCDP engine's instruments; all fields nil when
@@ -226,13 +215,13 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 		return engineMetrics{}
 	}
 	return engineMetrics{
-		memoHits:      reg.Counter("hc_hcdp_memo_hits_total", "DP memo entries reused"),
-		memoMisses:    reg.Counter("hc_hcdp_memo_misses_total", "DP sub-problems solved from scratch"),
+		memoHits:      reg.Counter("hc_hcdp_memo_hits_total", "DP sub-problems reused within one plan's recursion"),
+		memoMisses:    reg.Counter("hc_hcdp_memo_misses_total", "DP sub-problems solved"),
 		plans:         reg.Counter("hc_hcdp_plans_total", "schemas planned"),
 		weightBumps:   reg.Counter("hc_hcdp_weight_generation_total", "runtime priority-weight changes"),
 		planDepth:     reg.Histogram("hc_hcdp_plan_subtasks", "sub-tasks per planned schema", telemetry.DepthBuckets),
 		planCacheHits: reg.Counter("hc_hcdp_plan_cache_hits_total", "whole schemas served from the plan cache"),
-		planCacheMiss: reg.Counter("hc_hcdp_plan_cache_misses_total", "plans that had to run reconstruction or the DP"),
+		planCacheMiss: reg.Counter("hc_hcdp_plan_cache_misses_total", "plans that had to run the DP"),
 	}
 }
 
@@ -271,7 +260,6 @@ func New(pred *predictor.CCP, mon *monitor.SystemMonitor, cfg Config) (*Engine, 
 			}
 		}
 	}
-	e.memo = make(map[memoKey]planVal)
 
 	// The displacement term is the opportunity cost of occupying fast-tier
 	// space. The paper's objective seeks the global minimum "when most of
@@ -318,17 +306,19 @@ func maxInt(a, b int) int {
 // advanced users can leverage the HCompress API to dynamically change
 // these weights at runtime"). The swap is atomic with respect to
 // concurrent Plan calls: in-flight planners finish against the old
-// weights, and the generation bump invalidates every memoized decision
-// so later plans cannot mix the two weightings.
+// weights, and the generation bump retires every cached schema so later
+// plans cannot mix the two weightings.
 func (e *Engine) SetWeights(w seed.Weights) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.w = w.Normalize()
-	e.gen.Add(1)
+	e.gen++
 	e.tm.weightBumps.Inc()
 }
 
-// MemoStats reports DP cache behaviour (hits, misses).
+// MemoStats reports DP sub-problem reuse summed over every plan that ran
+// the DP: hits are sub-problems a recursion found already solved within
+// the same plan, misses are sub-problems it solved.
 func (e *Engine) MemoStats() (hits, misses int64) {
 	return e.memoHits.Load(), e.memoMisses.Load()
 }
@@ -337,12 +327,6 @@ func (e *Engine) MemoStats() (hits, misses int64) {
 // Both stay zero when the cache is disabled or bypassed.
 func (e *Engine) PlanCacheStats() (hits, misses int64) {
 	return e.pc.hits.Load(), e.pc.misses.Load()
-}
-
-// planCacheUsable reports whether the plan cache can be consulted at
-// all under this configuration (see Config.DisablePlanCache).
-func (e *Engine) planCacheUsable() bool {
-	return !e.cfg.DisableMemo && !e.cfg.DisablePlanCache && !e.cfg.LoadAware
 }
 
 // alignUp rounds n up to the alignment quantum.
@@ -357,12 +341,10 @@ func alignDown(n int64) int64 { return n / align * align }
 
 // Plan produces the compression + placement schema for a task of the given
 // size and analyzed attributes at virtual time now. It is safe for
-// concurrent callers: a task whose schema is already in the plan cache is
-// served without touching the DP at all; when the full decision chain for
-// this size is memoized under the current capacity fingerprint and weight
-// generation, the schema is reconstructed under the shared read lock with
-// no exclusive section; otherwise the planner takes the write lock and
-// runs the Match/Place recursion.
+// concurrent callers: a task whose schema is in the plan cache under the
+// current weight generation and capacity stamp is served from it;
+// otherwise the planner runs the Match/Place recursion on its own, holding
+// no engine lock.
 //
 // The returned Schema may be shared with other callers (the plan cache
 // hands out one value); callers must treat it as read-only.
@@ -374,91 +356,98 @@ func (e *Engine) Plan(now float64, attr analyzer.Result, size int64) (Schema, er
 	if len(statuses) == 0 {
 		return Schema{}, errors.New("hcdp: empty hierarchy")
 	}
-	// The DP plans in aligned size quanta; the true size is restored on
-	// the final sub-task.
-	asize := alignUp(size)
-	useCache := e.planCacheUsable()
+	e.mu.RLock()
+	w, gen := e.w, e.gen
+	e.mu.RUnlock()
+
+	useCache := !e.cfg.DisablePlanCache && !e.cfg.LoadAware // see Config.DisablePlanCache
 	key := planKey{typ: attr.Type, dist: attr.Dist, size: size}
 	var stampArr [8]int64 // stack space for the common hierarchy depths
-	stamp := e.capacityStampInto(stampArr[:0], statuses)
-
-	if !e.cfg.DisableMemo {
-		e.mu.RLock()
-		if e.memoGen == e.gen.Load() && stampEqual(stamp, e.memoStamp) {
-			epoch := e.memoEpoch
-			if useCache {
-				if schema, hits, ok := e.pc.get(key, epoch); ok {
-					e.mu.RUnlock()
-					e.pc.hits.Add(1)
-					e.tm.planCacheHits.Inc()
-					e.memoHits.Add(hits)
-					e.plansServed.Add(1)
-					e.tm.memoHits.Add(hits)
-					e.tm.plans.Inc()
-					e.tm.planDepth.Observe(float64(len(schema.SubTasks)))
-					return schema, nil
-				}
-			}
-			if schema, hits, ok := e.reconstructLocked(size, asize, len(statuses)); ok {
-				e.mu.RUnlock()
-				if useCache {
-					e.pc.misses.Add(1)
-					e.tm.planCacheMiss.Inc()
-					e.pc.put(key, epoch, schema, hits)
-				}
-				e.memoHits.Add(hits)
-				e.plansServed.Add(1)
-				e.tm.memoHits.Add(hits)
-				e.tm.plans.Inc()
-				e.tm.planDepth.Observe(float64(len(schema.SubTasks)))
-				return schema, nil
-			}
-		}
-		e.mu.RUnlock()
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.refreshMemoStamp(statuses)
-	e.plansServed.Add(1)
-	if _, err := e.match(asize, 0, attr, statuses); err != nil {
-		return Schema{}, err
-	}
-	schema, hits, ok := e.reconstructLocked(size, asize, len(statuses))
-	if !ok {
-		return Schema{}, errors.New("hcdp: internal: missing memo entry during reconstruction")
-	}
+	stamp := capacityStamp(stampArr[:0], statuses)
+	schema, ok := Schema{}, false
 	if useCache {
-		e.pc.misses.Add(1)
-		e.tm.planCacheMiss.Inc()
-		e.pc.put(key, e.memoEpoch, schema, hits)
+		schema, ok = e.pc.get(key, gen, stamp)
+	}
+	if ok {
+		e.pc.hits.Add(1)
+		e.tm.planCacheHits.Inc()
+	} else {
+		var err error
+		if schema, err = e.solve(w, attr, size, statuses); err != nil {
+			return Schema{}, err
+		}
+		if useCache {
+			e.pc.misses.Add(1)
+			e.tm.planCacheMiss.Inc()
+			e.pc.put(key, gen, stamp, schema)
+		}
 	}
 	e.tm.plans.Inc()
 	e.tm.planDepth.Observe(float64(len(schema.SubTasks)))
 	return schema, nil
 }
 
-// reconstructLocked replays the memoized decision chain for a task of the
-// given (true, aligned) size into a schema. It returns ok=false when any
-// link of the chain is absent. Callers must hold e.mu (read or write);
-// hits reports how many memo entries the walk consumed.
-func (e *Engine) reconstructLocked(size, asize int64, nTiers int) (Schema, int64, bool) {
+// dp is one run of the Match/Place recursion: the weights and tier
+// snapshot it plans against, the candidate codecs priced for the task's
+// data, and its memo of solved (size, tier) sub-problems, which doubles as
+// the decision trail reconstruction replays.
+type dp struct {
+	e        *Engine
+	w        seed.Weights
+	tiers    []tier.Spec
+	statuses []store.TierStatus
+	cands    []candidate
+	memo     map[memoKey]planVal
+	hits     int64
+	misses   int64
+}
+
+// candidate is a codec with its predicted cost on the task's data.
+type candidate struct {
+	id   codec.ID
+	cost seed.CodecCost
+}
+
+// solve runs the DP for one task and reconstructs its schema.
+func (e *Engine) solve(w seed.Weights, attr analyzer.Result, size int64, statuses []store.TierStatus) (Schema, error) {
+	d := dp{e: e, w: w, tiers: e.mon.Store().Hierarchy().Tiers, statuses: statuses, memo: make(map[memoKey]planVal)}
+	// The cost model depends on the task's data, not on the (size, tier)
+	// node asking, so each codec is priced once.
+	for _, c := range e.pool {
+		cost, ok := e.pred.Predict(attr.Type, attr.Dist, c.Name())
+		if ok && cost.Ratio >= 1 { // constraint 4
+			d.cands = append(d.cands, candidate{id: c.ID(), cost: cost})
+		}
+	}
+	asize := alignUp(size) // the DP plans in aligned quanta
+	_, err := d.match(asize, 0)
+	e.memoHits.Add(d.hits)
+	e.memoMisses.Add(d.misses)
+	e.tm.memoHits.Add(d.hits)
+	e.tm.memoMisses.Add(d.misses)
+	if err != nil {
+		return Schema{}, err
+	}
+	schema, ok := d.reconstruct(size, asize)
+	if !ok {
+		return Schema{}, errors.New("hcdp: internal: missing memo entry during reconstruction")
+	}
+	return schema, nil
+}
+
+// reconstruct replays the decision chain for a task of the given (true,
+// aligned) size into a schema, restoring the true size on the final
+// sub-task. It returns ok=false when any link of the chain is absent.
+func (d *dp) reconstruct(size, asize int64) (Schema, bool) {
 	var schema Schema
-	var hits int64
 	remaining := asize
 	var offset int64
-	l := 0
-	for remaining > 0 {
-		if l >= nTiers {
-			return Schema{}, hits, false
-		}
-		v, ok := e.memo[memoKey{remaining, l}]
+	for l := 0; remaining > 0; l++ {
+		v, ok := d.memo[memoKey{remaining, l}]
 		if !ok {
-			return Schema{}, hits, false
+			return Schema{}, false
 		}
-		hits++
 		if v.skip {
-			l++
 			continue
 		}
 		length := v.useLen
@@ -477,95 +466,76 @@ func (e *Engine) reconstructLocked(size, asize int64, nTiers int) (Schema, int64
 		schema.PredTime += v.time
 		offset += origLen
 		remaining -= length
-		l++
 	}
-	return schema, hits, true
+	return schema, true
 }
 
 // match implements Match(i, l, c) / Place(i, l, c) jointly: the best cost
 // of storing size bytes using tiers l.. (each at most once). It memoizes
 // on (size, l) and records the winning decision for reconstruction.
-// Callers must hold e.mu exclusively.
-func (e *Engine) match(size int64, l int, attr analyzer.Result, statuses []store.TierStatus) (float64, error) {
+func (d *dp) match(size int64, l int) (float64, error) {
 	if size == 0 {
 		return 0, nil
 	}
-	if l >= len(statuses) {
+	if l >= len(d.statuses) {
 		return math.Inf(1), errNoSpace
 	}
 	key := memoKey{size, l}
-	if !e.cfg.DisableMemo {
-		if v, ok := e.memo[key]; ok {
-			e.memoHits.Add(1)
-			e.tm.memoHits.Add(1)
-			return v.time, nil
-		}
+	if v, ok := d.memo[key]; ok {
+		d.hits++
+		return v.time, nil
 	}
-	e.memoMisses.Add(1)
-	e.tm.memoMisses.Add(1)
+	d.misses++
 
 	best := planVal{time: math.Inf(1)}
 
 	// Choice A: skip this tier entirely — Match(i, l+1, c).
-	if sub, err := e.match(size, l+1, attr, statuses); err == nil && sub < best.time {
+	if sub, err := d.match(size, l+1); err == nil && sub < best.time {
 		best = planVal{time: sub, skip: true}
 	}
 
 	// Degraded mode: an offline tier admits only the skip choice, so no
-	// schema — fresh or replayed from the plan cache — ever targets it.
-	if !statuses[l].Available {
+	// schema — fresh or served from the plan cache — ever targets it.
+	if !d.statuses[l].Available {
 		if math.IsInf(best.time, 1) {
 			return best.time, errNoSpace
 		}
-		e.memo[key] = best
+		d.memo[key] = best
 		return best.time, nil
 	}
 
-	remaining := alignDown(statuses[l].Remaining)
+	remaining := alignDown(d.statuses[l].Remaining)
 
 	// Choice B: "no compression" placement (c = 0), whole or split.
-	e.consider(&best, size, l, codec.None, 1, e.uncompressedTime(size, l, statuses), remaining, attr, statuses)
+	d.consider(&best, size, l, codec.None, 1, d.uncompressedTime(size, l), remaining)
 
 	// Choice C: each codec, whole or split — Place(i, l, c) with the
 	// cost function of equation 4.
-	for _, c := range e.pool {
-		cost, ok := e.pred.Predict(attr.Type, attr.Dist, c.Name())
-		if !ok {
-			continue
-		}
-		rc := cost.Ratio
-		if rc < 1 {
-			continue // constraint 4
-		}
-		e.consider(&best, size, l, c.ID(), rc, e.compressedTime(size, l, cost, statuses), remaining, attr, statuses)
+	for _, c := range d.cands {
+		d.consider(&best, size, l, c.id, c.cost.Ratio, d.compressedTime(size, l, c.cost), remaining)
 	}
 
 	if math.IsInf(best.time, 1) {
 		return best.time, errNoSpace
 	}
-	if !e.cfg.DisableMemo {
-		e.memo[key] = best
-	} else {
-		// Reconstruction still needs the decision trail.
-		e.memo[key] = best
-	}
+	d.memo[key] = best
 	return best.time, nil
 }
 
 // consider evaluates placing (part of) size bytes on tier l with the given
 // codec/ratio, whose full-task time is fullTime, updating best in place.
-func (e *Engine) consider(best *planVal, size int64, l int, id codec.ID, rc, fullTime float64, remaining int64, attr analyzer.Result, statuses []store.TierStatus) {
+func (d *dp) consider(best *planVal, size int64, l int, id codec.ID, rc, fullTime float64, remaining int64) {
 	compSize := alignUp(int64(math.Ceil(float64(size) / rc)))
 	// Displacement: occupying compSize bytes here will eventually push
 	// that much future data down to the slowest tier (weighted by the
 	// ratio priority, which expresses how much the caller values space).
-	fullTime += e.w.Ratio * float64(compSize) * e.price[l]
+	fullTime += d.w.Ratio * float64(compSize) * d.e.price[l]
 	// Dollar cost: storage + egress pricing for the bytes placed here,
 	// blended into the time objective by the Cost weight. Guarded so a
 	// zero weight adds nothing to the float pipeline and existing plans
 	// stay bit-identical.
-	if e.w.Cost != 0 {
-		fullTime += e.w.Cost * float64(compSize) * e.dollar[l]
+	if d.w.Cost != 0 {
+		fullTime += d.w.Cost * float64(compSize) * d.e.dollar[l]
 	}
 	if compSize <= remaining {
 		// Whole task fits here (constraint 5 satisfied).
@@ -576,7 +546,7 @@ func (e *Engine) consider(best *planVal, size int64, l int, id codec.ID, rc, ful
 	}
 	// Split: the part that fits stays, the rest recurses to tier l+1
 	// (equation 2). Both parts stay 4096-aligned (constraint 1).
-	if remaining < align || l+1 >= len(statuses) {
+	if remaining < align || l+1 >= len(d.statuses) {
 		return
 	}
 	origFit := alignDown(int64(float64(remaining) * rc))
@@ -587,7 +557,7 @@ func (e *Engine) consider(best *planVal, size int64, l int, id codec.ID, rc, ful
 		return
 	}
 	partTime := fullTime * float64(origFit) / float64(size)
-	rest, err := e.match(size-origFit, l+1, attr, statuses)
+	rest, err := d.match(size-origFit, l+1)
 	if err != nil {
 		return
 	}
@@ -604,11 +574,11 @@ func (e *Engine) consider(best *planVal, size int64, l int, id codec.ID, rc, ful
 
 // uncompressedTime is t(i, l) = si/bl plus latency (and queue backlog when
 // load-aware).
-func (e *Engine) uncompressedTime(size int64, l int, statuses []store.TierStatus) float64 {
-	spec := e.mon.Store().Hierarchy().Tiers[l]
+func (d *dp) uncompressedTime(size int64, l int) float64 {
+	spec := d.tiers[l]
 	t := spec.ServiceTime(size)
-	if e.cfg.LoadAware {
-		t += statuses[l].Backlog / float64(spec.Lanes)
+	if d.e.cfg.LoadAware {
+		t += d.statuses[l].Backlog / float64(spec.Lanes)
 	}
 	return t
 }
@@ -616,32 +586,26 @@ func (e *Engine) uncompressedTime(size int64, l int, statuses []store.TierStatus
 // compressedTime is equation 4:
 //
 //	t(i,l,c) = wc*tc + t(i,l) - wr * t(i,l)*(rc-1)/rc + wd*td
-func (e *Engine) compressedTime(size int64, l int, cost seed.CodecCost, statuses []store.TierStatus) float64 {
+func (d *dp) compressedTime(size int64, l int, cost seed.CodecCost) float64 {
 	mb := float64(size) / (1 << 20)
 	tc := mb / cost.CompressMBps
 	td := mb / cost.DecompressMBps
-	til := e.uncompressedTime(size, l, statuses)
+	til := d.uncompressedTime(size, l)
 	rc := cost.Ratio
-	return e.w.Compression*tc + til - e.w.Ratio*til*(rc-1)/rc + e.w.Decompression*td
+	return d.w.Compression*tc + til - d.w.Ratio*til*(rc-1)/rc + d.w.Decompression*td
 }
 
-// capacityStamp buckets the hierarchy's remaining capacities (1/64 of
-// each tier's capacity per bucket). Bucketing is what makes sub-problems
-// reusable *across* tasks, turning repeated planning into table lookups;
-// the slight staleness is bounded by the bucket size and corrected by the
+// capacityStamp appends to dst the hierarchy's remaining capacities,
+// bucketed at 1/64 of each tier's capacity. It is part of the plan-cache
+// key: a cached schema serves later tasks only while every tier stays in
+// its bucket, a staleness bounded by the bucket size and corrected by the
 // placement path, which re-checks true capacity.
-func (e *Engine) capacityStamp(statuses []store.TierStatus) []int64 {
-	return e.capacityStampInto(make([]int64, 0, len(statuses)), statuses)
-}
-
-// capacityStampInto appends the stamp to dst, letting hot callers keep
-// the fingerprint on the stack.
-func (e *Engine) capacityStampInto(dst []int64, statuses []store.TierStatus) []int64 {
+func capacityStamp(dst []int64, statuses []store.TierStatus) []int64 {
 	for _, st := range statuses {
 		if !st.Available {
 			// Masked tier: a marker no occupancy bucket can produce, so an
-			// availability flip always changes the stamp, rebuilding the
-			// memo and bumping the epoch that keys the plan cache.
+			// availability flip always changes the stamp and retires every
+			// cached schema.
 			dst = append(dst, -1)
 			continue
 		}
@@ -652,40 +616,4 @@ func (e *Engine) capacityStampInto(dst []int64, statuses []store.TierStatus) []i
 		dst = append(dst, st.Remaining/bucket)
 	}
 	return dst
-}
-
-func stampEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// refreshMemoStamp invalidates the memo table when the hierarchy's
-// remaining capacities have moved out of their buckets since the table was
-// built, or when SetWeights bumped the generation counter. Callers must
-// hold e.mu exclusively.
-func (e *Engine) refreshMemoStamp(statuses []store.TierStatus) {
-	if e.cfg.DisableMemo {
-		e.memo = make(map[memoKey]planVal)
-		e.memoStamp = nil
-		e.memoEpoch++
-		return
-	}
-	gen := e.gen.Load()
-	stamp := e.capacityStamp(statuses)
-	if e.memoGen != gen || !stampEqual(stamp, e.memoStamp) {
-		e.memo = make(map[memoKey]planVal)
-		e.memoStamp = stamp
-		e.memoGen = gen
-		// New table, new epoch: every plan-cache entry reconstructed
-		// from the old table is now stale (SetWeights invalidation
-		// flows through here via the generation counter).
-		e.memoEpoch++
-	}
 }

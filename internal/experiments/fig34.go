@@ -230,7 +230,7 @@ func Fig4aEngine(o Fig4aOptions) (Table, error) {
 		Notes:  []string{"paper: ~2.4B tasks/s flat to 4MB, then a 2-3% drop as tasks split across tiers"},
 	}
 	for _, size := range o.Sizes {
-		sc, err := eng.Plan(0, attr, int64(size)) // warm the memo
+		sc, err := eng.Plan(0, attr, int64(size)) // warm the plan cache
 		if err != nil {
 			return t, err
 		}

@@ -712,7 +712,9 @@ type Stats struct {
 	// FeedbackQueued and FeedbackAbsorbed count feedback-loop events.
 	FeedbackQueued   int
 	FeedbackAbsorbed int
-	// MemoHits / MemoMisses describe the HCDP engine's DP cache.
+	// MemoHits / MemoMisses count the HCDP engine's DP sub-problems:
+	// reused within one plan's recursion, and solved. A plan served from
+	// the plan cache runs no DP and adds to neither.
 	MemoHits   int64
 	MemoMisses int64
 	// PlanCacheHits / PlanCacheMisses describe the engine's

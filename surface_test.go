@@ -34,7 +34,6 @@ var surfaceIdentAllow = map[string]string{
 // entry naming a struct covers all of its fields.
 var surfaceFieldAllow = map[string]string{
 	"hcompress.Config.MonitorIntervalSec":               "bench/probe_core.go and probe_monitor.go read it to build a System Monitor the way a shard does",
-	"hcompress/internal/core.Config.DisableMemo":        "DP-memo ablation: BenchmarkAblationMemo and core's memo-versus-recompute equivalence tests turn it on",
 	"hcompress/internal/core.Config.LoadAware":          "the paper's SM load term; ROADMAP item 11(c) feeds it measured backlog, BenchmarkAblationLoadAware prices it",
 	"hcompress/internal/experiments.Fig6Options.Codecs": "TestFig6Shape sweeps four of the eight libraries to stay fast, and the shape tests stay unedited",
 	"hcompress/internal/service.Config":                 "operator policy (tenants, quotas, rate limits, SLO); bench/probe_service.go serves the zero value and the service tests set each field",
