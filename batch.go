@@ -362,7 +362,6 @@ func (c *Shard) decompress(ctx context.Context, label string, ops []readOp) erro
 				}
 			}
 		}
-		c.kickPrefetch()
 	}
 
 	var reqs []manager.ReadReq

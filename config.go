@@ -190,14 +190,16 @@ type Config struct {
 	ReadCacheFraction float64
 	// ReadCacheMinTouches is the admission gate: a key must be read this
 	// many times before its payload may cache (default 2 — single-touch
-	// keys never cache, so one-shot scans cannot flush the hot set).
+	// keys never cache). Past the gate, a payload that would evict the LRU
+	// entry is refused when that entry has more recent reads, so one-shot
+	// scans cannot flush the hot set.
 	ReadCacheMinTouches int
-	// DisablePrefetch turns off the background access-pattern prefetcher
-	// that otherwise accompanies the read cache: a worker that mines the
-	// recent-access ring for repeated and sequential key patterns and
-	// decompresses ahead of demand at Batch priority (it never starves
-	// Interactive operations). It mines the last 256 read keys and extends
-	// a detected sequential run two keys ahead.
+	// DisablePrefetch turns off the background readahead worker that
+	// otherwise accompanies the read cache: when reads walk an ascending
+	// run of keys ending in a decimal index (blk-5, blk-6, blk-7), it
+	// decompresses the next two keys ahead of demand at Batch priority (it
+	// never starves Interactive operations). Read streams without such
+	// runs never wake it.
 	DisablePrefetch bool
 	// FaultInjector, when non-nil, scripts deterministic faults against
 	// the tiered store: outages, transient error windows, latency

@@ -14,11 +14,22 @@
 // concurrent invalidation (overwrite, delete, demotion, health flip) and
 // Release never double-frees.
 //
-// Admission is frequency-gated with a two-generation touch filter (a tiny
-// doorkeeper in the TinyLFU sense): a key's first read never caches; only
-// a key seen MinTouches times opens a fill. Fills are registered as
-// pending tokens so an invalidation that races a fill in flight aborts it
-// — stale bytes can never re-enter the cache after an overwrite.
+// The hot set is kept by frequency, TinyLFU-style. A two-generation touch
+// filter counts each key's reads over a sliding window of touches: a key
+// read fewer than MinTouches times never opens a fill, and a fill that
+// would evict the LRU victim is refused when the victim has more recent
+// reads than the newcomer (the victim then moves to the front; on a tie
+// the newcomer wins, so among equals the cache is a plain LRU). Fills are
+// registered as pending tokens so an invalidation that races a fill in
+// flight aborts it — stale bytes can never re-enter the cache after an
+// overwrite.
+//
+// The prefetcher's one job is sequential readahead, which demand reads
+// cannot do: accesses to keys ending in a decimal index ("blk-17") are
+// tracked as ascending runs per key prefix, and a run of minRun keys
+// queues its next keys as candidates. A readahead fill is scored with the
+// recent reads of the run key that predicted it, so a scan still warms
+// its next keys but cannot displace keys read more often.
 //
 // The cache is a client-side DRAM structure living off the modeled
 // timeline: hits cost zero virtual seconds and never touch the store, the
@@ -72,7 +83,11 @@ func (e *entry) unref() {
 // key, revocable by invalidation. Obtain one with BeginFill (demand path,
 // admission-gated) or BeginPrefetch, then Commit or Abort it exactly once.
 type Fill struct {
-	key      string
+	key string
+	// by is the key whose recent reads score the fill against the LRU
+	// victim at Commit: key itself on demand, the run key that predicted
+	// a readahead fill.
+	by       string
 	prefetch bool
 	aborted  bool
 }
@@ -86,7 +101,7 @@ type Stats struct {
 	Hits          int64
 	Misses        int64
 	Admissions    int64
-	Rejects       int64 // admission-gate rejections (single-touch keys)
+	Rejects       int64 // fills refused: under MinTouches reads, or outranked by the LRU victim
 	Evictions     int64
 	Invalidations int64
 
@@ -104,17 +119,25 @@ type metrics struct {
 	bytes, entries                       *telemetry.Gauge
 }
 
-// access is one slot of the ring of recent key accesses the prefetcher
-// mines for patterns.
-type access struct {
-	key    string
-	prefix string // non-empty when the key ends in a decimal run index
-	num    int64
+// Policy constants: the touch filter rotates its generations every
+// touchWindow touches, so a key's count covers its last one to two
+// windows of reads; an ascending run of minRun keys predicts its next.
+const (
+	touchWindow = 4096
+	minRun      = 3
+)
+
+// run is the ascending run of one key prefix, extended access by access.
+type run struct {
+	key    string // the run's latest key, which scores its readahead fills
+	last   int64  // index of key
+	n      int    // run length ending at last
+	queued bool   // prefix waits in Cache.ready
 }
 
 // Cache is the per-shard decompressed-block cache. Safe for concurrent
 // use; one short mutex guards the map, LRU list, touch filter, pending
-// fills, and access ring. Payload lifetime is refcounted outside the
+// fills, and run table. Payload lifetime is refcounted outside the
 // mutex, so holding a pinned buffer never blocks the cache.
 type Cache struct {
 	mu       sync.Mutex
@@ -125,17 +148,19 @@ type Cache struct {
 	tail     *entry // least recently used
 
 	minTouches int
-	// Two-generation touch filter: a key's touch count is cur[k]+prev[k].
-	// When cur outgrows touchCap the generations rotate, so the filter's
-	// memory is bounded but a hot key's count survives the rotation.
+	// Two-generation touch filter: a key's recent reads are cur[k]+prev[k].
+	// Every touchWindow touches the generations rotate, so counts decay and
+	// the filter holds at most 2*touchWindow keys, but a hot key's count
+	// survives the rotation.
 	cur, prev map[string]uint32
-	touchCap  int
+	touches   int
 
 	pending map[string][]*Fill
 
-	ring     []access
-	ringNext int
-	ringLen  int
+	runs    map[string]run // by key prefix; at most maxRuns
+	maxRuns int
+	ready   []string // prefixes whose run reached minRun since the last Candidates
+	kick    func()
 
 	st Stats
 	tm metrics
@@ -143,14 +168,14 @@ type Cache struct {
 
 // New builds a cache bounded by capacity bytes. minTouches is the
 // admission threshold (reads of a key before it may cache; minimum 1
-// caches on the first re-read — i.e. the second touch). ringSize bounds
-// the access ring the prefetcher mines.
-func New(capacity int64, minTouches, ringSize int) *Cache {
+// caches on the first re-read — i.e. the second touch). maxRuns bounds
+// how many key prefixes the run tracker follows at once.
+func New(capacity int64, minTouches, maxRuns int) *Cache {
 	if minTouches < 1 {
 		minTouches = 1
 	}
-	if ringSize < 8 {
-		ringSize = 8
+	if maxRuns < 8 {
+		maxRuns = 8
 	}
 	return &Cache{
 		capacity:   capacity,
@@ -158,12 +183,17 @@ func New(capacity int64, minTouches, ringSize int) *Cache {
 		minTouches: minTouches,
 		cur:        make(map[string]uint32),
 		prev:       make(map[string]uint32),
-		touchCap:   4096,
 		pending:    make(map[string][]*Fill),
-		ring:       make([]access, ringSize),
+		runs:       make(map[string]run),
+		maxRuns:    maxRuns,
 		st:         Stats{Capacity: capacity},
 	}
 }
+
+// OnRun registers kick, called after a Get grows an ascending run to
+// minRun keys and so queues readahead candidates. It runs outside the
+// cache lock. Set it before the cache is used.
+func (c *Cache) OnRun(kick func()) { c.kick = kick }
 
 // SetTelemetry registers the hc_cache_* / hc_prefetch_* instruments on
 // reg. Nil reg (telemetry off) leaves every instrument nil — the no-op
@@ -185,47 +215,68 @@ func (c *Cache) SetTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// touch records one access for the admission filter and returns the key's
-// accumulated touch count.
-func (c *Cache) touch(key string) int {
-	if len(c.cur) >= c.touchCap {
-		c.prev = c.cur
-		c.cur = make(map[string]uint32)
+// touch records one read in the admission filter, rotating the
+// generations at the end of each window. Caller holds c.mu.
+func (c *Cache) touch(key string) {
+	if c.touches == touchWindow {
+		c.prev, c.cur = c.cur, c.prev
+		clear(c.cur)
+		c.touches = 0
 	}
+	c.touches++
 	c.cur[key]++
-	return int(c.cur[key] + c.prev[key])
 }
 
-// record pushes one access onto the ring.
-func (c *Cache) record(key string) {
-	a := access{key: key}
-	if p, n, ok := splitRunKey(key); ok {
-		a.prefix, a.num = p, n
+// reads is key's recent read count. Caller holds c.mu.
+func (c *Cache) reads(key string) uint32 { return c.cur[key] + c.prev[key] }
+
+// record extends or restarts the ascending run of key's prefix and
+// reports whether it queued the run for readahead (it reached minRun
+// keys). Caller holds c.mu.
+func (c *Cache) record(key string) bool {
+	p, num, ok := splitRunKey(key)
+	if !ok {
+		return false
 	}
-	c.ring[c.ringNext] = a
-	c.ringNext = (c.ringNext + 1) % len(c.ring)
-	if c.ringLen < len(c.ring) {
-		c.ringLen++
+	r, seen := c.runs[p]
+	switch {
+	case seen && num == r.last+1:
+		r.n++
+	case !seen && len(c.runs) >= c.maxRuns:
+		clear(c.runs) // forget every run rather than grow without bound
+		c.ready = c.ready[:0]
+		r = run{n: 1}
+	default:
+		r = run{n: 1, queued: r.queued}
 	}
+	r.key, r.last = key, num
+	queued := r.n >= minRun && !r.queued
+	if queued {
+		r.queued = true
+		c.ready = append(c.ready, p)
+	}
+	c.runs[p] = r
+	return queued
 }
 
 // Get looks key up. On a hit it returns the payload, its write-time meta,
 // and a release func pinning the buffer — the caller must invoke release
 // exactly once when done (Report.Release does). The returned bytes are
 // shared with the cache: treat them as read-only until released. Both
-// hits and misses count a touch and land in the access ring.
+// hits and misses count a touch and feed the run tracker.
 func (c *Cache) Get(key string) (data []byte, meta Meta, release func(), ok bool) {
 	c.mu.Lock()
-	c.record(key)
+	c.touch(key)
+	if c.record(key) && c.kick != nil {
+		defer c.kick() // runs after the unlocks below
+	}
 	e := c.entries[key]
 	if e == nil {
-		c.touch(key)
 		c.st.Misses++
 		c.mu.Unlock()
 		c.tm.misses.Inc()
 		return nil, Meta{}, nil, false
 	}
-	c.touch(key)
 	c.st.Hits++
 	if e.prefetched {
 		e.prefetched = false
@@ -251,26 +302,32 @@ func (c *Cache) BeginFill(key string) *Fill {
 	if c.entries[key] != nil || len(c.pending[key]) > 0 {
 		return nil
 	}
-	if int(c.cur[key]+c.prev[key]) < c.minTouches {
+	if int(c.reads(key)) < c.minTouches {
 		c.st.Rejects++
 		c.tm.rejects.Inc()
 		return nil
 	}
-	f := &Fill{key: key}
+	f := &Fill{key: key, by: key}
 	c.pending[key] = append(c.pending[key], f)
 	return f
 }
 
-// BeginPrefetch opens an ahead-of-demand fill. Pattern detection is its
-// own admission signal, so the touch gate does not apply; resident and
-// already-pending keys return nil.
+// BeginPrefetch opens an ahead-of-demand fill. The run that predicted key
+// is its admission signal, so the touch gate does not apply, and at
+// Commit the fill is scored with the reads of the run's latest key.
+// Resident and already-pending keys return nil.
 func (c *Cache) BeginPrefetch(key string) *Fill {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries[key] != nil || len(c.pending[key]) > 0 {
 		return nil
 	}
-	f := &Fill{key: key, prefetch: true}
+	f := &Fill{key: key, by: key, prefetch: true}
+	if p, _, ok := splitRunKey(key); ok {
+		if r, ok := c.runs[p]; ok {
+			f.by = r.key
+		}
+	}
 	c.pending[key] = append(c.pending[key], f)
 	c.st.PrefetchIssued++
 	c.tm.pfIssued.Inc()
@@ -281,8 +338,8 @@ func (c *Cache) BeginPrefetch(key string) *Fill {
 // cache takes a reference on data (a bufpool arena buffer) and, for
 // demand fills, returns a caller pin exactly like a Get hit. ok=false —
 // the fill was aborted by an invalidation, the key is already resident,
-// or the payload cannot fit — leaves ownership of data with the caller
-// (release is nil).
+// the payload cannot fit, or an entry it would evict has more recent
+// reads — leaves ownership of data with the caller (release is nil).
 func (c *Cache) Commit(f *Fill, data []byte, meta Meta) (release func(), ok bool) {
 	c.mu.Lock()
 	c.unpend(f)
@@ -291,12 +348,17 @@ func (c *Cache) Commit(f *Fill, data []byte, meta Meta) (release func(), ok bool
 		c.mu.Unlock()
 		return nil, false
 	}
-	for c.used+need > c.capacity && c.tail != nil {
-		c.evictLocked(c.tail)
-	}
-	if c.used+need > c.capacity {
+	if v := c.outranking(need, c.reads(f.by)); v != nil {
+		// The victim earned its place: it stays, as if read, so the next
+		// newcomer meets the next LRU entry.
+		c.lruFront(v)
+		c.st.Rejects++
 		c.mu.Unlock()
+		c.tm.rejects.Inc()
 		return nil, false
+	}
+	for c.used+need > c.capacity {
+		c.evictLocked(c.tail)
 	}
 	e := &entry{key: f.key, data: data, meta: meta, prefetched: f.prefetch}
 	e.refs.Store(1) // the cache's reference
@@ -396,6 +458,20 @@ func (c *Cache) InvalidateAll() {
 	c.tm.invalidations.Add(int64(n))
 }
 
+// outranking returns the first of the LRU victims that admitting need
+// bytes would evict with more recent reads than score, or nil when the
+// newcomer may displace them all. Caller holds c.mu.
+func (c *Cache) outranking(need int64, score uint32) *entry {
+	free := c.capacity - c.used
+	for v := c.tail; v != nil && free < need; v = v.prev {
+		if c.reads(v.key) > score {
+			return v
+		}
+		free += int64(cap(v.data))
+	}
+	return nil
+}
+
 // evictLocked removes the LRU victim to make room. Caller holds c.mu.
 func (c *Cache) evictLocked(e *entry) {
 	c.removeLocked(e)
@@ -461,72 +537,29 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// Candidates mines the access ring for prefetch targets: keys touched at
-// least twice that are not resident (a re-warming signal for hot keys
-// that were evicted or invalidated), and — for keys ending in a decimal
-// run index, like "p3-17" — the next depth keys of any ascending run
-// (sequential readahead). At most max keys are returned; resident and
-// pending keys are excluded.
+// Candidates drains the runs queued since the last call into readahead
+// targets: the next depth keys after each run's latest key, oldest run
+// first. At most max keys are returned (runs left over stay queued);
+// resident and pending keys are excluded. With no run queued it returns
+// nil without allocating.
 func (c *Cache) Candidates(max, depth int) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if max <= 0 || c.ringLen == 0 {
-		return nil
-	}
-	seen := make(map[string]int, c.ringLen)
-	type run struct {
-		last int64
-		len  int
-	}
-	runs := make(map[string]*run)
-	order := make([]string, 0, c.ringLen) // repeated keys in first-touch order
-	// Walk oldest → newest so sequential runs accumulate in access order.
-	start := c.ringNext - c.ringLen
-	if start < 0 {
-		start += len(c.ring)
-	}
-	for i := 0; i < c.ringLen; i++ {
-		a := c.ring[(start+i)%len(c.ring)]
-		seen[a.key]++
-		if seen[a.key] == 2 {
-			order = append(order, a.key)
-		}
-		if a.prefix != "" {
-			if r := runs[a.prefix]; r != nil && a.num == r.last+1 {
-				r.last, r.len = a.num, r.len+1
-			} else {
-				runs[a.prefix] = &run{last: a.num, len: 1}
+	var out []string
+	i := 0
+	for ; i < len(c.ready) && len(out) < max; i++ {
+		p := c.ready[i]
+		r := c.runs[p]
+		r.queued = false
+		c.runs[p] = r
+		for d := int64(1); d <= int64(depth) && r.n >= minRun && len(out) < max; d++ {
+			key := p + strconv.FormatInt(r.last+d, 10)
+			if c.entries[key] == nil && len(c.pending[key]) == 0 {
+				out = append(out, key)
 			}
 		}
 	}
-	var out []string
-	picked := make(map[string]bool)
-	add := func(key string) {
-		if len(out) >= max || picked[key] ||
-			c.entries[key] != nil || len(c.pending[key]) > 0 {
-			return
-		}
-		picked[key] = true
-		out = append(out, key)
-	}
-	for _, key := range order {
-		add(key)
-	}
-	for _, a := range c.ring {
-		// Deterministic run iteration: revisit ring slots in order and
-		// expand each prefix's run once.
-		if a.prefix == "" {
-			continue
-		}
-		r := runs[a.prefix]
-		if r == nil || r.len < 2 {
-			continue
-		}
-		runs[a.prefix] = nil
-		for d := int64(1); d <= int64(depth); d++ {
-			add(a.prefix + strconv.FormatInt(r.last+d, 10))
-		}
-	}
+	c.ready = append(c.ready[:0], c.ready[i:]...)
 	return out
 }
 

@@ -161,20 +161,15 @@ func TestInvalidateAllPurges(t *testing.T) {
 	}
 }
 
-func TestCandidatesRepeatedKeys(t *testing.T) {
+// TestCandidatesSkipRepeatedKeys: a key read twice but not resident is
+// demand admission's job, so readahead never re-decodes it.
+func TestCandidatesSkipRepeatedKeys(t *testing.T) {
 	c := New(1<<20, 2, 32)
-	// "hot" is touched twice but never resident — a re-warm candidate.
-	c.Get("hot")
-	c.Get("cold")
-	c.Get("hot")
-	got := c.Candidates(8, 0)
-	if len(got) != 1 || got[0] != "hot" {
-		t.Fatalf("Candidates = %v, want [hot]", got)
+	for _, key := range []string{"hot", "cold", "hot", "blk-7", "blk-7"} {
+		c.Get(key)
 	}
-	// Resident keys are excluded.
-	fill(t, c, "hot", []byte("x"))
-	if got := c.Candidates(8, 0); len(got) != 0 {
-		t.Fatalf("Candidates = %v, want none (resident)", got)
+	if got := c.Candidates(8, 2); len(got) != 0 {
+		t.Fatalf("Candidates = %v, want none", got)
 	}
 }
 
@@ -190,15 +185,31 @@ func TestCandidatesSequentialRun(t *testing.T) {
 	}
 }
 
-func TestCandidatesRespectsMax(t *testing.T) {
+// TestCandidatesRespectsMaxAcrossRuns: three queued runs offer six
+// targets; max caps the drain and the runs left over stay queued.
+func TestCandidatesRespectsMaxAcrossRuns(t *testing.T) {
 	c := New(1<<20, 2, 64)
-	for i := 0; i < 6; i++ {
-		key := fmt.Sprintf("r%d", i)
-		c.Get(key)
-		c.Get(key)
+	for _, p := range []string{"a-", "b-", "c-"} {
+		for i := 0; i < 3; i++ {
+			c.Get(fmt.Sprintf("%s%d", p, i))
+		}
 	}
-	if got := c.Candidates(3, 0); len(got) != 3 {
-		t.Fatalf("Candidates returned %d keys, want 3", len(got))
+	if got := c.Candidates(3, 2); fmt.Sprint(got) != "[a-3 a-4 b-3]" {
+		t.Fatalf("Candidates(3) = %v, want [a-3 a-4 b-3]", got)
+	}
+	if got := c.Candidates(8, 2); fmt.Sprint(got) != "[c-3 c-4]" {
+		t.Fatalf("second Candidates = %v, want [c-3 c-4]", got)
+	}
+}
+
+// TestCandidatesIdleAllocatesNothing: with no run queued the prefetch
+// worker's candidate step is a lock and a length check.
+func TestCandidatesIdleAllocatesNothing(t *testing.T) {
+	c := New(1<<20, 2, 32)
+	c.Get("blk-1")
+	c.Get("x")
+	if n := testing.AllocsPerRun(100, func() { c.Candidates(8, 2) }); n != 0 {
+		t.Fatalf("Candidates allocated %.0f times with no run queued", n)
 	}
 }
 

@@ -68,30 +68,26 @@ func (c *Shard) cacheHitTrace(ri telemetry.ReqInfo, key string, meta readcache.M
 	})
 }
 
-// kickPrefetch nudges the prefetch worker after an access; non-blocking
-// (the capacity-1 channel coalesces bursts) and a no-op when prefetch is
-// off.
+// kickPrefetch wakes the prefetch worker when a read extends an
+// ascending run (the cache calls it through OnRun); non-blocking, the
+// capacity-1 channel coalesces bursts.
 func (c *Shard) kickPrefetch() {
-	if c.prefetchKick == nil {
-		return
-	}
 	select {
 	case c.prefetchKick <- struct{}{}:
 	default:
 	}
 }
 
-// Prefetcher policy: the cache remembers the last accessRingSize read
-// keys, and a detected sequential run is extended prefetchDepth keys
+// Prefetcher policy: the cache follows ascending runs of up to
+// prefetchRuns key prefixes at once, and a run is read prefetchDepth keys
 // ahead.
 const (
-	accessRingSize = 256
-	prefetchDepth  = 2
+	prefetchRuns  = 256
+	prefetchDepth = 2
 )
 
-// prefetchLoop is the background prefetch/promotion worker: woken by read
-// traffic, it mines the cache's access ring for repeated-key and
-// sequential-run patterns and decompresses the predicted keys into the
+// prefetchLoop is the background readahead worker: woken when a read
+// extends an ascending run, it decompresses the run's next keys into the
 // cache ahead of demand. Its decompression fans out at Batch class, so
 // Interactive operations always claim pool workers first — prefetch can
 // never starve the demand path. Like the demoter it never takes c.mu:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -364,6 +365,99 @@ func TestSequentialPrefetchWarmsCache(t *testing.T) {
 	rep.Release()
 	if st := c.CacheStats(); st.PrefetchUsed < 1 {
 		t.Errorf("stats = %+v, want PrefetchUsed >= 1", st)
+	}
+}
+
+// TestPrefetchIdleOnRandomReads: readahead is the prefetcher's only job,
+// so random reads over 64 keys with no ascending run of three issue
+// nothing. A closing run s0..s2 proves the worker was alive: its two
+// fills must be the only ones issued.
+func TestPrefetchIdleOnRandomReads(t *testing.T) {
+	cfg := cacheConfig()
+	cfg.DisablePrefetch = false
+	cfg.ReadCacheFraction = 16 * (16 << 10) / float64(DefaultTiers()[0].CapacityBytes)
+	cfg.ReadCacheMinTouches = 2
+	c := newClient(t, cfg)
+	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 16<<10, 3)
+	for i := 0; i < 64; i++ {
+		if _, err := c.Compress(Task{Key: fmt.Sprintf("r%d", i), Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Compress(Task{Key: fmt.Sprintf("s%d", i), Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	prev, run := -2, 0
+	for i := 0; i < 600; i++ {
+		k := rng.Intn(64)
+		if k == prev+1 && run == 2 {
+			continue // keep the stream free of ascending runs of three
+		}
+		if k == prev+1 {
+			run++
+		} else {
+			run = 1
+		}
+		prev = k
+		readRep(t, c, fmt.Sprintf("r%d", k)).Release()
+	}
+	for i := 0; i < 3; i++ {
+		readRep(t, c, fmt.Sprintf("s%d", i)).Release()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.CacheStats().PrefetchIssued < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := c.CacheStats(); st.PrefetchIssued != 2 {
+		t.Fatalf("PrefetchIssued = %d, want 2 (the closing run's fills only)", st.PrefetchIssued)
+	}
+}
+
+// TestRefusedFillLeavesBufferWithReport: a demand fill the cache refuses
+// because the LRU victim has more recent reads leaves the decoded buffer
+// with the Report alone. Releasing it twice puts it back once, the
+// refusals count as Rejects, and the arena gets back every buffer the
+// reads took.
+func TestRefusedFillLeavesBufferWithReport(t *testing.T) {
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	cfg := cacheConfig()
+	cfg.EnableTelemetry = true
+	cfg.ReadCacheFraction = 2 * (64 << 10) / float64(DefaultTiers()[0].CapacityBytes) // two entries
+	c := newClient(t, cfg)
+	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 64<<10, 3)
+	keys := []string{"hot-a", "hot-b", "cold-a", "cold-b", "cold-c", "cold-d"}
+	for _, key := range keys {
+		if _, err := c.Compress(Task{Key: key, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		readRep(t, c, keys[i%2]).Release()
+	}
+	before := c.CacheStats()
+	hit0, miss0, _, put0 := bufpool.Stats()
+	for _, key := range keys[2:] {
+		rep := readRep(t, c, key)
+		if rep.CacheHit || !bytes.Equal(rep.Data, data) {
+			t.Fatalf("read %q: hit=%v, bytes ok=%v", key, rep.CacheHit, bytes.Equal(rep.Data, data))
+		}
+		rep.Release()
+		rep.Release()
+	}
+	hit1, miss1, _, put1 := bufpool.Stats()
+	if gets, puts := hit1+miss1-hit0-miss0, put1-put0; gets != puts {
+		t.Errorf("arena gets = %d, puts = %d over the refused reads", gets, puts)
+	}
+	st := c.CacheStats()
+	if st.Rejects-before.Rejects != 4 || st.Admissions != before.Admissions {
+		t.Errorf("stats = %+v (before %+v), want 4 more Rejects and no admission", st, before)
+	}
+	if got := c.Snapshot().Counters["hc_cache_rejects_total"]; got != st.Rejects {
+		t.Errorf("hc_cache_rejects_total = %v, want %d", got, st.Rejects)
 	}
 }
 

@@ -313,7 +313,7 @@ func newShard(cfg Config) (_ *Shard, err error) {
 			minTouches = 2
 		}
 		capBytes := int64(cfg.ReadCacheFraction * float64(h.Tiers[0].Capacity))
-		c.cache = readcache.New(capBytes, minTouches, accessRingSize)
+		c.cache = readcache.New(capBytes, minTouches, prefetchRuns)
 		c.cache.SetTelemetry(reg)
 		// Teardown hands cached payloads back to the arena.
 		c.closers.push(func() error { c.cache.InvalidateAll(); return nil })
@@ -377,6 +377,7 @@ func newShard(cfg Config) (_ *Shard, err error) {
 	}
 	if c.cache != nil && !cfg.DisablePrefetch {
 		c.prefetchKick = make(chan struct{}, 1)
+		c.cache.OnRun(c.kickPrefetch)
 		c.background(c.prefetchLoop)
 	}
 	return c, nil
