@@ -2,12 +2,12 @@ package hcompress
 
 // Client is the backward-compatible single-tenant handle: a Router with
 // exactly one Shard, with that shard embedded so every pipeline method
-// (Compress, Decompress, the batch APIs, Status, Stats, Close, ...)
-// resolves directly against it. A one-shard router routes every key to
-// shard 0, so delegating straight to the shard is the same computation
-// with the hash skipped — New's Client is behaviourally and
-// trace-byte-identical to the pre-sharding client (gated by
-// TestClientFacadeEquivalence).
+// (Compress, Decompress, the batch APIs, Status, Stats, ...) resolves
+// directly against it; Close and MetricsAddr go through the router. A
+// one-shard router routes every key to shard 0, so delegating straight
+// to the shard is the same computation with the hash skipped — New's
+// Client is behaviourally and trace-byte-identical to the pre-sharding
+// client (gated by TestClientFacadeEquivalence).
 //
 // Scaling beyond one shard is NewRouter (key-routed shards, aggregate
 // views) and internal/service (multi-tenant network front-end); Client
@@ -19,7 +19,7 @@ type Client struct {
 
 // New initializes HCompress — the work the paper performs when
 // intercepting MPI_Init: load the seed, build the component stack, and
-// prepare the codec pool. The returned Client is a one-shard Router; use
+// start the codec pool. The returned Client is a one-shard Router; use
 // NewRouter directly for key-routed multi-shard operation.
 func New(cfg Config) (*Client, error) {
 	r, err := NewRouter(cfg, 1)
@@ -33,3 +33,9 @@ func New(cfg Config) (*Client, error) {
 // handed to anything (the service front-end, bench/) that drives a
 // Router.
 func (c *Client) Router() *Router { return c.router }
+
+// Close finalizes the client (Router.Close) — the paper's MPI_Finalize.
+func (c *Client) Close() error { return c.router.Close() }
+
+// MetricsAddr is Router.MetricsAddr.
+func (c *Client) MetricsAddr() string { return c.router.MetricsAddr() }

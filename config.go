@@ -7,7 +7,6 @@ import (
 
 	"hcompress/internal/codec"
 	"hcompress/internal/seed"
-	"hcompress/internal/telemetry"
 	"hcompress/internal/tier"
 )
 
@@ -125,7 +124,8 @@ type Config struct {
 	// feedback-loop model updates (default: the seed's value).
 	FeedbackInterval int
 	// Parallelism bounds the worker pool that fans a task's sub-task
-	// codec work across goroutines (default 0: GOMAXPROCS). Virtual-time
+	// codec work across goroutines (default 0: GOMAXPROCS). The pool is
+	// per Router: every shard of a NewRouter shares it. Virtual-time
 	// accounting is deterministic regardless of this setting — only
 	// wall-clock work overlaps; use 1 to force fully serial execution.
 	Parallelism int
@@ -141,13 +141,16 @@ type Config struct {
 	EnableTelemetry bool
 	// MetricsAddr, when non-empty, starts an HTTP listener (e.g.
 	// "127.0.0.1:9090" or ":0") serving Prometheus text format on
-	// /metrics and expvar JSON on /debug/vars. The listener is closed by
-	// Close; the bound address is reported by Client.MetricsAddr.
+	// /metrics and expvar JSON on /debug/vars. A Router opens one
+	// listener whatever its shard count, serving the merged exposition of
+	// Router.WriteMetrics; it is closed by Close, and the bound address is
+	// reported by Client.MetricsAddr and Router.MetricsAddr.
 	MetricsAddr string
 	// TraceWriter, when non-nil, receives one JSON line per trace span
 	// and decision-audit record. Spans carry virtual-clock timestamps
 	// only, so a serial workload produces byte-identical output
-	// regardless of Parallelism — diffable in CI.
+	// regardless of Parallelism — diffable in CI. A Router writes every
+	// shard's records through one sink, so they interleave line-atomically.
 	TraceWriter io.Writer
 	// AuditLogSize bounds the in-memory decision-audit ring returned by
 	// Client.Audits (default 1024 when telemetry is on).
@@ -217,18 +220,6 @@ type Config struct {
 	// determinism contract is asserted against modeled costs because the
 	// real oracle measures wall clocks.
 	modeled bool
-
-	// shardLabel, when non-empty, stamps every telemetry series this
-	// pipeline registers with shard="<label>". Set by NewRouter for
-	// multi-shard routers (unexported): a single-shard Client keeps the
-	// exact pre-sharding series names, so its exposition stays
-	// byte-compatible.
-	shardLabel string
-	// traceSink, when non-nil, overrides TraceWriter with an
-	// already-built sink. NewRouter shares one sink across shards so
-	// concurrent shards emit line-atomic records to one writer instead of
-	// racing on it through separate sinks.
-	traceSink *telemetry.Sink
 }
 
 // telemetryEnabled reports whether any telemetry surface is requested.

@@ -1,6 +1,7 @@
 package hcompress
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -46,14 +47,14 @@ func TestDemoteOnceRespectsWatermarks(t *testing.T) {
 	fillTier0(t, c, 0.86)
 	capB := float64(c.hier.Tiers[0].Capacity)
 
-	c.demoteOnce(nil, 64)
+	c.demoteOnce(context.Background(), 64)
 	if used := float64(c.st.Used(0)); used > 0.70*capB {
 		t.Errorf("after demotion pass tier 0 holds %.0f bytes, want <= low watermark %.0f", used, 0.70*capB)
 	}
 
 	// Below the high watermark a pass is a no-op.
 	before := c.st.Used(0)
-	c.demoteOnce(nil, 64)
+	c.demoteOnce(context.Background(), 64)
 	if got := c.st.Used(0); got != before {
 		t.Errorf("pass below high watermark moved data: %d -> %d", before, got)
 	}

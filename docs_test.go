@@ -1,6 +1,8 @@
 package hcompress
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/scanner"
 	"go/token"
 	"os"
@@ -95,6 +97,99 @@ func TestDocsQuoteLiveNames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsQuoteLiveFlags keeps the prose from citing command flags that
+// are gone: every -flag handed to hcbench, hctool or hcprofiler in
+// README.md, DESIGN.md or EXPERIMENTS.md — in a backticked command, or
+// on a `go run ./cmd/<name>` line of a fenced block — must be defined by
+// a flag.*("name", …) call in that command's cmd/<name>/main.go.
+func TestDocsQuoteLiveFlags(t *testing.T) {
+	defined := map[string]map[string]bool{}
+	for _, cmd := range []string{"hcbench", "hctool", "hcprofiler"} {
+		defined[cmd] = commandFlags(t, filepath.Join("cmd", cmd, "main.go"))
+	}
+	span := regexp.MustCompile("`([^`\n]+)`")
+	quoted := regexp.MustCompile(`^(?:go run \./cmd/)?(hcbench|hctool|hcprofiler)\s(.*)$`)
+	fenced := regexp.MustCompile(`go run \./cmd/(hcbench|hctool|hcprofiler)\s(.*)$`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFence := false
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inFence = !inFence
+				continue
+			}
+			var calls [][]string
+			if inFence {
+				if m := fenced.FindStringSubmatch(line); m != nil {
+					calls = append(calls, m)
+				}
+			} else {
+				for _, m := range span.FindAllStringSubmatch(line, -1) {
+					if c := quoted.FindStringSubmatch(m[1]); c != nil {
+						calls = append(calls, c)
+					}
+				}
+			}
+			for _, c := range calls {
+				args, _, _ := strings.Cut(c[2], "#") // a trailing shell comment
+				for _, arg := range strings.Fields(args) {
+					name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+					if !strings.HasPrefix(arg, "-") || name == "" {
+						continue
+					}
+					checked++
+					if !defined[c[1]][name] {
+						t.Errorf("%s:%d: %s defines no flag -%s", doc, i+1, c[1], name)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no command flag quoted in the docs: the gate checks nothing")
+	}
+}
+
+// commandFlags returns the flag names a command's main.go defines: the
+// string literal that names the flag in each flag.*(…) call, first
+// argument (flag.String("v", …)) or second (flag.StringVar(&v, "v", …)).
+func commandFlags(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !isIdent(sel.X, "flag") {
+			return true
+		}
+		for _, arg := range call.Args[:min(2, len(call.Args))] {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				names[name] = true
+				break
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// isIdent reports whether x is the identifier name.
+func isIdent(x ast.Expr, name string) bool {
+	id, ok := x.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // nameMatch reports whether name, or the pattern it holds when it

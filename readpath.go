@@ -2,16 +2,15 @@ package hcompress
 
 // This file is the shard's face of the read accelerator
 // (internal/readcache): the cache-hit fast path of the read pipeline, the
-// background access-pattern prefetcher, and the CacheStats surface. The
-// cache itself — admission, refcounting, LRU,
-// invalidation tokens — lives in internal/readcache; everything here is
-// wiring it into the pipeline's lifecycle, telemetry, and fanout pool.
+// readahead the router's prefetch worker runs on it, and the CacheStats
+// surface. The cache itself — admission, refcounting, LRU, invalidation
+// tokens — lives in internal/readcache; everything here is wiring it
+// into the pipeline's lifecycle, telemetry, and fanout pool.
 
 import (
 	"context"
 
 	"hcompress/internal/bufpool"
-	"hcompress/internal/fanout"
 	"hcompress/internal/readcache"
 	"hcompress/internal/telemetry"
 )
@@ -68,62 +67,27 @@ func (c *Shard) cacheHitTrace(ri telemetry.ReqInfo, key string, meta readcache.M
 	})
 }
 
-// kickPrefetch wakes the prefetch worker when a read extends an
-// ascending run (the cache calls it through OnRun); non-blocking, the
-// capacity-1 channel coalesces bursts.
-func (c *Shard) kickPrefetch() {
-	select {
-	case c.prefetchKick <- struct{}{}:
-	default:
-	}
-}
-
 // Prefetcher policy: the cache follows ascending runs of up to
-// prefetchRuns key prefixes at once, and a run is read prefetchDepth keys
-// ahead.
+// prefetchRuns key prefixes at once, a run is read prefetchDepth keys
+// ahead, and one wake-up fills at most prefetchPerPass keys per shard.
 const (
-	prefetchRuns  = 256
-	prefetchDepth = 2
+	prefetchRuns    = 256
+	prefetchDepth   = 2
+	prefetchPerPass = 8
 )
-
-// prefetchLoop is the background readahead worker: woken when a read
-// extends an ascending run, it decompresses the run's next keys into the
-// cache ahead of demand. Its decompression fans out at Batch class, so
-// Interactive operations always claim pool workers first — prefetch can
-// never starve the demand path. Like the demoter it never takes c.mu:
-// Close stops it (and cancels any in-flight fill) before tearing down the
-// pool and store.
-func (c *Shard) prefetchLoop(stop <-chan struct{}) {
-	ctx, cancel := context.WithCancel(fanout.WithClass(context.Background(), fanout.Batch))
-	defer cancel()
-	go func() {
-		<-stop
-		cancel()
-	}()
-	const maxPerPass = 8
-	for {
-		select {
-		case <-stop:
-			return
-		case <-c.prefetchKick:
-		}
-		for _, key := range c.cache.Candidates(maxPerPass, prefetchDepth) {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.prefetchOne(ctx, key)
-		}
-	}
-}
 
 // prefetchOne warms one predicted key: an untimed read through the
 // manager (no tier lane, no virtual time, no predictor feedback — the
 // modeled timeline cannot see speculation) committed into the cache.
+// It holds the read lock for the one fill and skips a closed shard.
 // Sequential predictions routinely run past the last written key, so a
 // nonexistent key is simply not a candidate rather than a failure.
 func (c *Shard) prefetchOne(ctx context.Context, key string) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.closed {
+		return
+	}
 	if _, _, ok := c.mgr.TaskInfo(key); !ok {
 		return
 	}

@@ -176,7 +176,7 @@ func TestCacheInvalidationOnDemotion(t *testing.T) {
 	}
 	rep.Release()
 
-	c.demoteOnce(nil, 64)
+	c.demoteOnce(context.Background(), 64)
 
 	st := c.CacheStats()
 	if st.Invalidations < 1 {

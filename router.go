@@ -5,75 +5,173 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"sync"
+	"time"
 
+	"hcompress/internal/bufpool"
+	"hcompress/internal/fanout"
 	"hcompress/internal/telemetry"
 )
 
-// Router owns N independent Shards — N complete pipelines with their own
-// locks, worker pools, stores, HCDP engines, and virtual clocks — and
-// routes every key to exactly one of them with rendezvous
-// (highest-random-weight) hashing. The mapping is a pure function of the
-// key and the shard count: stable across restarts, no directory, no
-// rebalancing state. Single-key operations touch one shard; batch
-// operations split by shard and fan out; aggregate views (Status,
-// Health, Stats, Snapshot, Audits, FaultEvents) compose per-shard
-// snapshots one shard at a time.
+// Router owns N Shards — N tier hierarchies, each with its own locks,
+// store, HCDP engine, CCP, read cache, and virtual clock — and, once per
+// process, what the shards share: the worker pool (one
+// Interactive-before-Batch queue), one demoter and one readahead worker
+// that walk the shards, the trace sink, the MetricsAddr listener, and
+// the arena and pool series. It routes every key to exactly one shard
+// with rendezvous (highest-random-weight) hashing: a pure function of
+// the key and the shard count, stable across restarts, with no
+// directory and no rebalancing state. Batch operations split by shard
+// and fan out; aggregate views compose per-shard snapshots.
 //
-// Lock ordering: the router itself holds no lock, ever. Each aggregate
-// view calls one shard's snapshot method at a time, and every such
-// method acquires and releases only that shard's own locks — so no code
-// path in the package ever holds two shards' locks at once, and
-// cross-shard deadlock is impossible by construction (see DESIGN.md
-// §13 for the rule this encodes).
+// Lock ordering: the router holds no lock across a shard call. Each
+// aggregate view calls one shard at a time, and the background runner
+// holds one shard's read lock per demotion slice or prefetch fill — so
+// no code path ever holds two shards' locks at once, and cross-shard
+// deadlock is impossible by construction (DESIGN.md §13).
 type Router struct {
 	shards []*Shard
 	salts  []uint64 // per-shard rendezvous salts, fixed at construction
+
+	closers   []func() error // everything NewRouter acquired; Close releases it newest first
+	closeOnce sync.Once
+	tel       *telemetry.Registry // process-wide series when n > 1, else nil
+	mu        sync.RWMutex        // guards metricsLn against Close
+	metricsLn net.Listener
 }
 
 // NewRouter builds a router over n identical shards, each configured
 // from cfg. Tier capacities are per-shard: n shards of a 1 GiB hierarchy
 // hold n GiB in aggregate. With n > 1, every shard's telemetry series
-// gains a shard="<i>" label, the shards share one trace sink (records
-// from different shards interleave line-atomically), MetricsAddr is
-// rejected (serve the merged exposition via WriteMetrics or the
-// internal/service front-end instead), and SaveSeedOnClose persists
-// shard 0's evolved model only. With n == 1 the router is byte-for-byte
-// the pre-sharding client: no shard label, no behavioural difference.
-func NewRouter(cfg Config, n int) (*Router, error) {
+// gains a shard="<i>" label while the process-wide ones stay unlabelled
+// in a router registry, and SaveSeedOnClose persists shard 0's evolved
+// model only. With n == 1 the router is byte-for-byte the pre-sharding
+// client: no shard label, no behavioural difference.
+func NewRouter(cfg Config, n int) (_ *Router, err error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hcompress: router needs at least 1 shard, got %d", n)
-	}
-	if n > 1 && cfg.MetricsAddr != "" {
-		return nil, errors.New("hcompress: MetricsAddr is single-shard only; use Router.WriteMetrics or the service front-end")
 	}
 	r := &Router{
 		shards: make([]*Shard, 0, n),
 		salts:  make([]uint64, n),
 	}
-	if n > 1 && cfg.TraceWriter != nil {
-		cfg.traceSink = telemetry.NewSink(cfg.TraceWriter)
-	}
-	for i := 0; i < n; i++ {
-		scfg := cfg
-		if n > 1 {
-			scfg.shardLabel = strconv.Itoa(i)
-			if i > 0 {
-				scfg.SaveSeedOnClose = false
-			}
-		}
-		s, err := newShard(scfg)
+	defer func() {
 		if err != nil {
-			for _, prev := range r.shards {
-				_ = prev.Close()
-			}
+			_ = r.Close() // a failed construction releases what it acquired
+		}
+	}()
+	pool := fanout.NewPool(cfg.Parallelism)
+	r.closers = append(r.closers, func() error { pool.Close(); return nil })
+	sink := telemetry.NewSink(cfg.TraceWriter)
+	for i := 0; i < n; i++ {
+		scfg, label := cfg, ""
+		if n > 1 {
+			label = strconv.Itoa(i)
+			scfg.SaveSeedOnClose = cfg.SaveSeedOnClose && i == 0
+		}
+		s, err := newShard(scfg, label, pool, sink)
+		if err != nil {
 			return nil, fmt.Errorf("hcompress: shard %d: %w", i, err)
 		}
+		r.closers = append(r.closers, s.Close)
 		r.shards = append(r.shards, s)
 		r.salts[i] = rendezvousSalt(i)
 	}
+	// The process-wide series live in the one shard's registry, or with
+	// several shards in the router's own; the arena mirrors into the
+	// registry set last, so it is set once per router.
+	if proc := r.shards[0].tel; proc != nil {
+		if n > 1 {
+			r.tel = telemetry.New()
+			proc = r.tel
+		}
+		pool.SetTelemetry(proc)
+		bufpool.SetTelemetry(proc)
+		id := expvarRegister(r.Snapshot)
+		r.closers = append(r.closers, func() error { expvarUnregister(id); return nil })
+		if cfg.MetricsAddr != "" {
+			if err := r.startMetricsServer(cfg.MetricsAddr, proc); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if cfg.DemotionInterval > 0 {
+		r.background(func(ctx context.Context) { r.demoteLoop(ctx, cfg.DemotionInterval, cfg.DemotionSliceSubTasks) })
+	}
+	if r.shards[0].cache != nil && !cfg.DisablePrefetch {
+		// Every shard's cache wakes the one worker; the capacity-1
+		// channel coalesces bursts.
+		kick := make(chan struct{}, 1)
+		for _, s := range r.shards {
+			s.cache.OnRun(func() {
+				select {
+				case kick <- struct{}{}:
+				default:
+				}
+			})
+		}
+		r.background(func(ctx context.Context) { r.prefetchLoop(ctx, kick) })
+	}
 	return r, nil
+}
+
+// background runs loop on its own goroutine until the router closes: the
+// closer it pushes cancels loop's context and waits for it to return.
+// Started last, the loops are the newest closers and stop first, before
+// the shards they walk and the pool they fan through.
+func (r *Router) background(loop func(ctx context.Context)) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		loop(ctx)
+	}()
+	r.closers = append(r.closers, func() error { cancel(); <-done; return nil })
+}
+
+// demoteLoop is the background demoter: every interval it gives each
+// shard in turn one demotion pass, which drains any tier filled past its
+// high watermark down to the low watermark in bounded slices — the
+// paper's asynchronous buffer flush, without stalling the data path.
+func (r *Router) demoteLoop(ctx context.Context, interval time.Duration, sliceN int) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			for _, s := range r.shards {
+				s.demoteOnce(ctx, sliceN)
+			}
+		}
+	}
+}
+
+// prefetchLoop is the background readahead worker: woken when a read on
+// any shard extends an ascending run, it decompresses the keys each
+// shard's cache predicts into that cache ahead of demand, at most
+// prefetchPerPass per shard. Its decompression fans out at Batch class,
+// so Interactive operations of every shard claim pool workers first.
+func (r *Router) prefetchLoop(ctx context.Context, kick <-chan struct{}) {
+	ctx = fanout.WithClass(ctx, fanout.Batch)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-kick:
+		}
+		for _, s := range r.shards {
+			for _, key := range s.cache.Candidates(prefetchPerPass, prefetchDepth) {
+				if ctx.Err() != nil {
+					return
+				}
+				s.prefetchOne(ctx, key)
+			}
+		}
+	}
 }
 
 // Shards reports the shard count.
@@ -334,23 +432,31 @@ func (r *Router) Stats() Stats {
 			agg.VirtualSeconds = st.VirtualSeconds
 		}
 	}
-	if len(r.shards) > 0 {
-		agg.ModelAccuracy /= float64(len(r.shards))
-	}
+	agg.ModelAccuracy /= float64(len(r.shards))
 	return agg
 }
 
-// Snapshot merges every shard's metric snapshot into one map set. With
-// more than one shard every series carries its shard label, so the union
-// is collision-free.
+// registries lists every shard's registry, then the router's own.
+func (r *Router) registries() []*telemetry.Registry {
+	regs := make([]*telemetry.Registry, 0, len(r.shards)+1)
+	for _, s := range r.shards {
+		regs = append(regs, s.tel)
+	}
+	return append(regs, r.tel)
+}
+
+// Snapshot merges every shard's metric snapshot and the process-wide
+// series into one map set. With more than one shard every per-shard
+// series carries its shard label and the process-wide ones carry none,
+// so the union is collision-free.
 func (r *Router) Snapshot() MetricsSnapshot {
 	agg := MetricsSnapshot{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]float64),
 		Histograms: make(map[string]HistogramStat),
 	}
-	for _, s := range r.shards {
-		snap := s.Snapshot()
+	for _, reg := range r.registries() {
+		snap := reg.Snapshot()
 		for k, v := range snap.Counters {
 			agg.Counters[k] += v
 		}
@@ -365,34 +471,39 @@ func (r *Router) Snapshot() MetricsSnapshot {
 }
 
 // WriteMetrics renders one merged Prometheus exposition over every
-// shard's registry (families unified, series distinguished by the shard
-// label).
+// shard's registry and the process-wide series (families unified,
+// series distinguished by the shard label) — the bytes MetricsAddr
+// serves on /metrics.
 func (r *Router) WriteMetrics(w io.Writer) error {
-	regs := make([]*telemetry.Registry, len(r.shards))
-	for i, s := range r.shards {
-		regs[i] = s.tel
+	return telemetry.MergePrometheus(w, r.registries()...)
+}
+
+// MetricsAddr reports the bound address of the metrics listener (useful
+// with Config.MetricsAddr ":0"), or "" when none is serving.
+func (r *Router) MetricsAddr() string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.metricsLn == nil {
+		return ""
 	}
-	return telemetry.MergePrometheus(w, regs...)
+	return r.metricsLn.Addr().String()
+}
+
+// drainAll concatenates one ring drain per shard, shard 0 first.
+func drainAll[T any](r *Router, drain func(*Shard) []T) []T {
+	var out []T
+	for _, s := range r.shards {
+		out = append(out, drain(s)...)
+	}
+	return out
 }
 
 // Audits drains every shard's decision-audit ring, shard 0 first.
-func (r *Router) Audits() []AuditRecord {
-	var out []AuditRecord
-	for _, s := range r.shards {
-		out = append(out, s.Audits()...)
-	}
-	return out
-}
+func (r *Router) Audits() []AuditRecord { return drainAll(r, (*Shard).Audits) }
 
 // SlowOps drains every shard's slow-op ring, shard 0 first. Empty unless
 // Config.SlowOpThreshold or Config.SlowOpSampleEvery is set.
-func (r *Router) SlowOps() []SlowOpRecord {
-	var out []SlowOpRecord
-	for _, s := range r.shards {
-		out = append(out, s.SlowOps()...)
-	}
-	return out
-}
+func (r *Router) SlowOps() []SlowOpRecord { return drainAll(r, (*Shard).SlowOps) }
 
 // CacheStats sums every shard's read-cache counters into one aggregate
 // view. Capacity and occupancy add (each shard owns an independent
@@ -420,20 +531,21 @@ func (r *Router) CacheStats() CacheStats {
 }
 
 // FaultEvents drains every shard's health-transition ring, shard 0 first.
-func (r *Router) FaultEvents() []FaultEvent {
-	var out []FaultEvent
-	for _, s := range r.shards {
-		out = append(out, s.FaultEvents()...)
-	}
-	return out
-}
+func (r *Router) FaultEvents() []FaultEvent { return drainAll(r, (*Shard).FaultEvents) }
 
-// Close closes every shard (draining each shard's in-flight operations
-// under that shard's own lifecycle lock) and joins any errors. Idempotent.
+// Close stops the background runner and the metrics listener, closes
+// every shard (each draining its in-flight operations under its own
+// lifecycle lock), then the worker pool, and joins any errors.
+// Idempotent; a shard closed on its own beforehand is skipped.
 func (r *Router) Close() error {
-	errs := make([]error, len(r.shards))
-	for i, s := range r.shards {
-		errs[i] = s.Close()
-	}
+	var errs []error
+	r.closeOnce.Do(func() {
+		r.mu.Lock()
+		r.metricsLn = nil
+		r.mu.Unlock()
+		for i := len(r.closers) - 1; i >= 0; i-- {
+			errs = append(errs, r.closers[i]())
+		}
+	})
 	return errors.Join(errs...)
 }

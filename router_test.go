@@ -214,16 +214,12 @@ func TestRouterSingleShard(t *testing.T) {
 	}
 }
 
-// TestRouterInvalidConfig covers constructor rejections: a shardless
-// router, and a multi-shard router with a single MetricsAddr listener
-// (per-shard listeners would collide; serve the merged exposition via
-// WriteMetrics instead).
+// TestRouterInvalidConfig covers the constructor rejection: a shardless
+// router. (Any shard count may set MetricsAddr: the router owns the one
+// listener; TestRouterMetricsAddrServesMergedExposition.)
 func TestRouterInvalidConfig(t *testing.T) {
 	if _, err := NewRouter(Config{}, 0); err == nil {
 		t.Fatal("NewRouter(0) succeeded")
-	}
-	if _, err := NewRouter(Config{MetricsAddr: "127.0.0.1:0"}, 2); err == nil {
-		t.Fatal("multi-shard router with MetricsAddr succeeded")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -127,27 +126,26 @@ func (r *Report) Release() {
 	r.Data = nil
 }
 
-// Shard is one complete, independent HCompress pipeline: the IA, CCP,
-// SM, HCDP engine, Compression Manager, tiered store, worker pool, and
-// virtual clock that used to be the whole Client. A Router owns N of
-// them and routes keys across them; the Client facade is a Router with
-// exactly one. A Shard shares no mutable state with its siblings — no
-// lock, pool, store, or clock spans shards — which is what makes the
-// router's aggregate views safe to compose shard-by-shard. It is safe
-// for concurrent use.
+// Shard is the part of an HCompress pipeline that describes one tier
+// hierarchy: the IA, CCP, SM, HCDP engine and plan cache, Compression
+// Manager, tiered store, read cache, and virtual clock. A Router owns N
+// of them, plus the worker pool, background runner, and trace sink they
+// share; a Shard starts no goroutine. No lock, store, or clock spans
+// shards, which is what makes the router's aggregate views safe to
+// compose shard-by-shard. It is safe for concurrent use.
 //
 // Concurrency model: there is no global pipeline lock. Each operation is
 // staged — analyze (pure CPU, no locks), plan (engine RW-locked memo),
 // execute (worker-pool codec fan-out, per-tier store locks) — and the
 // only client-level state is the virtual clock (its own small lock, see
 // vclock) and the lifecycle RWMutex below, whose read side is shared by
-// every operation so Status/Stats never wait behind in-flight codec work.
-// Close takes the write side, so it drains in-flight operations before
-// flushing the feedback loop.
+// every operation, by each demotion slice and by each prefetch fill, so
+// Status/Stats never wait behind in-flight codec work. Close takes the
+// write side, so it drains in-flight operations before flushing the
+// feedback loop.
 type Shard struct {
-	mu      sync.RWMutex // lifecycle only: ops hold R, Close holds W
-	closed  bool
-	closers closerStack // everything newShard acquired, unwound by Close
+	mu     sync.RWMutex // lifecycle only: ops hold R, Close holds W
+	closed bool
 
 	hier  tier.Hierarchy
 	sd    *seed.Seed
@@ -156,23 +154,20 @@ type Shard struct {
 	eng   *core.Engine
 	mgr   *manager.Manager
 	st    *store.Store
-	pool  *fanout.Pool // shared persistent worker pool for codec fan-outs
+	pool  *fanout.Pool // the router's worker pool for codec fan-outs
 	clock vclock       // virtual time, self-locked
 
 	// Read accelerator (nil when ReadCacheFraction is zero): the
-	// decompressed-block cache and the wake-up channel of its background
-	// prefetcher (nil when prefetch is off).
-	cache        *readcache.Cache
-	prefetchKick chan struct{}
+	// decompressed-block cache, whose readahead the router's worker fills.
+	cache *readcache.Cache
 
 	// Telemetry (all nil/zero when off — the nil-registry fast path).
-	tel       *telemetry.Registry
-	sink      *telemetry.Sink
-	cm        clientMetrics
-	audit     ring[AuditRecord] // decision audits; cap 0 (holds nothing) with telemetry off
-	faults    ring[FaultEvent]  // health transitions; always on
-	slow      *slowLog          // slow-op ring; nil unless a SlowOp* policy is set
-	metricsLn net.Listener
+	tel    *telemetry.Registry
+	sink   *telemetry.Sink // the router's, shared by every shard
+	cm     clientMetrics
+	audit  ring[AuditRecord] // decision audits; cap 0 (holds nothing) with telemetry off
+	faults ring[FaultEvent]  // health transitions; always on
+	slow   *slowLog          // slow-op ring; nil unless a SlowOp* policy is set
 
 	// Request identity: operations arriving without a propagated request
 	// ID (direct library use) get one synthesized from reqSeq so every
@@ -187,34 +182,12 @@ type Shard struct {
 	saveSeed bool
 }
 
-// closerStack is a pipeline's teardown list: every resource newShard
-// acquires pushes its release here, and both a failed construction and
-// Shard.Close unwind it — newest first — so neither can leak what the
-// other would have released.
-type closerStack []func() error
-
-func (s *closerStack) push(release func() error) { *s = append(*s, release) }
-
-// close runs every release, newest first, and reports the first failure.
-func (s *closerStack) close() error {
-	var first error
-	for i := len(*s) - 1; i >= 0; i-- {
-		if err := (*s)[i](); err != nil && first == nil {
-			first = err
-		}
-	}
-	*s = nil
-	return first
-}
-
-// newShard initializes one complete pipeline — the work the paper
-// performs when intercepting MPI_Init: load the seed, build the
-// component stack, and prepare the codec pool. New and NewRouter are the
-// public faces. Everything that can be rejected without holding a
-// resource is rejected first (Config.validate, the seed file, the fault
-// script); from the store onwards each acquisition is pushed on the
-// shard's closer stack, which a later failure unwinds.
-func newShard(cfg Config) (_ *Shard, err error) {
+// newShard loads the seed and builds one shard's component stack over
+// the router's pool and sink; label is "" on a single-shard router.
+// Everything that can be rejected without holding a resource is rejected
+// first (Config.validate, the seed file, the fault script); the store
+// is the one acquisition, released if a later step fails.
+func newShard(cfg Config, label string, pool *fanout.Pool, sink *telemetry.Sink) (_ *Shard, err error) {
 	h, err := cfg.validate()
 	if err != nil {
 		return nil, err
@@ -239,8 +212,8 @@ func newShard(cfg Config) (_ *Shard, err error) {
 	}
 	var reg *telemetry.Registry
 	if cfg.telemetryEnabled() {
-		if cfg.shardLabel != "" {
-			reg = telemetry.New(telemetry.L("shard", cfg.shardLabel))
+		if label != "" {
+			reg = telemetry.New(telemetry.L("shard", label))
 		} else {
 			reg = telemetry.New()
 		}
@@ -248,23 +221,19 @@ func newShard(cfg Config) (_ *Shard, err error) {
 	c := &Shard{
 		hier:     h,
 		sd:       sd,
+		pool:     pool,
 		tel:      reg,
-		sink:     cfg.traceSink,
+		sink:     sink,
 		cm:       newClientMetrics(reg),
 		seedPath: cfg.SeedPath,
 		saveSeed: cfg.SaveSeedOnClose && cfg.SeedPath != "",
 	}
-	defer func() {
-		if err != nil {
-			_ = c.closers.close()
-		}
-	}()
 
 	// File-backed tiers of different shards must not share a journal
 	// directory, so each shard roots its backends one level down.
 	dataDir := cfg.DataDir
-	if dataDir != "" && cfg.shardLabel != "" {
-		dataDir = filepath.Join(dataDir, cfg.shardLabel)
+	if dataDir != "" && label != "" {
+		dataDir = filepath.Join(dataDir, label)
 	}
 	c.st, err = store.Open(h, store.Options{
 		KeepData:      !cfg.modeled,
@@ -281,12 +250,11 @@ func newShard(cfg Config) (_ *Shard, err error) {
 	if err != nil {
 		return nil, err
 	}
-	c.closers.push(c.st.Close)
-	if reg != nil {
-		// The arena is process-wide and mirrors into the registry set
-		// last; a nil registry would detach every other client's.
-		bufpool.SetTelemetry(reg)
-	}
+	defer func() {
+		if err != nil {
+			_ = c.st.Close()
+		}
+	}()
 	c.pred = predictor.New(sd)
 	c.pred.SetTelemetry(reg)
 	c.mon = monitor.New(c.st, cfg.MonitorIntervalSec)
@@ -300,9 +268,6 @@ func newShard(cfg Config) (_ *Shard, err error) {
 	if err != nil {
 		return nil, err
 	}
-	c.pool = fanout.NewPool(cfg.Parallelism)
-	c.closers.push(func() error { c.pool.Close(); return nil })
-	c.pool.SetTelemetry(reg)
 	var demoteNotify func(keys []string)
 	if cfg.ReadCacheFraction > 0 && !cfg.modeled {
 		// The cache holds decompressed payloads, so it only exists when
@@ -315,8 +280,6 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		capBytes := int64(cfg.ReadCacheFraction * float64(h.Tiers[0].Capacity))
 		c.cache = readcache.New(capBytes, minTouches, prefetchRuns)
 		c.cache.SetTelemetry(reg)
-		// Teardown hands cached payloads back to the arena.
-		c.closers.push(func() error { c.cache.InvalidateAll(); return nil })
 		// Demoted keys leave the cache: their cached meta (and the hot-set
 		// premise that put them there) is stale once the demoter cools them.
 		demoteNotify = func(keys []string) {
@@ -331,7 +294,7 @@ func newShard(cfg Config) (_ *Shard, err error) {
 	}
 	c.mgr = manager.New(c.st, c.pred, manager.Options{
 		Oracle:       oracle,
-		Pool:         c.pool,
+		Pool:         pool,
 		DemoteNotify: demoteNotify,
 		Telemetry:    reg,
 	})
@@ -340,9 +303,6 @@ func newShard(cfg Config) (_ *Shard, err error) {
 	if _, err = c.mgr.AdoptRecovered(); err != nil {
 		return nil, err
 	}
-	if c.sink == nil {
-		c.sink = telemetry.NewSink(cfg.TraceWriter)
-	}
 	c.faults.cap = 256
 	c.mon.SetEventSink(c.onHealthEvent)
 	if reg != nil {
@@ -350,8 +310,6 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		if c.audit.cap == 0 {
 			c.audit.cap = 1024
 		}
-		id := expvarRegister(reg)
-		c.closers.push(func() error { expvarUnregister(id); return nil })
 	}
 	if cfg.SlowOpThreshold > 0 || cfg.SlowOpSampleEvery > 0 {
 		sl := &slowLog{thresh: cfg.SlowOpThreshold.Seconds(), ring: ring[SlowOpRecord]{cap: cfg.SlowOpLogSize}}
@@ -363,38 +321,10 @@ func newShard(cfg Config) (_ *Shard, err error) {
 		}
 		c.slow = sl
 	}
-	if cfg.shardLabel != "" {
-		c.reqPrefix = "s" + cfg.shardLabel + "-"
-	}
-	if cfg.MetricsAddr != "" {
-		if err = c.startMetricsServer(cfg.MetricsAddr); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.DemotionInterval > 0 {
-		interval, sliceN := cfg.DemotionInterval, cfg.DemotionSliceSubTasks
-		c.background(func(stop <-chan struct{}) { c.demoteLoop(stop, interval, sliceN) })
-	}
-	if c.cache != nil && !cfg.DisablePrefetch {
-		c.prefetchKick = make(chan struct{}, 1)
-		c.cache.OnRun(c.kickPrefetch)
-		c.background(c.prefetchLoop)
+	if label != "" {
+		c.reqPrefix = "s" + label + "-"
 	}
 	return c, nil
-}
-
-// background runs loop on its own goroutine until the shard closes: the
-// closer it pushes closes stop and waits for loop to return. The loops
-// never take c.mu, so Close can wait for them under the lifecycle write
-// lock; started last, they are the newest closers and stop first, before
-// the pool they fan through and the store they touch.
-func (c *Shard) background(loop func(stop <-chan struct{})) {
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		loop(stop)
-	}()
-	c.closers.push(func() error { close(stop); <-done; return nil })
 }
 
 // The demoter starts draining a tier at demotionHighWater of its capacity
@@ -404,32 +334,14 @@ const (
 	demotionLowWater  = 0.70
 )
 
-// demoteLoop is the background demoter: every interval it drains any
-// tier filled past its high watermark down to the low watermark, one
-// bounded DemoteSlice at a time. It never takes the lifecycle lock —
-// Close stops the loop before tearing the store down, and each slice
-// synchronizes on the manager lock like any data-path operation — so
-// demotion can never deadlock with or stall behind Close.
-func (c *Shard) demoteLoop(stop <-chan struct{}, interval time.Duration, sliceN int) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			c.demoteOnce(stop, sliceN)
-		}
-	}
-}
-
 // demoteOnce runs one demotion pass over every tier that has something
-// below it to demote into, giving up between slices once stop closes (a
-// nil stop never does).
-func (c *Shard) demoteOnce(stop <-chan struct{}, sliceN int) {
+// below it to demote into, giving up between slices once ctx is done.
+// The router's demoter calls it on each shard in turn; it holds the
+// shard's read lock for one slice at a time, so Close waits for at most
+// one slice and a closed shard is left alone.
+func (c *Shard) demoteOnce(ctx context.Context, sliceN int) {
 	for i := 0; i < c.hier.Len()-1; i++ {
-		capB := float64(c.hier.Tiers[i].Capacity)
-		if capB <= 0 || float64(c.st.Used(i)) < demotionHighWater*capB {
+		if c.hier.Tiers[i].Capacity <= 0 {
 			continue
 		}
 		// Above the high watermark: drain to the low watermark in
@@ -437,21 +349,10 @@ func (c *Shard) demoteOnce(stop <-chan struct{}, sliceN int) {
 		// everything left is pinned above a full tier — give up until
 		// the next tick rather than spin.
 		var sinceWrap int64
-		for float64(c.st.Used(i)) > demotionLowWater*capB {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var wall time.Time
-			if c.tel != nil {
-				wall = time.Now()
-			}
-			moved, wrapped := c.mgr.DemoteSlice(c.clock.Now(), i, sliceN)
-			if c.tel != nil {
-				c.cm.demoteSlices.Inc()
-				c.cm.demoteBytes.Add(moved)
-				c.cm.demoteSeconds.Observe(time.Since(wall).Seconds())
+		for draining := false; ctx.Err() == nil; draining = true {
+			moved, wrapped, ok := c.demoteSlice(i, sliceN, draining)
+			if !ok {
+				break
 			}
 			sinceWrap += moved
 			if wrapped {
@@ -462,6 +363,33 @@ func (c *Shard) demoteOnce(stop <-chan struct{}, sliceN int) {
 			}
 		}
 	}
+}
+
+// demoteSlice runs one bounded DemoteSlice on tier i under the shard's
+// read lock if the tier needs it: past the high watermark to start a
+// drain, past the low one to continue it. ok is false when there was
+// nothing to do, or the shard is closed.
+func (c *Shard) demoteSlice(i, sliceN int, draining bool) (moved int64, wrapped, ok bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.closed {
+		return 0, false, false
+	}
+	used, capB := float64(c.st.Used(i)), float64(c.hier.Tiers[i].Capacity)
+	if !draining && used < demotionHighWater*capB || draining && used <= demotionLowWater*capB {
+		return 0, false, false
+	}
+	var wall time.Time
+	if c.tel != nil {
+		wall = time.Now()
+	}
+	moved, wrapped = c.mgr.DemoteSlice(c.clock.Now(), i, sliceN)
+	if c.tel != nil {
+		c.cm.demoteSlices.Inc()
+		c.cm.demoteBytes.Add(moved)
+		c.cm.demoteSeconds.Observe(time.Since(wall).Seconds())
+	}
+	return moved, wrapped, true
 }
 
 // reqInfo resolves the identity an operation runs under: the request ID,
@@ -749,10 +677,13 @@ func (c *Shard) Stats() Stats {
 	}
 }
 
-// Close finalizes the client — the MPI_Finalize hook in the paper: flush
+// Close finalizes the shard — the MPI_Finalize hook in the paper: flush
 // the feedback loop, optionally persist the evolved model back to the
-// JSON seed, and release everything newShard acquired. Close takes the
-// lifecycle write lock, so it waits for in-flight operations to drain.
+// JSON seed, and release the cache and the store. Close takes the
+// lifecycle write lock, so it waits for in-flight operations, and for at
+// most one demotion slice or prefetch fill of the router's background
+// runner, which skips a closed shard from then on. The worker pool and
+// everything else process-wide stay open until Router.Close.
 func (c *Shard) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -766,11 +697,11 @@ func (c *Shard) Close() error {
 		c.sd.ModelCoef = c.pred.SnapshotCoef()
 		seedErr = c.sd.Save(c.seedPath)
 	}
-	// The stack stops the background loops first, then the worker pool,
-	// so nothing touches the store once its backends close.
-	if err := c.closers.close(); seedErr == nil {
+	if c.cache != nil {
+		c.cache.InvalidateAll() // hands cached payloads back to the arena
+	}
+	if err := c.st.Close(); seedErr == nil {
 		seedErr = err
 	}
-	c.metricsLn = nil
 	return seedErr
 }

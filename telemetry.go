@@ -234,17 +234,6 @@ func (c *Shard) Audits() []AuditRecord {
 	return c.audit.drain()
 }
 
-// MetricsAddr reports the bound address of the metrics listener (useful
-// with Config.MetricsAddr ":0"), or "" when none is serving.
-func (c *Shard) MetricsAddr() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.metricsLn == nil {
-		return ""
-	}
-	return c.metricsLn.Addr().String()
-}
-
 // FaultEvent records one tier health transition in the JSONL trace
 // export and the in-memory ring: which tier moved between "healthy",
 // "degraded", and "offline", when on the virtual timeline, and the
@@ -603,43 +592,43 @@ func abs(v float64) float64 {
 	return v
 }
 
-// startMetricsServer binds addr and serves /metrics (Prometheus text
-// format) and /debug/vars (expvar) until the shard's closer stack, on
-// which it pushes the server's shutdown, unwinds.
-func (c *Shard) startMetricsServer(addr string) error {
+// startMetricsServer binds addr and serves /metrics (the router's merged
+// exposition, with hc_goroutines on proc, the registry of the
+// process-wide series) and /debug/vars (expvar) until Router.Close.
+func (r *Router) startMetricsServer(addr string, proc *telemetry.Registry) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("hcompress: metrics listener: %w", err)
 	}
-	goroutines := c.tel.Gauge("hc_goroutines", "goroutines alive in the process at scrape time")
+	goroutines := proc.Gauge("hc_goroutines", "goroutines alive in the process at scrape time")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		// The registry has no callback gauges, so process-level readings
 		// are refreshed at scrape time.
 		goroutines.Set(float64(runtime.NumGoroutine()))
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = c.tel.WritePrometheus(w)
+		_ = r.WriteMetrics(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	srv := &http.Server{Handler: mux}
-	c.metricsLn = ln
-	c.closers.push(srv.Close)
+	r.metricsLn = ln
+	r.closers = append(r.closers, srv.Close)
 	go func() { _ = srv.Serve(ln) }()
 	return nil
 }
 
 // expvar integration: one process-wide "hcompress" var aggregates the
-// snapshot of every live telemetry-enabled client, keyed client0,
+// snapshot of every live telemetry-enabled router, keyed client0,
 // client1, ... in creation order. Publish happens once (expvar panics on
-// duplicate names); Close unregisters the client from the aggregate.
+// duplicate names); Close unregisters the router from the aggregate.
 var (
 	expvarOnce sync.Once
 	expvarMu   sync.Mutex
-	expvarRegs = make(map[uint64]*telemetry.Registry)
+	expvarRegs = make(map[uint64]func() telemetry.Snapshot)
 	expvarSeq  uint64
 )
 
-func expvarRegister(reg *telemetry.Registry) uint64 {
+func expvarRegister(snapshot func() telemetry.Snapshot) uint64 {
 	expvarOnce.Do(func() {
 		if expvar.Get("hcompress") != nil {
 			return
@@ -648,8 +637,8 @@ func expvarRegister(reg *telemetry.Registry) uint64 {
 			expvarMu.Lock()
 			defer expvarMu.Unlock()
 			out := make(map[string]telemetry.Snapshot, len(expvarRegs))
-			for id, r := range expvarRegs {
-				out[fmt.Sprintf("client%d", id)] = r.Snapshot()
+			for id, snap := range expvarRegs {
+				out[fmt.Sprintf("client%d", id)] = snap()
 			}
 			return out
 		}))
@@ -657,7 +646,7 @@ func expvarRegister(reg *telemetry.Registry) uint64 {
 	expvarMu.Lock()
 	defer expvarMu.Unlock()
 	expvarSeq++
-	expvarRegs[expvarSeq] = reg
+	expvarRegs[expvarSeq] = snapshot
 	return expvarSeq
 }
 
