@@ -148,6 +148,7 @@ func (c *Shard) compress(ctx context.Context, label string, ops []writeOp) error
 	}
 	c.mgr.ExecuteWrites(ctx, start, reqs)
 
+	reps := make([]Report, len(ops)) // the call's reports, one allocation
 	maxEnd := start
 	var ri telemetry.ReqInfo
 	done := 0
@@ -168,7 +169,8 @@ func (c *Shard) compress(ctx context.Context, label string, ops []writeOp) error
 			// this key and revoke in-flight fills that may carry the old bytes.
 			c.cache.Invalidate(o.Key)
 		}
-		o.rep = c.report(o.Key, r.Size, r.Attr, r.Res, start)
+		o.rep = &reps[i]
+		c.report(o.rep, o.Key, r.Size, r.Attr, r.Res, start)
 		o.rep.PredictedSeconds = r.Schema.PredTime
 		o.rep.Degraded = o.degraded
 		if timed {
@@ -412,7 +414,8 @@ func (c *Shard) decompress(ctx context.Context, label string, ops []readOp) erro
 		done++
 		res := reqs[o.req].Res
 		maxEnd = max(maxEnd, res.End)
-		o.rep = c.report(o.key, o.size, o.attr, res, start)
+		o.rep = new(Report)
+		c.report(o.rep, o.key, o.size, o.attr, res, start)
 		o.rep.Data = res.Data
 		if o.fill != nil {
 			// Zero-copy admission: the cache and the report share the buffer

@@ -3,6 +3,8 @@ package hcompress
 import (
 	"bytes"
 	"errors"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -247,6 +249,10 @@ func TestSetPrioritiesRuntime(t *testing.T) {
 	}
 }
 
+// TestSeedPersistence: Close writes the learned cost table into the
+// seed, a client reopened on it predicts what the closed one predicted,
+// and closing a client that learned nothing writes the seed back byte
+// for byte (the tie-break pull is not re-applied on every reopen).
 func TestSeedPersistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seed.json")
@@ -254,15 +260,33 @@ func TestSeedPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.Builtin(h).Save(path); err != nil {
+	builtin := seed.Builtin(h)
+	if err := builtin.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{SeedPath: path, SaveSeedOnClose: true})
+	cfg := Config{SeedPath: path, SaveSeedOnClose: true}
+	predictAll := func(c *Client) map[string]seed.CodecCost {
+		out := map[string]seed.CodecCost{}
+		for _, dt := range stats.AllTypes() {
+			for _, dist := range stats.AllDists() {
+				for _, name := range builtin.CodecNames() {
+					out[seed.Key(dt, dist, name)], _ = c.pred.Predict(dt, dist, name)
+				}
+			}
+		}
+		return out
+	}
+
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := []byte(strings.Repeat("persist ", 100000))
-	c.Compress(Task{Key: "k", Data: data})
+	if _, err := c.Compress(Task{Key: "k", Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	c.pred.Flush()
+	before := predictAll(c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +294,47 @@ func TestSeedPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.ModelCoef) == 0 {
-		t.Error("evolved model not persisted")
+	var learned []string
+	for k, v := range back.Costs {
+		if v != builtin.Costs[k] {
+			learned = append(learned, k)
+		}
+	}
+	if len(learned) == 0 {
+		t.Fatal("learned table not persisted")
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := predictAll(c2)
+	for _, k := range learned {
+		if after[k] != before[k] {
+			t.Errorf("learned %s: %+v before close, %+v after reopen", k, before[k], after[k])
+		}
+	}
+	for k, b := range before {
+		// Only a learned cell's same-type siblings may move, by less
+		// than the predictor's 1e-3 tie-break pull.
+		near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-3*y }
+		if a := after[k]; !near(a.CompressMBps, b.CompressMBps) || !near(a.DecompressMBps, b.DecompressMBps) || !near(a.Ratio, b.Ratio) {
+			t.Errorf("%s: %+v before close, %+v after reopen", k, b, a)
+		}
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Error("save -> load -> save changed the seed")
 	}
 }
 

@@ -111,8 +111,9 @@ type Config struct {
 	// SeedPath optionally names a profiler-generated JSON seed to
 	// bootstrap the cost models. Empty means the builtin seed.
 	SeedPath string
-	// SaveSeedOnClose writes the evolved model back to SeedPath at Close
-	// (the paper's "store the latest model back to the JSON seed").
+	// SaveSeedOnClose writes the learned cost table back into SeedPath's
+	// costs at Close (the paper's "store the latest model back to the
+	// JSON seed"), so a client reopened on that seed resumes from it.
 	SaveSeedOnClose bool
 	// Codecs restricts the library pool to the named codecs (default:
 	// all twelve).

@@ -13,8 +13,9 @@
 // memoized dynamic program over (tier, codec) combinations driven by:
 //
 //   - an Input Analyzer that infers data type and content distribution,
-//   - a Compression Cost Predictor (linear regression with an online
-//     feedback loop) estimating each codec's speed and ratio,
+//   - a Compression Cost Predictor (a per-(type, distribution) cost
+//     table — the paper's linear regression in its saturated form — with
+//     an online feedback loop) estimating each codec's speed and ratio,
 //   - a System Monitor tracking per-tier remaining capacity and load.
 //
 // The package ships twelve compression codecs behind one interface

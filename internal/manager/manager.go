@@ -757,7 +757,11 @@ func (m *Manager) ExecuteWrites(ctx context.Context, now float64, reqs []WriteRe
 	})
 
 	// Stage 2: serial replay, feedback accumulated per predictor cell
-	// and posted once for the whole call.
+	// and posted once for the whole call. The call's sub-results are
+	// carved from one allocation; each directory entry is allocated on
+	// its own, so a live entry never keeps its call's other entries alive.
+	subRes := make([]SubResult, total)
+	metas := make([]*taskMeta, len(reqs))
 	var fb fbRun
 	for i := range reqs {
 		r := &reqs[i]
@@ -781,9 +785,42 @@ func (m *Manager) ExecuteWrites(ctx context.Context, now float64, reqs []WriteRe
 			r.Err = err
 			continue
 		}
-		r.Res, r.Err = m.placeTask(now, r, span, &fb)
+		metas[i] = &taskMeta{subs: make([]subMeta, 0, len(span))}
+		r.Res, r.Err = m.placeTask(now, r, span, metas[i], subRes[r.off:r.off:r.off+len(span)], &fb)
 	}
+	m.publish(reqs, metas)
 	fb.flush(m.pred)
+}
+
+// publish enters a call's placed writes — every request still without an
+// error, with its directory entry at the same index of metas — in the
+// directory, in request order, under one acquisition of m.mu.
+func (m *Manager) publish(reqs []WriteReq, metas []*taskMeta) {
+	n := 0
+	m.mu.Lock()
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Err != nil {
+			continue
+		}
+		if _, existed := m.tasks[r.Key]; !existed {
+			if _, lingering := m.inOrder[r.Key]; lingering {
+				// Rewrite of a deleted key whose order slot has not been
+				// compacted away yet: reuse the slot instead of appending
+				// a duplicate.
+				if m.dead > 0 {
+					m.dead--
+				}
+			} else {
+				m.order = append(m.order, r.Key)
+				m.inOrder[r.Key] = struct{}{}
+			}
+		}
+		m.tasks[r.Key] = metas[i]
+		n++
+	}
+	m.mu.Unlock()
+	m.tm.writes.Add(int64(n))
 }
 
 // putSub places one sub-task payload with the full fault discipline:
@@ -816,12 +853,13 @@ func (m *Manager) putSub(t float64, tier int, sk string, payload []byte, stored 
 
 // placeTask is stage 2 of a write: the serial timeline replay —
 // placement, accounting, feedback — exactly as the serial model would
-// have interleaved them. On failure it returns every unplaced payload to
+// have interleaved them. It fills meta, the task's directory entry for
+// publish, and appends the sub-results to subRes. On failure it returns every unplaced payload to
 // the arena. Predictor feedback goes to the call's accumulator.
-func (m *Manager) placeTask(now float64, r *WriteReq, outs []compOut, fb *fbRun) (Result, error) {
+func (m *Manager) placeTask(now float64, r *WriteReq, outs []compOut, meta *taskMeta, subRes []SubResult, fb *fbRun) (Result, error) {
 	attr := r.Attr
-	res := Result{End: now}
-	meta := &taskMeta{attr: attr, size: r.Size}
+	res := Result{End: now, SubResults: subRes}
+	meta.attr, meta.size = attr, r.Size
 	t := now
 	for k := range r.Schema.SubTasks {
 		st := &r.Schema.SubTasks[k]
@@ -878,29 +916,12 @@ func (m *Manager) placeTask(now float64, r *WriteReq, outs []compOut, fb *fbRun)
 			})
 		}
 	}
-	m.mu.Lock()
-	if _, existed := m.tasks[r.Key]; !existed {
-		if _, lingering := m.inOrder[r.Key]; lingering {
-			// Rewrite of a deleted key whose order slot has not been
-			// compacted away yet: reuse the slot instead of appending a
-			// duplicate.
-			if m.dead > 0 {
-				m.dead--
-			}
-		} else {
-			m.order = append(m.order, r.Key)
-			m.inOrder[r.Key] = struct{}{}
-		}
-	}
-	m.tasks[r.Key] = meta
-	m.mu.Unlock()
-	m.tm.writes.Inc()
 	res.End = t
 	return res, nil
 }
 
 // fbKey identifies one predictor cell: all observations for a given
-// (type, dist, codec) share a feature vector.
+// (type, dist, codec) update the same table entry.
 type fbKey struct {
 	dt    stats.DataType
 	dist  stats.Dist
@@ -916,10 +937,10 @@ type fbCell struct {
 }
 
 // fbRun accumulates one call's feedback per predictor cell so the
-// predictor absorbs each cell as a single run — one collapsed model
-// update per cell per call instead of one per sub-task. Feedback order
-// within a cell is preserved; across cells it is grouped, which the
-// models cannot observe (each cell updates disjoint regressor state).
+// predictor takes each cell as a single run — one lock acquisition per
+// cell per call instead of one per sub-task. Feedback order within a
+// cell is preserved; across cells it is grouped, which the models cannot
+// observe (each cell updates disjoint regressor state).
 // A call touches a handful of cells at most, so they are found by
 // linear scan, and the first is backed inline: a single-cell call — one
 // task, one codec — allocates nothing. The zero value is ready to use;

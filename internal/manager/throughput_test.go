@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"hcompress/internal/analyzer"
+	"hcompress/internal/codec"
 	"hcompress/internal/fanout"
 	"hcompress/internal/hcerr"
+	"hcompress/internal/seed"
 	"hcompress/internal/stats"
 	"hcompress/internal/tier"
 )
@@ -320,17 +322,22 @@ func TestGroupedCallMatchesOneRequestCalls(t *testing.T) {
 	if gq != sq || ga != sa || gq == 0 {
 		t.Fatalf("feedback counts: grouped %d/%d, one-request %d/%d", gq, ga, sq, sa)
 	}
-	gc, sc := grouped.pred.SnapshotCoef(), single.pred.SnapshotCoef()
-	if len(gc) != len(sc) {
-		t.Fatalf("%d models vs %d", len(gc), len(sc))
-	}
-	for name, g := range gc {
-		for j, s := range sc[name] {
-			if d := math.Abs(g[j] - s); d > 1e-9*(1+math.Abs(s)) {
-				t.Errorf("model %s coef %d: grouped %v, one-request %v", name, j, g[j], s)
+	for _, dt := range stats.AllTypes() {
+		for _, dist := range stats.AllDists() {
+			for _, name := range codec.Names() {
+				g, gok := grouped.pred.Predict(dt, dist, name)
+				s, sok := single.pred.Predict(dt, dist, name)
+				if gok != sok || !costsClose(g, s, 1e-9) {
+					t.Errorf("%s/%s/%s: grouped %+v (%v), one-request %+v (%v)", dt, dist, name, g, gok, s, sok)
+				}
 			}
 		}
 	}
+}
+
+func costsClose(a, b seed.CodecCost, tol float64) bool {
+	near := func(x, y float64) bool { return math.Abs(x-y) <= tol*(1+math.Abs(y)) }
+	return near(a.CompressMBps, b.CompressMBps) && near(a.DecompressMBps, b.DecompressMBps) && near(a.Ratio, b.Ratio)
 }
 
 func TestExecuteWritesRealRoundTrip(t *testing.T) {

@@ -100,6 +100,8 @@ type SystemMonitor struct {
 	interval    float64 // seconds of virtual time between refreshes
 	lastRefresh float64
 	cached      []store.TierStatus
+	cachedGen   uint64 // the store's Gen read just before cached was sampled
+	probed      bool   // cached exposes an offline tier for its recovery probe
 	refreshes   int
 
 	health    []tierHealth
@@ -145,8 +147,17 @@ func New(st *store.Store, interval float64) *SystemMonitor {
 	return m
 }
 
+// fresh reports whether the cached snapshot may be served at now: within
+// the refresh interval, or at the snapshot's own instant when the store
+// has not changed since, where a new sample would be identical — unless
+// the snapshot was a probe, which exposes an offline tier to one refresh
+// only.
 func (m *SystemMonitor) fresh(now float64) bool {
-	return m.lastRefresh >= 0 && now-m.lastRefresh < m.interval
+	if m.lastRefresh < 0 {
+		return false
+	}
+	return now-m.lastRefresh < m.interval ||
+		now == m.lastRefresh && !m.probed && m.st.Gen() == m.cachedGen
 }
 
 // Status returns tier status as of virtual time now, refreshing the cache
@@ -170,7 +181,9 @@ func (m *SystemMonitor) Status(now float64) []store.TierStatus {
 		m.mu.Unlock()
 		return cached
 	}
+	gen := m.st.Gen()
 	sts := m.st.Status(now)
+	probed := false
 	for i := range sts {
 		h := &m.health[i]
 		if h.state != offline {
@@ -181,11 +194,12 @@ func (m *SystemMonitor) Status(now float64) []store.TierStatus {
 			// target it; the placement outcome (Observe) decides whether
 			// it heals or backs off further.
 			h.nextProbe = now + m.probeBackoff(h.probeN)
+			probed = true
 		} else {
 			sts[i].Available = false
 		}
 	}
-	m.cached = sts
+	m.cached, m.cachedGen, m.probed = sts, gen, probed
 	m.lastRefresh = now
 	m.refreshes++
 	m.tmRefreshes.Inc()

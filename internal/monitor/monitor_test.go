@@ -65,6 +65,40 @@ func TestZeroIntervalAlwaysFresh(t *testing.T) {
 	}
 }
 
+// TestZeroIntervalReusesUnchangedInstant: at interval 0 a second Status
+// at the same virtual time is served from the cache only while nothing
+// in the store changed, since a new sample would be identical; a read's
+// device time, a later instant or a recovery probe each force a sample.
+func TestZeroIntervalReusesUnchangedInstant(t *testing.T) {
+	st := newStore(t)
+	m := New(st, 0)
+	st.Put(0, 0, "k", nil, 100)
+	s1 := m.Status(1)
+	if s2 := m.Status(1); &s2[0] != &s1[0] || m.Refreshes() != 1 {
+		t.Fatalf("unchanged instant resampled: %d refreshes", m.Refreshes())
+	}
+	if _, err := st.ReadTime(1, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Status(1); s[0].QueueLen == 0 || m.Refreshes() != 2 {
+		t.Fatalf("read's queue not sampled: %+v, %d refreshes", s[0], m.Refreshes())
+	}
+	if m.Status(2); m.Refreshes() != 3 {
+		t.Fatalf("later instant served from cache: %d refreshes", m.Refreshes())
+	}
+
+	for i := 0; i < 3; i++ {
+		m.Observe(2, 0, errBoom)
+	}
+	p := m.Health()[0].NextProbe
+	if sts := m.Status(p); !sts[0].Available {
+		t.Fatal("probe should expose the tier")
+	}
+	if sts := m.Status(p); sts[0].Available {
+		t.Fatal("a probe's snapshot exposed the tier to a second plan at the same instant")
+	}
+}
+
 func TestStoreAccessor(t *testing.T) {
 	st := newStore(t)
 	m := New(st, 1)

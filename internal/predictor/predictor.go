@@ -1,8 +1,17 @@
-// Package predictor implements the Compression Cost Predictor (CCP):
-// per-codec linear regression models over data attributes that estimate
-// the Expected Compression Cost 3-tuple (compression speed, decompression
-// speed, ratio), bootstrapped from the profiler's JSON seed and refined at
-// runtime through a reinforcement-learning feedback loop (§IV-D).
+// Package predictor implements the Compression Cost Predictor (CCP): a
+// per-codec table that estimates the Expected Compression Cost 3-tuple
+// (compression speed, decompression speed, ratio) for every (data type,
+// distribution) cell, bootstrapped from the profiler's JSON seed and
+// refined at runtime through a reinforcement-learning feedback loop
+// (§IV-D).
+//
+// The paper's linear regression over the cell's attributes is the
+// saturated (type × dist) design: one parameter per cell, so its
+// least-squares fit is a per-cell mean. The table is that fit, computed
+// cell by cell: an exponentially forgetting mean that starts at the seed
+// value, counted as one observation. A cell moves only on its own
+// observations, so no stream of feedback can drag an unobserved cell off
+// its seed (the covariance windup of a shared recursive fit).
 //
 // The feedback loop is batched: compressors report actual costs after
 // every operation, but the models only absorb them every n operations
@@ -28,27 +37,50 @@ const (
 	numTargets
 )
 
-// The design is the saturated (type x dist) interaction: 15 cell dummies
-// plus the model intercept for the (binary, uniform) baseline cell. An
-// additive main-effects model cannot represent per-cell costs exactly
-// (compressibility does not decompose into type + distribution effects),
-// which systematically biased baseline-cell predictions; the saturated
-// design fits every profiled cell while remaining a linear model the RLS
-// feedback can update.
-const numFeatures = 15
+const (
+	// lambda is the per-observation forgetting factor. A cell's weight
+	// follows w ← 1 + λ·w, so it saturates at 1/(1-λ) = 200 observations
+	// and the mean keeps tracking workload drift — the "reinforcement"
+	// part of the loop.
+	lambda = 0.995
+	// kappa pulls each cell's prediction toward the mean of its codec's
+	// other same-type cells, as loaded. The pull is far below any strict
+	// difference between seeded costs, so it only decides exact ties —
+	// e.g. the seed prices every codec at ratio 1 on binary/uniform, and
+	// the pull prefers the codec that compresses the rest of binary data
+	// best over storing it raw.
+	kappa = 1e-3
 
-func features(dt stats.DataType, dist stats.Dist) []float64 {
-	f := make([]float64, numFeatures)
-	cell := int(dt)*4 + int(dist)
-	if cell > 0 && cell <= numFeatures {
-		f[cell-1] = 1
-	}
-	return f
+	numDists = 4
+	numCells = 4 * numDists // one per (type, dist)
+)
+
+func cellOf(dt stats.DataType, dist stats.Dist) int {
+	return int(dt)*numDists + int(dist)
 }
 
-type modelKey struct {
-	codec  string
-	target predTarget
+// cell is one target's running estimate for one (type, dist) pair: the
+// forgetting mean v and its weight w (0 for a cell the seed left empty,
+// which is then never predicted nor learned).
+type cell struct {
+	v, w float64
+}
+
+// model is one codec's table plus, per target, the running one-step-ahead
+// accuracy that Fig. 4(b) plots and, with telemetry on, the relative-error
+// histogram (created at the target's first observation).
+type model struct {
+	name   string
+	cells  [numTargets][numCells]cell
+	anchor [numTargets][numCells]float64 // kappa · the same-type mean at load
+	acc    [numTargets]float64
+	accN   [numTargets]int
+	relErr [numTargets]*telemetry.Histogram
+}
+
+// predict is the cell's estimate with the tie-break pull applied.
+func (m *model) predict(t predTarget, i int) float64 {
+	return (1-kappa)*m.cells[t][i].v + m.anchor[t][i]
 }
 
 type observation struct {
@@ -56,24 +88,19 @@ type observation struct {
 	dist   stats.Dist
 	codec  string
 	actual seed.CodecCost
-	run    []seed.CodecCost // batched feedback: a run of same-cell costs (actual unused)
 }
 
 // CCP is the predictor. Safe for concurrent use.
 type CCP struct {
 	mu        sync.Mutex
-	models    map[modelKey]*stats.RLS
+	models    map[string]*model
 	interval  int
 	pending   []observation
-	pendingN  int // observations queued (runs count their length)
 	feedbacks int // total observations absorbed
 	queued    int // total observations received
 
-	// Telemetry (nil when off). relErr histograms are created lazily per
-	// (codec, target) under mu; lookups on the feedback path are batched
-	// by the interval so the map access is off the per-op hot path.
+	// Telemetry (nil when off).
 	reg        *telemetry.Registry
-	relErr     map[modelKey]*telemetry.Histogram
 	tmQueued   *telemetry.Counter
 	tmAbsorbed *telemetry.Counter
 	tmPending  *telemetry.Gauge
@@ -90,7 +117,6 @@ func (c *CCP) SetTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	c.reg = reg
-	c.relErr = make(map[modelKey]*telemetry.Histogram)
 	c.tmQueued = reg.Counter("hc_ccp_feedback_queued_total", "actual-cost observations received")
 	c.tmAbsorbed = reg.Counter("hc_ccp_feedback_absorbed_total", "observations folded into the models")
 	c.tmPending = reg.Gauge("hc_ccp_feedback_pending", "observations waiting for the next batched model update")
@@ -99,158 +125,178 @@ func (c *CCP) SetTelemetry(reg *telemetry.Registry) {
 
 var targetNames = [...]string{"compress", "decompress", "ratio"}
 
-// observeRelErr records |predicted-actual|/actual for one target before
-// the observation is folded in — the one-step-ahead error behind the
-// paper's accuracy (R2) claim, sliced per codec and target. Callers must
-// hold c.mu.
-func (c *CCP) observeRelErr(k modelKey, f []float64, actual float64) {
-	if c.reg == nil || actual <= 0 {
-		return
-	}
-	m, ok := c.models[k]
-	if !ok || m.Seen() == 0 {
-		return // first observation: no prediction existed to grade
-	}
-	h, ok := c.relErr[k]
-	if !ok {
-		h = c.reg.Histogram("hc_ccp_pred_relerr", "one-step-ahead relative prediction error",
-			telemetry.RelErrBuckets,
-			telemetry.L("codec", k.codec), telemetry.L("target", targetNames[k.target]))
-		c.relErr[k] = h
-	}
-	h.Observe(math.Abs(m.Predict(f)-actual) / actual)
-}
-
-// New builds a CCP from a seed: every table entry is folded into the
-// regression models as an observation (the "initial seed" bootstrap).
+// New builds a CCP from a seed: every valid table entry becomes its
+// cell's starting value, worth one observation (the "initial seed"
+// bootstrap).
 func New(s *seed.Seed) *CCP {
 	c := &CCP{
-		models:   make(map[modelKey]*stats.RLS),
+		models:   make(map[string]*model),
 		interval: s.FeedbackInterval,
 	}
 	if c.interval <= 0 {
 		c.interval = seed.DefaultFeedbackInterval
 	}
-	for _, dt := range stats.AllTypes() {
-		for _, dist := range stats.AllDists() {
-			for _, name := range s.CodecNames() {
+	for _, name := range s.CodecNames() {
+		m := &model{name: name}
+		seeded := false
+		for _, dt := range stats.AllTypes() {
+			for _, dist := range stats.AllDists() {
 				if cost, ok := s.Costs[seed.Key(dt, dist, name)]; ok && cost.Valid() {
-					c.absorb(observation{dt: dt, dist: dist, codec: name, actual: cost})
+					i := cellOf(dt, dist)
+					m.cells[targetCompress][i] = cell{cost.CompressMBps, 1}
+					m.cells[targetDecompress][i] = cell{cost.DecompressMBps, 1}
+					m.cells[targetRatio][i] = cell{cost.Ratio, 1}
+					seeded = true
 				}
 			}
 		}
-	}
-	// Seed-derived residuals should not count against runtime accuracy.
-	for _, m := range c.models {
-		m.ResetAccuracy()
+		if seeded {
+			m.setAnchors()
+			c.models[name] = m
+		}
 	}
 	return c
 }
 
-func (c *CCP) model(name string, t predTarget) *stats.RLS {
-	k := modelKey{name, t}
-	m, ok := c.models[k]
-	if !ok {
-		// Slight forgetting lets the model track workload drift — the
-		// "reinforcement" part of the loop.
-		m = stats.NewRLS(numFeatures, 0.995)
-		c.models[k] = m
+// setAnchors fixes each seeded cell's tie-break target: the mean of its
+// codec's other seeded cells of the same data type, or its own value when
+// it has none. The anchor excludes the cell itself, so a learned cell
+// written back by Costs predicts the same value after a reload as long as
+// its siblings learned nothing; each learned sibling moves the anchor by
+// kappa times its change over the number of siblings.
+func (m *model) setAnchors() {
+	for t := range m.cells {
+		for i := range m.cells[t] {
+			if m.cells[t][i].w == 0 {
+				continue
+			}
+			sum, n := 0.0, 0
+			first := i - i%numDists // the type's uniform cell
+			for j := first; j < first+numDists; j++ {
+				if j != i && m.cells[t][j].w > 0 {
+					sum += m.cells[t][j].v
+					n++
+				}
+			}
+			mean := m.cells[t][i].v
+			if n > 0 {
+				mean = sum / float64(n)
+			}
+			m.anchor[t][i] = kappa * mean
+		}
 	}
-	return m
 }
 
-// absorb folds one observation into the models. Partial tuples are
-// allowed: a write-path feedback knows compression speed and ratio but not
-// decompression speed (that arrives with the read), so non-positive
-// components are skipped.
+// absorb folds one observation into its cell. Partial tuples are allowed:
+// a write-path feedback knows compression speed and ratio but not
+// decompression speed (that arrives with the read), so zero components
+// (Feedback zeroes every unusable one) are skipped. A cell the seed left
+// empty learns nothing.
 func (c *CCP) absorb(o observation) {
-	f := features(o.dt, o.dist)
-	if o.actual.CompressMBps > 0 {
-		c.observeRelErr(modelKey{o.codec, targetCompress}, f, o.actual.CompressMBps)
-		c.model(o.codec, targetCompress).Observe(f, o.actual.CompressMBps)
+	m := c.models[o.codec]
+	i := cellOf(o.dt, o.dist)
+	if m == nil || m.cells[targetCompress][i].w == 0 {
+		return
 	}
-	if o.actual.DecompressMBps > 0 {
-		c.observeRelErr(modelKey{o.codec, targetDecompress}, f, o.actual.DecompressMBps)
-		c.model(o.codec, targetDecompress).Observe(f, o.actual.DecompressMBps)
-	}
-	if o.actual.Ratio >= 1 {
-		c.observeRelErr(modelKey{o.codec, targetRatio}, f, o.actual.Ratio)
-		c.model(o.codec, targetRatio).Observe(f, o.actual.Ratio)
+	for t, y := range [numTargets]float64{o.actual.CompressMBps, o.actual.DecompressMBps, o.actual.Ratio} {
+		if y > 0 {
+			c.observe(m, predTarget(t), i, y)
+		}
 	}
 	c.feedbacks++
 	c.tmAbsorbed.Inc()
 }
 
+// observe grades the cell's one-step-ahead prediction against y — the
+// running accuracy behind the paper's R2 claim, and with telemetry on the
+// per-(codec, target) relative-error histogram — then updates the cell's
+// forgetting mean. Callers must hold c.mu.
+func (c *CCP) observe(m *model, t predTarget, i int, y float64) {
+	relErr := math.Abs(m.predict(t, i)-y) / y
+	const alpha = 0.05
+	if m.accN[t] == 0 {
+		m.acc[t] = max(0, 1-relErr)
+	} else {
+		m.acc[t] += alpha * (max(0, 1-relErr) - m.acc[t])
+	}
+	m.accN[t]++
+	if c.reg != nil {
+		if m.relErr[t] == nil {
+			m.relErr[t] = c.reg.Histogram("hc_ccp_pred_relerr", "one-step-ahead relative prediction error",
+				telemetry.RelErrBuckets,
+				telemetry.L("codec", m.name), telemetry.L("target", targetNames[t]))
+		}
+		m.relErr[t].Observe(relErr)
+	}
+	cl := &m.cells[t][i]
+	cl.w = 1 + lambda*cl.w
+	cl.v += (y - cl.v) / cl.w
+}
+
 // Predict returns the ECC for a (type, dist, codec) combination. ok is
-// false when the codec has never been seen (no seed entry, no feedback).
+// false when the seed had no entry for the combination.
 func (c *CCP) Predict(dt stats.DataType, dist stats.Dist, codecName string) (seed.CodecCost, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mc, ok := c.models[modelKey{codecName, targetCompress}]
-	if !ok || mc.Seen() == 0 {
+	m := c.models[codecName]
+	i := cellOf(dt, dist)
+	if m == nil || m.cells[targetCompress][i].w == 0 {
 		return seed.CodecCost{}, false
 	}
-	f := features(dt, dist)
-	cost := seed.CodecCost{
-		CompressMBps:   clamp(mc.Predict(f), 0.1, 1e6),
-		DecompressMBps: 0.1,
-		Ratio:          1,
+	return seed.CodecCost{
+		CompressMBps:   clamp(m.predict(targetCompress, i), 0.1, 1e6),
+		DecompressMBps: clamp(m.predict(targetDecompress, i), 0.1, 1e6),
+		Ratio:          clamp(m.predict(targetRatio, i), 1, 1e4),
+	}, true
+}
+
+// usable keeps the components of a measured cost that can inform a
+// model — finite speeds above zero, a finite ratio of at least 1 — and
+// zeroes the rest. ok is false when nothing is left.
+func usable(a seed.CodecCost) (_ seed.CodecCost, ok bool) {
+	keep := func(v float64, inRange bool) float64 {
+		if inRange && !math.IsInf(v, 1) { // NaN is in no range
+			ok = true
+			return v
+		}
+		return 0
 	}
-	if md, ok := c.models[modelKey{codecName, targetDecompress}]; ok {
-		cost.DecompressMBps = clamp(md.Predict(f), 0.1, 1e6)
-	}
-	if mr, ok := c.models[modelKey{codecName, targetRatio}]; ok {
-		cost.Ratio = clamp(mr.Predict(f), 1, 1e4)
-	}
-	return cost, true
+	a.CompressMBps = keep(a.CompressMBps, a.CompressMBps > 0)
+	a.DecompressMBps = keep(a.DecompressMBps, a.DecompressMBps > 0)
+	a.Ratio = keep(a.Ratio, a.Ratio >= 1)
+	return a, ok
 }
 
 // Feedback queues an actual measured cost. Models update only when the
 // batch reaches the configured interval.
 func (c *CCP) Feedback(dt stats.DataType, dist stats.Dist, codecName string, actual seed.CodecCost) {
-	if actual.CompressMBps <= 0 && actual.DecompressMBps <= 0 && actual.Ratio < 1 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.queued++
-	c.tmQueued.Inc()
-	c.pending = append(c.pending, observation{dt: dt, dist: dist, codec: codecName, actual: actual})
-	c.pendingN++
-	c.tmPending.Set(float64(c.pendingN))
-	if c.pendingN >= c.interval {
-		c.flushLocked()
-	}
+	c.queueLocked(observation{dt: dt, dist: dist, codec: codecName, actual: actual})
 }
 
 // FeedbackRun queues a run of measured costs for one (type, dist, codec)
-// cell — the batch write path produces one run per codec per group. The
-// run is absorbed with RLS's collapsed same-regressor update, so a batch
-// costs one covariance update per model instead of one per observation.
+// cell — the batch write path produces one run per codec per group —
+// under one lock acquisition. Each cost counts toward the flush interval
+// exactly as if it had been fed through Feedback.
 func (c *CCP) FeedbackRun(dt stats.DataType, dist stats.Dist, codecName string, actuals []seed.CodecCost) {
-	n := 0
-	for _, a := range actuals {
-		if a.CompressMBps > 0 || a.DecompressMBps > 0 || a.Ratio >= 1 {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	run := make([]seed.CodecCost, 0, n)
-	for _, a := range actuals {
-		if a.CompressMBps > 0 || a.DecompressMBps > 0 || a.Ratio >= 1 {
-			run = append(run, a)
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.queued += n
-	c.tmQueued.Add(int64(n))
-	c.pending = append(c.pending, observation{dt: dt, dist: dist, codec: codecName, run: run})
-	c.pendingN += n
-	c.tmPending.Set(float64(c.pendingN))
-	if c.pendingN >= c.interval {
+	for _, a := range actuals {
+		c.queueLocked(observation{dt: dt, dist: dist, codec: codecName, actual: a})
+	}
+}
+
+func (c *CCP) queueLocked(o observation) {
+	var ok bool
+	if o.actual, ok = usable(o.actual); !ok {
+		return
+	}
+	c.queued++
+	c.tmQueued.Inc()
+	c.pending = append(c.pending, o)
+	c.tmPending.Set(float64(len(c.pending)))
+	if len(c.pending) >= c.interval {
 		c.flushLocked()
 	}
 }
@@ -264,68 +310,29 @@ func (c *CCP) Flush() {
 }
 
 func (c *CCP) flushLocked() {
-	if c.pendingN > 0 {
-		c.tmBatch.Observe(float64(c.pendingN))
+	if len(c.pending) > 0 {
+		c.tmBatch.Observe(float64(len(c.pending)))
 	}
 	for _, o := range c.pending {
-		if o.run != nil {
-			c.absorbRun(o)
-		} else {
-			c.absorb(o)
-		}
+		c.absorb(o)
 	}
 	c.pending = c.pending[:0]
-	c.pendingN = 0
 	c.tmPending.Set(0)
 }
 
-// absorbRun folds a same-cell run into the models. With telemetry on it
-// falls back to per-observation absorption so the relative-error
-// histograms grade every one-step-ahead prediction; with telemetry off
-// it uses the collapsed same-regressor RLS update.
-func (c *CCP) absorbRun(o observation) {
-	if c.reg != nil {
-		for _, a := range o.run {
-			c.absorb(observation{dt: o.dt, dist: o.dist, codec: o.codec, actual: a})
-		}
-		return
-	}
-	f := features(o.dt, o.dist)
-	var comp, dec, ratio []float64
-	for _, a := range o.run {
-		if a.CompressMBps > 0 {
-			comp = append(comp, a.CompressMBps)
-		}
-		if a.DecompressMBps > 0 {
-			dec = append(dec, a.DecompressMBps)
-		}
-		if a.Ratio >= 1 {
-			ratio = append(ratio, a.Ratio)
-		}
-	}
-	if len(comp) > 0 {
-		c.model(o.codec, targetCompress).ObserveRun(f, comp)
-	}
-	if len(dec) > 0 {
-		c.model(o.codec, targetDecompress).ObserveRun(f, dec)
-	}
-	if len(ratio) > 0 {
-		c.model(o.codec, targetRatio).ObserveRun(f, ratio)
-	}
-	c.feedbacks += len(o.run)
-}
-
-// R2 reports the running one-step-ahead R^2 averaged across models that
-// have absorbed runtime feedback — the accuracy metric of Fig. 4(b).
+// R2 reports the running one-step-ahead accuracy averaged across models
+// that have absorbed runtime feedback — the accuracy metric of Fig. 4(b).
 func (c *CCP) R2() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum float64
 	n := 0
 	for _, m := range c.models {
-		if m.N() > 0 {
-			sum += m.R2()
-			n++
+		for t := range m.acc {
+			if m.accN[t] > 0 {
+				sum += m.acc[t]
+				n++
+			}
 		}
 	}
 	if n == 0 {
@@ -341,15 +348,25 @@ func (c *CCP) Stats() (queued, absorbed int) {
 	return c.queued, c.feedbacks
 }
 
-// SnapshotCoef exports model coefficients for seed write-back, keyed as
-// "codec/target".
-func (c *CCP) SnapshotCoef() map[string][]float64 {
+// Costs returns the learned table in the seed's layout, one entry per
+// seeded cell, for write-back at finalization. Loading it gives every
+// cell its current value back.
+func (c *CCP) Costs() map[string]seed.CodecCost {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string][]float64, len(c.models))
-	names := [...]string{"compress", "decompress", "ratio"}
-	for k, m := range c.models {
-		out[k.codec+"/"+names[k.target]] = m.Coef()
+	out := make(map[string]seed.CodecCost, len(c.models)*numCells)
+	for name, m := range c.models {
+		for _, dt := range stats.AllTypes() {
+			for _, dist := range stats.AllDists() {
+				if i := cellOf(dt, dist); m.cells[targetCompress][i].w > 0 {
+					out[seed.Key(dt, dist, name)] = seed.CodecCost{
+						CompressMBps:   m.cells[targetCompress][i].v,
+						DecompressMBps: m.cells[targetDecompress][i].v,
+						Ratio:          m.cells[targetRatio][i].v,
+					}
+				}
+			}
+		}
 	}
 	return out
 }

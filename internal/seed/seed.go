@@ -1,10 +1,10 @@
 // Package seed implements the HCompress Profiler's knowledge repository:
 // a JSON document holding measured codec performance for every
 // (data type, distribution, codec) combination, a system signature for the
-// storage hierarchy, the CCP's regression coefficients, and the global
-// priority weights. The profiler writes it before the application starts;
-// the library bootstraps all predictive models from it and writes the
-// evolved model back at finalization — exactly the lifecycle in §IV-A/IV-D
+// storage hierarchy, and the global priority weights. The profiler writes
+// it before the application starts; the library bootstraps the cost
+// predictor's table from it and writes the learned table back at
+// finalization — exactly the lifecycle in §IV-A/IV-D
 // of the paper.
 package seed
 
@@ -46,7 +46,6 @@ type Seed struct {
 	CreatedAt        string               `json:"created_at"`
 	System           tier.Hierarchy       `json:"system_signature"`
 	Costs            map[string]CodecCost `json:"costs"`
-	ModelCoef        map[string][]float64 `json:"model_coefficients,omitempty"`
 	Weights          Weights              `json:"weights"`
 	FeedbackInterval int                  `json:"feedback_interval"`
 }

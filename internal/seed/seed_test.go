@@ -91,7 +91,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	readAfterWrite := Weights{Compression: 0.3, Decompression: 0.3, Ratio: 0.4}
 	s.Weights = readAfterWrite
 	s.FeedbackInterval = 32
-	s.ModelCoef = map[string][]float64{"lz4/ratio": {1.5, 0.2}}
+	learned := CodecCost{CompressMBps: 123.25, DecompressMBps: 456.5, Ratio: 1.75}
+	s.Costs[Key(stats.TypeInt, stats.Gamma, "lz4")] = learned
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.System.Len() != 4 || back.System.Tiers[0].Capacity != 2*tier.GB {
 		t.Errorf("system signature lost")
 	}
-	if len(back.ModelCoef["lz4/ratio"]) != 2 {
-		t.Errorf("model coefficients lost")
+	if got := back.Costs[Key(stats.TypeInt, stats.Gamma, "lz4")]; got != learned {
+		t.Errorf("learned cost %+v came back as %+v", learned, got)
 	}
 }
 

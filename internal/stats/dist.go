@@ -1,9 +1,7 @@
 // Package stats provides the statistical substrate for HCompress: random
 // data generators over the four distributions the paper's Input Analyzer
 // distinguishes (uniform, normal, exponential, gamma), moment estimators,
-// a moment-based distribution classifier, and recursive least squares for
-// the CCP's reinforcement-learning feedback loop (its tests check it
-// against a batch OLS kept beside them).
+// and a moment-based distribution classifier.
 package stats
 
 import (

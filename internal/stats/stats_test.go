@@ -175,116 +175,6 @@ func TestOLSPredict(t *testing.T) {
 	}
 }
 
-func TestRLSConvergesToOLS(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rls := NewRLS(2, 1.0)
-	for i := 0; i < 2000; i++ {
-		x := []float64{rng.Float64() * 5, rng.Float64() * 5}
-		y := -1 + 0.7*x[0] + 1.3*x[1] + rng.NormFloat64()*0.05
-		rls.Observe(x, y)
-	}
-	coef := rls.Coef()
-	want := []float64{-1, 0.7, 1.3}
-	for j, w := range want {
-		if math.Abs(coef[j]-w) > 0.05 {
-			t.Errorf("coef[%d] = %.4f want %.4f", j, coef[j], w)
-		}
-	}
-	if rls.R2() < 0.95 {
-		t.Errorf("running R2 = %.4f", rls.R2())
-	}
-}
-
-func TestRLSTracksDrift(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	rls := NewRLS(1, 0.98)
-	// Regime 1: y = x. Regime 2: y = 3x. With forgetting, the model must
-	// follow the new regime — this is the paper's feedback-loop behaviour
-	// when the data distribution shifts.
-	for i := 0; i < 1000; i++ {
-		x := rng.Float64() * 10
-		rls.Observe([]float64{x}, x)
-	}
-	for i := 0; i < 1000; i++ {
-		x := rng.Float64() * 10
-		rls.Observe([]float64{x}, 3*x)
-	}
-	if got := rls.Predict([]float64{10}); math.Abs(got-30) > 2 {
-		t.Errorf("after drift, predict(10) = %.2f, want ~30", got)
-	}
-}
-
-// TestRLSObserveRunMatchesSequential: the collapsed same-regressor
-// update must agree with calling Observe once per y — coefficients,
-// covariance (via subsequent predictions), counts, and the running
-// accuracy — to floating-point reassociation tolerance.
-func TestRLSObserveRunMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, lambda := range []float64{1.0, 0.995, 0.95} {
-		for _, k := range []int{2, 3, 16, 64} {
-			seqM := NewRLS(3, lambda)
-			runM := NewRLS(3, lambda)
-			// Mixed history first, so the run starts from a non-trivial state.
-			for i := 0; i < 50; i++ {
-				x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-				y := 1 + 2*x[0] - x[1] + 0.5*x[2] + rng.NormFloat64()*0.1
-				seqM.Observe(x, y)
-				runM.Observe(x, y)
-			}
-			x := []float64{0.3, 0.7, 0.1}
-			ys := make([]float64, k)
-			for i := range ys {
-				ys[i] = 2.5 + rng.NormFloat64()
-			}
-			for _, y := range ys {
-				seqM.Observe(x, y)
-			}
-			runM.ObserveRun(x, ys)
-
-			if seqM.N() != runM.N() || seqM.Seen() != runM.Seen() {
-				t.Fatalf("lambda=%v k=%d: counts differ: (%d,%d) vs (%d,%d)",
-					lambda, k, seqM.N(), seqM.Seen(), runM.N(), runM.Seen())
-			}
-			if diff := math.Abs(seqM.R2() - runM.R2()); diff > 1e-9 {
-				t.Errorf("lambda=%v k=%d: R2 differs by %g", lambda, k, diff)
-			}
-			sc, rc := seqM.Coef(), runM.Coef()
-			for j := range sc {
-				if math.Abs(sc[j]-rc[j]) > 1e-9*(1+math.Abs(sc[j])) {
-					t.Errorf("lambda=%v k=%d: coef[%d] %g vs %g", lambda, k, j, sc[j], rc[j])
-				}
-			}
-			// The covariance states must agree too: feed one more shared
-			// observation and compare the resulting coefficients (the gain
-			// depends on P, so divergent P would surface here).
-			probe := []float64{0.9, 0.2, 0.4}
-			seqM.Observe(probe, 1.7)
-			runM.Observe(probe, 1.7)
-			sc, rc = seqM.Coef(), runM.Coef()
-			for j := range sc {
-				if math.Abs(sc[j]-rc[j]) > 1e-8*(1+math.Abs(sc[j])) {
-					t.Errorf("lambda=%v k=%d: post-probe coef[%d] %g vs %g", lambda, k, j, sc[j], rc[j])
-				}
-			}
-		}
-	}
-}
-
-// TestRLSObserveRunDegenerate: zero- and one-element runs.
-func TestRLSObserveRunDegenerate(t *testing.T) {
-	a := NewRLS(1, 1.0)
-	b := NewRLS(1, 1.0)
-	a.ObserveRun([]float64{1}, nil)
-	if a.N() != 0 {
-		t.Error("empty run counted observations")
-	}
-	a.ObserveRun([]float64{1}, []float64{2})
-	b.Observe([]float64{1}, 2)
-	if a.N() != b.N() || a.Predict([]float64{1}) != b.Predict([]float64{1}) {
-		t.Error("single-element run does not match Observe exactly")
-	}
-}
-
 func TestRegIncBeta(t *testing.T) {
 	// I_x(1,1) is the identity.
 	for _, x := range []float64{0, 0.25, 0.5, 0.75, 1} {
@@ -396,16 +286,10 @@ func BenchmarkClassifyDist(b *testing.B) {
 	}
 }
 
-func BenchmarkRLSObserve(b *testing.B) {
-	rls := NewRLS(6, 0.99)
-	x := []float64{1, 2, 3, 4, 5, 6}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rls.Observe(x, 10)
-	}
-}
-
-// --- OLS: the batch reference the RLS tests compare against ---
+// --- OLS: batch least squares with t-test p-values. It was the reference
+// for a recursive least-squares fit this package no longer has; nothing
+// but its own tests above uses it now (ROADMAP item 8 queues its
+// removal) ---
 
 // errSingular is returned when the normal equations are not solvable.
 var errSingular = errors.New("stats: singular design matrix")

@@ -36,6 +36,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hcompress/internal/bufpool"
 	"hcompress/internal/des"
@@ -127,6 +128,11 @@ type Store struct {
 	// recovered lists the keys re-admitted from durable backends at Open,
 	// sorted. Snapshot for the assembly phase; never mutated afterwards.
 	recovered []string
+
+	// gen counts changes to what Status reports — tier occupancy and
+	// device queues. It moves inside the changed tier's lock, so a
+	// Status sampled after reading gen sees every change gen counts.
+	gen atomic.Uint64
 
 	closeOnce sync.Once
 	closeErr  error
@@ -291,6 +297,7 @@ func (s *Store) release(t int, size int64) {
 	ts := s.tiers[t]
 	ts.mu.Lock()
 	ts.used -= size
+	s.gen.Add(1)
 	ts.tm.usedGauge.Set(float64(ts.used))
 	ts.mu.Unlock()
 }
@@ -313,6 +320,7 @@ func (s *Store) restoreOld(old *Blob) {
 	ot := s.tiers[old.Tier]
 	ot.mu.Lock()
 	ot.used += old.Size
+	s.gen.Add(1)
 	ot.tm.usedGauge.Set(float64(ot.used))
 	ot.mu.Unlock()
 	s.mu.Lock()
@@ -389,6 +397,7 @@ func (s *Store) put(now float64, t int, key string, data []byte, size int64, own
 	}
 	ts.used += size
 	end = ts.res.Acquire(now, size)
+	s.gen.Add(1)
 	ts.tm.puts.Inc()
 	ts.tm.putBytes.Add(size)
 	ts.tm.putSecs.Observe(end - now)
@@ -494,6 +503,7 @@ func (s *Store) Get(now float64, key string) (b Blob, end float64, err error) {
 	ts := s.tiers[b.Tier]
 	ts.mu.Lock()
 	end = ts.res.Acquire(now, b.Size)
+	s.gen.Add(1)
 	ts.tm.gets.Inc()
 	ts.tm.getBytes.Add(b.Size)
 	ts.tm.getSecs.Observe(end - now)
@@ -588,6 +598,7 @@ func (s *Store) ReadTime(now float64, key string) (end float64, err error) {
 	ts := s.tiers[t]
 	ts.mu.Lock()
 	end = ts.res.Acquire(now, size)
+	s.gen.Add(1)
 	ts.tm.gets.Inc()
 	ts.tm.getBytes.Add(size)
 	ts.tm.getSecs.Observe(end - now)
@@ -659,6 +670,7 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 	end = dstT.res.Acquire(readEnd, blob.Size)
 	src.used -= blob.Size
 	dstT.used += blob.Size
+	s.gen.Add(1)
 	src.tm.evictions.Inc()
 	src.tm.usedGauge.Set(float64(src.used))
 	dstT.tm.puts.Inc()
@@ -697,6 +709,7 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 			srcAdj := s.tiers[srcIdx]
 			srcAdj.mu.Lock()
 			srcAdj.used += blob.Size
+			s.gen.Add(1)
 			srcAdj.tm.usedGauge.Set(float64(srcAdj.used))
 			srcAdj.mu.Unlock()
 			perr = errors.Join(hcerr.ErrBackendIO, perr)
@@ -758,6 +771,10 @@ func (s *Store) Status(now float64) []TierStatus {
 	return out
 }
 
+// Gen reports the store's change count. Two Status samples at one
+// virtual time with no change of Gen between them are identical.
+func (s *Store) Gen() uint64 { return s.gen.Load() }
+
 // Used reports the bytes currently allocated on tier t.
 func (s *Store) Used(t int) int64 {
 	if t < 0 || t >= len(s.tiers) {
@@ -784,6 +801,7 @@ func (s *Store) Reset() {
 		ts.mu.Lock()
 		ts.used = 0
 		ts.res.Reset()
+		s.gen.Add(1)
 		ts.tm.usedGauge.Set(0)
 		ts.mu.Unlock()
 	}

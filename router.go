@@ -46,9 +46,9 @@ type Router struct {
 // from cfg. Tier capacities are per-shard: n shards of a 1 GiB hierarchy
 // hold n GiB in aggregate. With n > 1, every shard's telemetry series
 // gains a shard="<i>" label while the process-wide ones stay unlabelled
-// in a router registry, and SaveSeedOnClose persists shard 0's evolved
-// model only. With n == 1 the router is byte-for-byte the pre-sharding
-// client: no shard label, no behavioural difference.
+// in a router registry, and SaveSeedOnClose persists shard 0's learned
+// cost table only. With n == 1 the router is byte-for-byte the
+// pre-sharding client: no shard label, no behavioural difference.
 func NewRouter(cfg Config, n int) (_ *Router, err error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hcompress: router needs at least 1 shard, got %d", n)

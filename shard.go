@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -472,8 +473,9 @@ func (c *Shard) DecompressContext(ctx context.Context, key string) (*Report, err
 	return ops[0].rep, ops[0].err
 }
 
-func (c *Shard) report(key string, size int64, attr analyzer.Result, res manager.Result, start float64) *Report {
-	rep := &Report{
+// report fills rep for one completed task.
+func (c *Shard) report(rep *Report, key string, size int64, attr analyzer.Result, res manager.Result, start float64) {
+	*rep = Report{
 		Key:            key,
 		OriginalBytes:  size,
 		StoredBytes:    res.Stored,
@@ -502,7 +504,6 @@ func (c *Shard) report(key string, size int64, attr analyzer.Result, res manager
 			IOSeconds:        sr.IOTime,
 		})
 	}
-	return rep
 }
 
 // Delete removes a stored task and frees its tier capacity.
@@ -678,8 +679,8 @@ func (c *Shard) Stats() Stats {
 }
 
 // Close finalizes the shard — the MPI_Finalize hook in the paper: flush
-// the feedback loop, optionally persist the evolved model back to the
-// JSON seed, and release the cache and the store. Close takes the
+// the feedback loop, optionally persist the learned cost table back to
+// the JSON seed, and release the cache and the store. Close takes the
 // lifecycle write lock, so it waits for in-flight operations, and for at
 // most one demotion slice or prefetch fill of the router's background
 // runner, which skips a closed shard from then on. The worker pool and
@@ -694,7 +695,7 @@ func (c *Shard) Close() error {
 	c.pred.Flush()
 	var seedErr error
 	if c.saveSeed {
-		c.sd.ModelCoef = c.pred.SnapshotCoef()
+		maps.Copy(c.sd.Costs, c.pred.Costs())
 		seedErr = c.sd.Save(c.seedPath)
 	}
 	if c.cache != nil {
