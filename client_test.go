@@ -9,9 +9,25 @@ import (
 	"strings"
 	"testing"
 
+	"hcompress/internal/codec"
+	"hcompress/internal/predictor"
 	"hcompress/internal/seed"
 	"hcompress/internal/stats"
 )
+
+// predictAll is pred's prediction for every (type, dist, codec) cell,
+// keyed as in a seed's costs.
+func predictAll(pred *predictor.CCP) map[string]seed.CodecCost {
+	out := map[string]seed.CodecCost{}
+	for _, dt := range stats.AllTypes() {
+		for _, dist := range stats.AllDists() {
+			for _, name := range codec.Names() {
+				out[seed.Key(dt, dist, name)], _ = pred.Predict(dt, dist, name)
+			}
+		}
+	}
+	return out
+}
 
 func newClient(t *testing.T, cfg Config) *Client {
 	t.Helper()
@@ -265,17 +281,6 @@ func TestSeedPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{SeedPath: path, SaveSeedOnClose: true}
-	predictAll := func(c *Client) map[string]seed.CodecCost {
-		out := map[string]seed.CodecCost{}
-		for _, dt := range stats.AllTypes() {
-			for _, dist := range stats.AllDists() {
-				for _, name := range builtin.CodecNames() {
-					out[seed.Key(dt, dist, name)], _ = c.pred.Predict(dt, dist, name)
-				}
-			}
-		}
-		return out
-	}
 
 	c, err := New(cfg)
 	if err != nil {
@@ -286,7 +291,7 @@ func TestSeedPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.pred.Flush()
-	before := predictAll(c)
+	before := predictAll(c.pred)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +317,7 @@ func TestSeedPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := predictAll(c2)
+	after := predictAll(c2.pred)
 	for _, k := range learned {
 		if after[k] != before[k] {
 			t.Errorf("learned %s: %+v before close, %+v after reopen", k, before[k], after[k])

@@ -113,7 +113,9 @@ type Config struct {
 	SeedPath string
 	// SaveSeedOnClose writes the learned cost table back into SeedPath's
 	// costs at Close (the paper's "store the latest model back to the
-	// JSON seed"), so a client reopened on that seed resumes from it.
+	// JSON seed"), so a client reopened on that seed resumes from it. A
+	// Router's shards share one table, so it holds what every shard
+	// learned.
 	SaveSeedOnClose bool
 	// Codecs restricts the library pool to the named codecs (default:
 	// all twelve).

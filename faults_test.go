@@ -393,12 +393,16 @@ func TestInvalidFaultWindowRejected(t *testing.T) {
 // failed), followed by a recovery phase in which the dead tier must be
 // probed, healed, and placed onto again, and a full read-back in which
 // every payload must verify. The scenario is deterministic: faults,
-// probes, and backoff all live on the virtual clock, which the test
-// steps explicitly.
+// probes, and backoff all live on the virtual clock, and each phase is
+// a fixed number of writes started at a fixed virtual time. The real
+// oracle posts measured codec seconds to that clock, so the window is
+// far wider than any phase's own writes can carry the clock, even under
+// the race detector's ~10x slower codecs; the test fails, rather than
+// drift into the next phase, if one ever does.
 func TestScriptedOutageAvailability(t *testing.T) {
 	const (
-		outageStart = 1.0
-		outageEnd   = 5.0
+		outageStart = 1000.0
+		outageEnd   = 2000.0
 		perPhase    = 8
 		taskSize    = 1 << 20
 	)
@@ -433,6 +437,16 @@ func TestScriptedOutageAvailability(t *testing.T) {
 		keys = append(keys, key)
 		return rep
 	}
+	// advanceTo starts the next phase at virtual time v, once the last
+	// one has finished before edge, the window boundary between them.
+	advanceTo := func(edge, v float64) {
+		t.Helper()
+		now := c.Stats().VirtualSeconds
+		if now >= edge {
+			t.Fatalf("the last phase ran the clock to %.3f s, past the window boundary at %.3f s", now, edge)
+		}
+		c.Advance(v - now)
+	}
 	usedTier := func(rep *Report, name string) bool {
 		for _, st := range rep.SubTasks {
 			if st.Tier == name {
@@ -454,10 +468,25 @@ func TestScriptedOutageAvailability(t *testing.T) {
 	// Phase B: step into the outage. 100% write availability is the
 	// gate: spills and degraded writes are fine, errors are not. Once
 	// the health machine reacts, plans must stop naming the dead tier.
-	c.Advance(outageStart + 1)
+	// A spill hides a plan that named the dead tier, so the decision
+	// audits are checked too: while nvme is offline and no recovery probe
+	// is due, no plan may name it.
+	advanceTo(outageStart, outageStart+1)
+	c.Audits() // drops the healthy phase's decisions
 	for i := 0; i < perPhase; i++ {
+		probeDue := true
+		for _, h := range c.Health() {
+			if h.Name == "nvme" && h.State == "offline" {
+				probeDue = c.Stats().VirtualSeconds >= h.NextProbeVSec
+			}
+		}
 		if usedTier(write("outage", i), "nvme") {
 			t.Fatalf("outage write %d placed a sub-task on the dead tier", i)
+		}
+		for _, a := range c.Audits() {
+			if a.PlannedTier == "nvme" && !probeDue {
+				t.Fatalf("outage write %d planned a sub-task on offline nvme with no recovery probe due", i)
+			}
 		}
 	}
 	offline := false
@@ -472,7 +501,7 @@ func TestScriptedOutageAvailability(t *testing.T) {
 
 	// Phase C: step past the outage and the recovery probe. The probe
 	// must heal the tier and placement must reuse it.
-	c.Advance(outageEnd + 5)
+	advanceTo(outageEnd, outageEnd+5)
 	sawNVMe = false
 	for i := 0; i < perPhase; i++ {
 		sawNVMe = usedTier(write("recovered", i), "nvme") || sawNVMe

@@ -63,7 +63,8 @@ type SubTask struct {
 	// PredSize is the engine's estimate of the compressed size that will
 	// occupy the tier (alignment-rounded).
 	PredSize int64
-	// PredTime is the modeled duration of this sub-task (equation 3/4).
+	// PredTime is the modeled duration of this sub-task alone (equation
+	// 3/4): on a split, not the pieces after it.
 	PredTime float64
 }
 
@@ -71,7 +72,8 @@ type SubTask struct {
 // task exactly (§IV-A: "a schema consists of P sub-tasks").
 type Schema struct {
 	SubTasks []SubTask
-	// PredTime is the total modeled task duration.
+	// PredTime is the total modeled task duration, the DP's optimum: the
+	// sub-tasks' PredTime sum to it.
 	PredTime float64
 }
 
@@ -231,7 +233,8 @@ type memoKey struct {
 }
 
 type planVal struct {
-	time     float64
+	time     float64 // cost of the whole sub-problem: this piece and, on a split, the rest
+	part     float64 // cost of this tier's piece alone
 	codec    codec.ID
 	predSize int64
 	useLen   int64 // bytes of the remaining task placed on this tier
@@ -420,7 +423,7 @@ func (e *Engine) solve(w seed.Weights, attr analyzer.Result, size int64, statuse
 		}
 	}
 	asize := alignUp(size) // the DP plans in aligned quanta
-	_, err := d.match(asize, 0)
+	best, err := d.match(asize, 0)
 	e.memoHits.Add(d.hits)
 	e.memoMisses.Add(d.misses)
 	e.tm.memoHits.Add(d.hits)
@@ -432,6 +435,7 @@ func (e *Engine) solve(w seed.Weights, attr analyzer.Result, size int64, statuse
 	if !ok {
 		return Schema{}, errors.New("hcdp: internal: missing memo entry during reconstruction")
 	}
+	schema.PredTime = best
 	return schema, nil
 }
 
@@ -461,9 +465,8 @@ func (d *dp) reconstruct(size, asize int64) (Schema, bool) {
 			Tier:     l,
 			Codec:    v.codec,
 			PredSize: v.predSize,
-			PredTime: v.time,
+			PredTime: v.part,
 		})
-		schema.PredTime += v.time
 		offset += origLen
 		remaining -= length
 	}
@@ -540,7 +543,7 @@ func (d *dp) consider(best *planVal, size int64, l int, id codec.ID, rc, fullTim
 	if compSize <= remaining {
 		// Whole task fits here (constraint 5 satisfied).
 		if fullTime < best.time {
-			*best = planVal{time: fullTime, codec: id, predSize: compSize, useLen: size}
+			*best = planVal{time: fullTime, part: fullTime, codec: id, predSize: compSize, useLen: size}
 		}
 		return
 	}
@@ -565,6 +568,7 @@ func (d *dp) consider(best *planVal, size int64, l int, id codec.ID, rc, fullTim
 	if total < best.time {
 		*best = planVal{
 			time:     total,
+			part:     partTime,
 			codec:    id,
 			predSize: alignUp(int64(math.Ceil(float64(origFit) / rc))),
 			useLen:   origFit,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -193,6 +194,52 @@ func TestPlanSplitsAcrossTiers(t *testing.T) {
 			t.Errorf("sub-task predicted %d bytes > tier %d remaining %d",
 				st.PredSize, st.Tier, statuses[st.Tier].Remaining)
 		}
+	}
+}
+
+// TestSplitSchemaReportsItsOwnCost: each sub-task's PredTime is its own
+// piece's cost, so the pieces sum to Schema.PredTime, the DP's optimum. A split node's memo value covers the rest of the task too, so
+// summing memo values would count every later piece once per level
+// above it.
+func TestSplitSchemaReportsItsOwnCost(t *testing.T) {
+	f := newFixture(t, 4*tier.MB, 64*tier.MB, tier.GB, tier.TB)
+	e := f.engine(t, Config{Weights: seed.WeightsEqual})
+	splits := 0
+	for _, attr := range []analyzer.Result{floatAttr(), textAttr(), {Type: stats.TypeBinary, Dist: stats.Uniform}} {
+		for _, size := range []int64{64 << 10, 3 << 20, 40 << 20, 100<<20 + 123, 900 << 20} {
+			sc, err := e.Plan(0, attr, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The optimum, from a DP run set up as solve sets it up.
+			d := dp{e: e, w: e.w, tiers: f.hier.Tiers, statuses: f.mon.Status(0), memo: map[memoKey]planVal{}}
+			for _, c := range e.pool {
+				if cost, ok := f.pred.Predict(attr.Type, attr.Dist, c.Name()); ok && cost.Ratio >= 1 {
+					d.cands = append(d.cands, candidate{id: c.ID(), cost: cost})
+				}
+			}
+			best, err := d.match(alignUp(size), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for _, st := range sc.SubTasks {
+				if st.PredTime <= 0 {
+					t.Errorf("%v/%v %d B: sub-task %+v has no cost of its own", attr.Type, attr.Dist, size, st)
+				}
+				sum += st.PredTime
+			}
+			if sc.PredTime != best || math.Abs(sum-best) > 1e-12*best {
+				t.Errorf("%v/%v %d B: pieces sum to %v, Schema.PredTime %v, DP optimum %v",
+					attr.Type, attr.Dist, size, sum, sc.PredTime, best)
+			}
+			if len(sc.SubTasks) > 1 {
+				splits++
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no plan split; the test checks nothing")
 	}
 }
 

@@ -130,8 +130,9 @@ func TestFig4aShape(t *testing.T) {
 		t.Errorf("64MB task should split: %v", big)
 	}
 	// Memoized planning throughput should exceed 100K plans/sec for
-	// small tasks even on modest hardware.
-	if tput := parseF(t, tb.Rows[0][1]); tput < 1e5 {
+	// small tasks even on modest hardware. The rate is wall-clock, so it
+	// is not asserted under the race detector's instrumentation.
+	if tput := parseF(t, tb.Rows[0][1]); tput < 1e5 && !raceDetectorEnabled {
 		t.Errorf("plan throughput %v too low", tput)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"hcompress/internal/seed"
@@ -57,6 +58,72 @@ func TestFeedbackBatching(t *testing.T) {
 	c.Feedback(stats.TypeInt, stats.Gamma, "lz4", actual)
 	if _, a := c.Stats(); a != before+10 {
 		t.Fatalf("batch not absorbed at interval: %d", a)
+	}
+}
+
+// TestConcurrentPredictAndFeedback: one CCP serves every shard of a
+// router, so planners read predictions while feeders of four codecs
+// queue and flush. Every read finds its seeded cell, and once the feeders
+// are done each cell holds exactly what its own stream, fed alone, gives
+// it. Run it under -race.
+func TestConcurrentPredictAndFeedback(t *testing.T) {
+	mk := func() *CCP {
+		s := seed.Builtin(tier.Ares(tier.GB, tier.GB, tier.GB, tier.GB))
+		s.FeedbackInterval = 3
+		return New(s)
+	}
+	codecs := []string{"bsc", "lz4", "snappy", "zlib"}
+	stream := func(i int) []seed.CodecCost {
+		out := make([]seed.CodecCost, 300)
+		for j := range out {
+			out[j] = seed.CodecCost{CompressMBps: float64(50 + 10*i + j%7), Ratio: 1.5 + float64(j%5)/10}
+		}
+		return out
+	}
+	shared := mk()
+	stop := make(chan struct{})
+	var feeders, readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, name := range codecs {
+					if _, ok := shared.Predict(stats.TypeFloat, stats.Gamma, name); !ok {
+						t.Errorf("no float/gamma prediction for %s mid-feedback", name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i, name := range codecs {
+		feeders.Add(1)
+		go func() {
+			defer feeders.Done()
+			for _, a := range stream(i) {
+				shared.Feedback(stats.TypeFloat, stats.Gamma, name, a)
+			}
+		}()
+	}
+	feeders.Wait()
+	close(stop)
+	readers.Wait()
+	shared.Flush()
+	for i, name := range codecs {
+		alone := mk()
+		alone.FeedbackRun(stats.TypeFloat, stats.Gamma, name, stream(i))
+		alone.Flush()
+		got, _ := shared.Predict(stats.TypeFloat, stats.Gamma, name)
+		want, _ := alone.Predict(stats.TypeFloat, stats.Gamma, name)
+		if got != want {
+			t.Errorf("%s: fed concurrently %+v, fed alone %+v", name, got, want)
+		}
 	}
 }
 

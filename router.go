@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"strconv"
 	"sync"
@@ -12,12 +13,15 @@ import (
 
 	"hcompress/internal/bufpool"
 	"hcompress/internal/fanout"
+	"hcompress/internal/predictor"
+	"hcompress/internal/seed"
 	"hcompress/internal/telemetry"
 )
 
 // Router owns N Shards — N tier hierarchies, each with its own locks,
-// store, HCDP engine, CCP, read cache, and virtual clock — and, once per
-// process, what the shards share: the worker pool (one
+// store, HCDP engine, read cache, and virtual clock — and, once per
+// process, what the shards share: the Compression Cost Predictor that
+// every shard plans with and feeds, the worker pool (one
 // Interactive-before-Batch queue), one demoter and one readahead worker
 // that walk the shards, the trace sink, the MetricsAddr listener, and
 // the arena and pool series. It routes every key to exactly one shard
@@ -30,10 +34,12 @@ import (
 // aggregate view calls one shard at a time, and the background runner
 // holds one shard's read lock per demotion slice or prefetch fill — so
 // no code path ever holds two shards' locks at once, and cross-shard
-// deadlock is impossible by construction (DESIGN.md §13).
+// deadlock is impossible by construction (DESIGN.md §13). The shared
+// CCP takes only its own lock, inside any shard's.
 type Router struct {
 	shards []*Shard
-	salts  []uint64 // per-shard rendezvous salts, fixed at construction
+	salts  []uint64       // per-shard rendezvous salts, fixed at construction
+	pred   *predictor.CCP // the process-wide cost predictor
 
 	closers   []func() error // everything NewRouter acquired; Close releases it newest first
 	closeOnce sync.Once
@@ -44,18 +50,35 @@ type Router struct {
 
 // NewRouter builds a router over n identical shards, each configured
 // from cfg. Tier capacities are per-shard: n shards of a 1 GiB hierarchy
-// hold n GiB in aggregate. With n > 1, every shard's telemetry series
-// gains a shard="<i>" label while the process-wide ones stay unlabelled
-// in a router registry, and SaveSeedOnClose persists shard 0's learned
-// cost table only. With n == 1 the router is byte-for-byte the
+// hold n GiB in aggregate. The seed is loaded once and every shard plans
+// with, and feeds, one cost predictor, so SaveSeedOnClose persists what
+// all shards learned. With n > 1, every shard's telemetry series gains a
+// shard="<i>" label while the process-wide ones stay unlabelled in a
+// router registry. With n == 1 the router is byte-for-byte the
 // pre-sharding client: no shard label, no behavioural difference.
 func NewRouter(cfg Config, n int) (_ *Router, err error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hcompress: router needs at least 1 shard, got %d", n)
 	}
+	h, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
+	var sd *seed.Seed
+	if cfg.SeedPath != "" {
+		if sd, err = seed.Load(cfg.SeedPath); err != nil {
+			return nil, err
+		}
+	} else {
+		sd = seed.Builtin(h)
+	}
+	if cfg.FeedbackInterval > 0 {
+		sd.FeedbackInterval = cfg.FeedbackInterval
+	}
 	r := &Router{
 		shards: make([]*Shard, 0, n),
 		salts:  make([]uint64, n),
+		pred:   predictor.New(sd),
 	}
 	defer func() {
 		if err != nil {
@@ -64,14 +87,26 @@ func NewRouter(cfg Config, n int) (_ *Router, err error) {
 	}()
 	pool := fanout.NewPool(cfg.Parallelism)
 	r.closers = append(r.closers, func() error { pool.Close(); return nil })
+	// Closers run newest first, so this one runs once every shard has
+	// closed and no feedback can still arrive: the one flush, and the
+	// one save of what every shard taught the predictor. A failed
+	// construction leaves the seed file alone.
+	built := false
+	r.closers = append(r.closers, func() error {
+		r.pred.Flush()
+		if !built || !cfg.SaveSeedOnClose || cfg.SeedPath == "" {
+			return nil
+		}
+		maps.Copy(sd.Costs, r.pred.Costs())
+		return sd.Save(cfg.SeedPath)
+	})
 	sink := telemetry.NewSink(cfg.TraceWriter)
 	for i := 0; i < n; i++ {
-		scfg, label := cfg, ""
+		label := ""
 		if n > 1 {
 			label = strconv.Itoa(i)
-			scfg.SaveSeedOnClose = cfg.SaveSeedOnClose && i == 0
 		}
-		s, err := newShard(scfg, label, pool, sink)
+		s, err := newShard(cfg, h, label, sd, r.pred, pool, sink)
 		if err != nil {
 			return nil, fmt.Errorf("hcompress: shard %d: %w", i, err)
 		}
@@ -87,6 +122,7 @@ func NewRouter(cfg Config, n int) (_ *Router, err error) {
 			r.tel = telemetry.New()
 			proc = r.tel
 		}
+		r.pred.SetTelemetry(proc)
 		pool.SetTelemetry(proc)
 		bufpool.SetTelemetry(proc)
 		id := expvarRegister(r.Snapshot)
@@ -114,6 +150,7 @@ func NewRouter(cfg Config, n int) (_ *Router, err error) {
 		}
 		r.background(func(ctx context.Context) { r.prefetchLoop(ctx, kick) })
 	}
+	built = true
 	return r, nil
 }
 
@@ -413,16 +450,13 @@ func (r *Router) Health() []TierHealthReport {
 	return agg
 }
 
-// Stats sums per-shard counters; ModelAccuracy averages the shards' CCP
-// accuracies and VirtualSeconds reports the furthest shard clock (each
-// shard keeps its own virtual timeline).
+// Stats sums the per-shard counters and reads the one CCP's accuracy
+// and feedback counts once; VirtualSeconds reports the furthest shard
+// clock (each shard keeps its own virtual timeline).
 func (r *Router) Stats() Stats {
 	var agg Stats
 	for _, s := range r.shards {
 		st := s.Stats()
-		agg.ModelAccuracy += st.ModelAccuracy
-		agg.FeedbackQueued += st.FeedbackQueued
-		agg.FeedbackAbsorbed += st.FeedbackAbsorbed
 		agg.MemoHits += st.MemoHits
 		agg.MemoMisses += st.MemoMisses
 		agg.PlanCacheHits += st.PlanCacheHits
@@ -432,7 +466,8 @@ func (r *Router) Stats() Stats {
 			agg.VirtualSeconds = st.VirtualSeconds
 		}
 	}
-	agg.ModelAccuracy /= float64(len(r.shards))
+	agg.ModelAccuracy = r.pred.R2()
+	agg.FeedbackQueued, agg.FeedbackAbsorbed = r.pred.Stats()
 	return agg
 }
 
@@ -535,7 +570,9 @@ func (r *Router) FaultEvents() []FaultEvent { return drainAll(r, (*Shard).FaultE
 
 // Close stops the background runner and the metrics listener, closes
 // every shard (each draining its in-flight operations under its own
-// lifecycle lock), then the worker pool, and joins any errors.
+// lifecycle lock), flushes the cost predictor's pending feedback and,
+// with SaveSeedOnClose, writes its table back to the seed, then closes
+// the worker pool, and joins any errors.
 // Idempotent; a shard closed on its own beforehand is skipped.
 func (r *Router) Close() error {
 	var errs []error

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"hcompress/internal/seed"
 )
 
 func newRouter(t *testing.T, cfg Config, n int) *Router {
@@ -25,6 +28,146 @@ func routerTiers() []TierSpec {
 	return []TierSpec{
 		{Name: "ram", CapacityBytes: 4 << 20, LatencySec: 1e-6, BandwidthBps: 6e9, Lanes: 4},
 		{Name: "pfs", CapacityBytes: 1 << 30, LatencySec: 5e-3, BandwidthBps: 500e6, Lanes: 4},
+	}
+}
+
+// keysOn returns n keys that r routes to shard i.
+func keysOn(r *Router, i, n int) []string {
+	var keys []string
+	for k := 0; len(keys) < n; k++ {
+		if key := fmt.Sprintf("k%d", k); r.ShardFor(key) == i {
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
+// learnerConfig is a modeled 4-shard setup whose writes compress, so
+// every sub-task posts one deterministic cost observation.
+func learnerConfig() Config {
+	return Config{Tiers: routerTiers(), Priorities: PriorityArchival, FeedbackInterval: 1, modeled: true}
+}
+
+// writeText compresses one text/normal payload under each key and
+// returns how many sub-tasks were stored with a codec, that is, how
+// many cost observations the writes fed.
+func writeText(t *testing.T, r *Router, keys []string) (fed int) {
+	t.Helper()
+	data := []byte(strings.Repeat("one learner for every shard. ", 2048))
+	for _, key := range keys {
+		rep, err := r.Compress(Task{Key: key, Data: data, DataType: "text", Distribution: "normal"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range rep.SubTasks {
+			if st.Codec != "none" {
+				fed++
+			}
+		}
+	}
+	if fed == 0 {
+		t.Fatal("every sub-task was stored uncompressed; nothing was fed")
+	}
+	return fed
+}
+
+// TestRouterSavesEveryShardsLearning: with SaveSeedOnClose, what a shard
+// other than 0 learned reaches the seed, and a reopened router predicts
+// it. The CCP is the router's, so no shard's feedback is dropped.
+func TestRouterSavesEveryShardsLearning(t *testing.T) {
+	cfg := learnerConfig()
+	cfg.SeedPath = filepath.Join(t.TempDir(), "seed.json")
+	cfg.SaveSeedOnClose = true
+	h, err := cfg.hierarchy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtin := seed.Builtin(h)
+	if err := builtin.Save(cfg.SeedPath); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeText(t, r, keysOn(r, 2, 16))
+	r.Shard(2).pred.Flush()
+	before := predictAll(r.Shard(2).pred)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := seed.Load(cfg.SeedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var learned []string
+	for k, v := range back.Costs {
+		if v != builtin.Costs[k] {
+			learned = append(learned, k)
+		}
+	}
+	if len(learned) == 0 {
+		t.Fatal("shard 2's learned costs were not saved")
+	}
+	r2 := newRouter(t, cfg, 4)
+	for i := 0; i < r2.Shards(); i++ {
+		after := predictAll(r2.Shard(i).pred)
+		for _, k := range learned {
+			if after[k] != before[k] {
+				t.Errorf("reopened shard %d predicts %s = %+v, shard 2 learned %+v", i, k, after[k], before[k])
+			}
+		}
+	}
+}
+
+// TestShardFeedbackMovesEveryShardsPlan: feedback posted by writes on
+// shard 1 moves the prediction shard 3 plans with, though shard 3 has
+// stored nothing.
+func TestShardFeedbackMovesEveryShardsPlan(t *testing.T) {
+	r := newRouter(t, learnerConfig(), 4)
+	before := predictAll(r.Shard(3).pred)
+	writeText(t, r, keysOn(r, 1, 8))
+	if n := r.Shard(3).Stats().Tasks; n != 0 {
+		t.Fatalf("shard 3 stores %d tasks, want 0", n)
+	}
+	moved := 0
+	for k, v := range predictAll(r.Shard(3).pred) {
+		if v != before[k] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("shard 1's feedback moved none of the predictions shard 3 plans with")
+	}
+}
+
+// TestRouterStatsReadsTheCCPOnce: the router's feedback counts equal the
+// observations its writes fed, and its hc_ccp_* series exist once,
+// unlabelled — the shared CCP is not counted once per shard.
+func TestRouterStatsReadsTheCCPOnce(t *testing.T) {
+	cfg := learnerConfig()
+	cfg.EnableTelemetry = true
+	r := newRouter(t, cfg, 4)
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	fed := writeText(t, r, keys)
+	st := r.Stats()
+	if st.FeedbackQueued != fed || st.FeedbackAbsorbed != fed {
+		t.Errorf("Stats feedback queued %d, absorbed %d; the writes fed %d", st.FeedbackQueued, st.FeedbackAbsorbed, fed)
+	}
+	if shard := r.Shard(0).Stats(); st.ModelAccuracy != shard.ModelAccuracy || shard.FeedbackAbsorbed != fed {
+		t.Errorf("router reads accuracy %v, absorbed %d; shard 0 reads %v, %d", st.ModelAccuracy, st.FeedbackAbsorbed, shard.ModelAccuracy, shard.FeedbackAbsorbed)
+	}
+	snap := r.Snapshot()
+	for name, series := range snap.Counters {
+		if strings.HasPrefix(name, "hc_ccp_feedback_absorbed_total") && (name != "hc_ccp_feedback_absorbed_total" || series != int64(fed)) {
+			t.Errorf("Snapshot %s = %d, want only the unlabelled series = %d", name, series, fed)
+		}
+	}
+	if _, ok := snap.Counters["hc_ccp_feedback_absorbed_total"]; !ok {
+		t.Error("Snapshot lacks hc_ccp_feedback_absorbed_total")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -128,10 +127,10 @@ func (r *Report) Release() {
 }
 
 // Shard is the part of an HCompress pipeline that describes one tier
-// hierarchy: the IA, CCP, SM, HCDP engine and plan cache, Compression
+// hierarchy: the IA, SM, HCDP engine and plan cache, Compression
 // Manager, tiered store, read cache, and virtual clock. A Router owns N
-// of them, plus the worker pool, background runner, and trace sink they
-// share; a Shard starts no goroutine. No lock, store, or clock spans
+// of them, plus the CCP, worker pool, background runner, and trace sink
+// they share; a Shard starts no goroutine. No lock, store, or clock spans
 // shards, which is what makes the router's aggregate views safe to
 // compose shard-by-shard. It is safe for concurrent use.
 //
@@ -142,15 +141,14 @@ func (r *Report) Release() {
 // vclock) and the lifecycle RWMutex below, whose read side is shared by
 // every operation, by each demotion slice and by each prefetch fill, so
 // Status/Stats never wait behind in-flight codec work. Close takes the
-// write side, so it drains in-flight operations before flushing the
-// feedback loop.
+// write side, so it drains in-flight operations before it releases the
+// store.
 type Shard struct {
 	mu     sync.RWMutex // lifecycle only: ops hold R, Close holds W
 	closed bool
 
 	hier  tier.Hierarchy
-	sd    *seed.Seed
-	pred  *predictor.CCP
+	pred  *predictor.CCP // the router's, shared by every shard
 	mon   *monitor.SystemMonitor
 	eng   *core.Engine
 	mgr   *manager.Manager
@@ -178,33 +176,15 @@ type Shard struct {
 	// to the pre-sharding format.
 	reqSeq    atomic.Uint64
 	reqPrefix string
-
-	seedPath string
-	saveSeed bool
 }
 
-// newShard loads the seed and builds one shard's component stack over
-// the router's pool and sink; label is "" on a single-shard router.
-// Everything that can be rejected without holding a resource is rejected
-// first (Config.validate, the seed file, the fault script); the store
-// is the one acquisition, released if a later step fails.
-func newShard(cfg Config, label string, pool *fanout.Pool, sink *telemetry.Sink) (_ *Shard, err error) {
-	h, err := cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	var sd *seed.Seed
-	if cfg.SeedPath != "" {
-		sd, err = seed.Load(cfg.SeedPath)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		sd = seed.Builtin(h)
-	}
-	if cfg.FeedbackInterval > 0 {
-		sd.FeedbackInterval = cfg.FeedbackInterval
-	}
+// newShard builds one shard's component stack over hierarchy h (cfg
+// validated it) and the router's seed, predictor, pool and sink; label
+// is "" on a single-shard router. Everything that can be rejected
+// without holding a resource is rejected first (the fault script); the
+// store is the one acquisition, released if a later step fails.
+func newShard(cfg Config, h tier.Hierarchy, label string, sd *seed.Seed, pred *predictor.CCP,
+	pool *fanout.Pool, sink *telemetry.Sink) (_ *Shard, err error) {
 	var sched fault.Injector
 	if cfg.FaultInjector != nil {
 		if sched, err = cfg.FaultInjector.schedule(h); err != nil {
@@ -220,14 +200,12 @@ func newShard(cfg Config, label string, pool *fanout.Pool, sink *telemetry.Sink)
 		}
 	}
 	c := &Shard{
-		hier:     h,
-		sd:       sd,
-		pool:     pool,
-		tel:      reg,
-		sink:     sink,
-		cm:       newClientMetrics(reg),
-		seedPath: cfg.SeedPath,
-		saveSeed: cfg.SaveSeedOnClose && cfg.SeedPath != "",
+		hier: h,
+		pred: pred,
+		pool: pool,
+		tel:  reg,
+		sink: sink,
+		cm:   newClientMetrics(reg),
 	}
 
 	// File-backed tiers of different shards must not share a journal
@@ -256,8 +234,6 @@ func newShard(cfg Config, label string, pool *fanout.Pool, sink *telemetry.Sink)
 			_ = c.st.Close()
 		}
 	}()
-	c.pred = predictor.New(sd)
-	c.pred.SetTelemetry(reg)
 	c.mon = monitor.New(c.st, cfg.MonitorIntervalSec)
 	c.mon.SetTelemetry(reg)
 	c.eng, err = core.New(c.pred, c.mon, core.Config{
@@ -640,6 +616,8 @@ type Stats struct {
 	// (the paper's "accuracy (R2)").
 	ModelAccuracy float64
 	// FeedbackQueued and FeedbackAbsorbed count feedback-loop events.
+	// The CCP is the router's, so every shard of a router reports the
+	// same ModelAccuracy and feedback counts.
 	FeedbackQueued   int
 	FeedbackAbsorbed int
 	// MemoHits / MemoMisses count the HCDP engine's DP sub-problems:
@@ -678,13 +656,13 @@ func (c *Shard) Stats() Stats {
 	}
 }
 
-// Close finalizes the shard — the MPI_Finalize hook in the paper: flush
-// the feedback loop, optionally persist the learned cost table back to
-// the JSON seed, and release the cache and the store. Close takes the
+// Close releases the shard's cache and store. Close takes the
 // lifecycle write lock, so it waits for in-flight operations, and for at
 // most one demotion slice or prefetch fill of the router's background
-// runner, which skips a closed shard from then on. The worker pool and
-// everything else process-wide stay open until Router.Close.
+// runner, which skips a closed shard from then on. The cost predictor,
+// the worker pool and everything else process-wide stay open until
+// Router.Close, which flushes the predictor's feedback and saves the
+// seed once every shard has closed — the paper's MPI_Finalize hook.
 func (c *Shard) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -692,17 +670,8 @@ func (c *Shard) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.pred.Flush()
-	var seedErr error
-	if c.saveSeed {
-		maps.Copy(c.sd.Costs, c.pred.Costs())
-		seedErr = c.sd.Save(c.seedPath)
-	}
 	if c.cache != nil {
 		c.cache.InvalidateAll() // hands cached payloads back to the arena
 	}
-	if err := c.st.Close(); seedErr == nil {
-		seedErr = err
-	}
-	return seedErr
+	return c.st.Close()
 }

@@ -184,10 +184,10 @@ func TestBatchThroughputGate(t *testing.T) {
 		t.Skip("-race serializes everything; throughput ratios are meaningless")
 	}
 	data := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 64<<10, 3)
-	// A fresh client per measurement, 20 000 ops each: a modeled client's
-	// per-op rate roughly doubles after its first ~150k ops while the
-	// batched rate does not, so measurements that share a client compare
-	// different regimes depending on their position in the sequence.
+	// A fresh client per measurement, 20 000 ops each, isolates the
+	// pairs: no measurement inherits the stored tasks, tier occupancy or
+	// learned costs of the ones before it, so its place in the sequence
+	// does not matter.
 	const total = 20000
 	side := func(batch int) func() float64 {
 		return func() float64 {
