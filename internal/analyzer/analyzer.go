@@ -1,9 +1,9 @@
 // Package analyzer implements HCompress's Input Analyzer (IA): fast,
 // sampling-based inference of a buffer's data type, content distribution,
-// and container format (§IV-C). The IA never scans whole buffers — it
-// sub-samples, mirroring the paper's claim that analysis is "extremely
-// fast and accurate" because most inputs are either self-described or
-// statistically obvious.
+// and container format (§IV-C). The IA never scans whole buffers — each
+// detector reads a fixed budget of samples, mirroring the paper's claim
+// that analysis is "extremely fast and accurate" because most inputs are
+// either self-described or statistically obvious.
 package analyzer
 
 import (
@@ -52,14 +52,15 @@ type Hint struct {
 	Dist *stats.Dist
 }
 
+// Every detector has a fixed budget, so analysis cost is independent of
+// buffer size. The sampling detectors stride across the WHOLE buffer (a
+// text tail in a large file is still seen); only looksCSV reads
+// contiguous bytes.
 const (
-	// maxScanBytes caps the bytes any single detector may touch. The
-	// detectors stride across the WHOLE buffer (so a text tail in a
-	// large file is still seen) but visit at most this many bytes:
-	// analysis cost is O(maxScanBytes), independent of buffer size.
-	maxScanBytes  = 64 << 10
-	textSamples   = 4096 // byte positions inspected by looksTextual
-	distSamples   = 2048 // numeric samples for distribution classification
+	maxScanBytes  = 64 << 10 // contiguous bytes looksCSV counts in
+	textSamples   = 4096     // byte positions inspected by looksTextual
+	typeSamples   = 4096     // 32-bit words inspected by detectType
+	distSamples   = 2048     // numeric samples for distribution classification
 	printableFrac = 0.92
 )
 
@@ -132,14 +133,13 @@ func detectFormat(buf []byte, textual bool) Format {
 }
 
 // wordStride returns the 4-byte-aligned step that visits at most
-// maxScanBytes/4 32-bit words of an n-byte buffer.
+// typeSamples 32-bit words of an n-byte buffer.
 func wordStride(n int) int {
-	const maxWords = maxScanBytes / 4
 	words := n / 4
-	if words <= maxWords {
+	if words <= typeSamples {
 		return 4
 	}
-	return ((words + maxWords - 1) / maxWords) * 4
+	return ((words + typeSamples - 1) / typeSamples) * 4
 }
 
 // A 32-bit word is a plausible measurement float when it is ±0 or its
@@ -187,7 +187,7 @@ func wordTests(v, lo, span uint32) (floatish, intish int) {
 
 // detectType classifies element type from a sub-sample: text, then float32,
 // then int32, else opaque binary. The sample strides across the whole
-// buffer but touches at most maxScanBytes bytes. textual is
+// buffer but reads at most typeSamples words. textual is
 // looksTextual(buf).
 func detectType(buf []byte, textual bool) stats.DataType {
 	if textual {
@@ -201,22 +201,17 @@ func detectType(buf []byte, textual bool) stats.DataType {
 	floatish, intish := 0, 0
 	stride := wordStride(len(sample))
 	total := (len(sample)-4)/stride + 1
-	if stride == 4 {
-		// Contiguous words: two per 64-bit load. An odd word left at the
-		// end falls to the loop below.
-		for ; len(sample) >= 8; sample = sample[8:] {
-			x := binary.LittleEndian.Uint64(sample)
-			f0, i0 := wordTests(uint32(x), lo, span)
-			f1, i1 := wordTests(uint32(x>>32), lo, span)
-			floatish += f0 + f1
-			intish += i0 + i1
-		}
-	}
 	for i := 0; i+4 <= len(sample); i += stride {
 		f, n := wordTests(binary.LittleEndian.Uint32(sample[i:]), lo, span)
 		floatish += f
 		intish += n
 	}
+	return typeVerdict(floatish, intish, total)
+}
+
+// typeVerdict turns detectType's counts of float-like and int-like words
+// among total into a type.
+func typeVerdict(floatish, intish, total int) stats.DataType {
 	ff := float64(floatish) / float64(total)
 	fi := float64(intish) / float64(total)
 	switch {
@@ -263,7 +258,7 @@ func looksTextual(buf []byte) bool {
 // looksCSV inspects up to maxScanBytes of contiguous text — the head
 // plus, for large buffers, a window from the middle — because the
 // comma/newline ratio test needs unbroken runs of lines to be
-// meaningful, unlike the strided byte sampling above.
+// meaningful, unlike the strided sampling of the other detectors.
 func looksCSV(buf []byte) bool {
 	const half = maxScanBytes / 2
 	head := buf[:min(len(buf), half)]

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
@@ -202,13 +203,13 @@ func touchedByLooksCSV(n int) int {
 }
 
 // TestScanBudget proves, by stride accounting, that every detector touches
-// O(maxScanBytes) bytes regardless of buffer size — up to 1 GiB here
+// a fixed budget of bytes regardless of buffer size — up to 1 GiB here
 // without allocating anything.
 func TestScanBudget(t *testing.T) {
-	sizes := []int{0, 1, 3, 4, 100, 4096, 64 << 10, 64<<10 + 1,
+	sizes := []int{0, 1, 3, 4, 100, 4096, 16 << 10, 16<<10 + 4, 64 << 10, 64<<10 + 1,
 		1 << 20, 16 << 20, 100 << 20, 1 << 30}
 	for _, n := range sizes {
-		if got := touchedByDetectType(n); got > maxScanBytes+4 {
+		if got := touchedByDetectType(n); got > 4*typeSamples+4 {
 			t.Errorf("detectType touches %d bytes of a %d-byte buffer", got, n)
 		}
 		if got := touchedByLooksTextual(n); got > textSamples {
@@ -222,6 +223,48 @@ func TestScanBudget(t *testing.T) {
 	// across the whole buffer, not a fixed prefix.
 	if s := wordStride(1 << 30); s <= 4 {
 		t.Errorf("wordStride(1GiB) = %d: large buffers are not strided", s)
+	}
+}
+
+// fullScanType is detectType without the sample budget: every 32-bit word
+// of buf is tested.
+func fullScanType(buf []byte) stats.DataType {
+	if looksTextual(buf) {
+		return stats.TypeText
+	}
+	words := len(buf) / 4
+	if words == 0 {
+		return stats.TypeBinary
+	}
+	floatish, intish := 0, 0
+	for i := 0; i < words; i++ {
+		f, n := wordTests(binary.LittleEndian.Uint32(buf[4*i:]), floatLo, floatHi-floatLo-1)
+		floatish += f
+		intish += n
+	}
+	return typeVerdict(floatish, intish, words)
+}
+
+// TestTypeSampleMatchesFullScan checks that sampling typeSamples words
+// loses nothing on the data HCompress generates: for every (type, dist)
+// of stats.GenBuffer, from 16 KiB (the largest buffer read whole) up to
+// 1 MiB, the sampled verdict equals the verdict of a scan of every word.
+func TestTypeSampleMatchesFullScan(t *testing.T) {
+	for _, ty := range stats.AllTypes() {
+		for _, d := range stats.AllDists() {
+			for seed := int64(1); seed <= 8; seed++ {
+				// GenBuffer draws its values in order and cuts at n, so
+				// the buffer for each smaller size is a prefix of this.
+				all := stats.GenBuffer(ty, d, 1<<20, seed)
+				for size := 16 << 10; size <= len(all); size *= 2 {
+					buf := all[:size]
+					got, want := detectType(buf, looksTextual(buf)), fullScanType(buf)
+					if got != want {
+						t.Errorf("%v/%v/%d/seed %d: sampled %v, full scan %v", ty, d, size, seed, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -313,6 +313,39 @@ func TestDecompressCorruptInput(t *testing.T) {
 	}
 }
 
+// FuzzDecode: whatever bytes reach a decoder FuzzBWTDecode does not cover,
+// with any declared length below 1 MiB, it returns an error or exactly
+// that many bytes, and never panics. Seeds are every such codec's streams
+// of the golden corpus, so mutation starts from inputs that parse.
+func FuzzDecode(f *testing.F) {
+	bwt := func(id ID) bool { return id == idBzip2 || id == idBSC }
+	for _, in := range goldenCorpus() {
+		plain := in.data[:min(len(in.data), 8<<10)]
+		for _, c := range All() {
+			if bwt(c.ID()) {
+				continue
+			}
+			comp, err := c.Compress(nil, plain)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(c.ID()), comp, uint32(len(plain)))
+		}
+	}
+	s := new(bufpool.Scratch)
+	f.Fuzz(func(t *testing.T, id uint8, data []byte, srcLen uint32) {
+		c, err := ByID(ID(id))
+		if err != nil || bwt(c.ID()) {
+			return
+		}
+		n := int(srcLen % (1 << 20))
+		out, err := DecompressWith(s, c, nil, data, n)
+		if err == nil && len(out) != n {
+			t.Fatalf("%s: accepted %d input bytes and returned %d, want %d", c.Name(), len(data), len(out), n)
+		}
+	})
+}
+
 func TestWrongSrcLenRejected(t *testing.T) {
 	in := []byte(strings.Repeat("xyz", 1000))
 	for _, c := range All() {
