@@ -186,7 +186,9 @@ func wordBuffer(rng *rand.Rand, n, tail int, draw func(i int) uint32) []byte {
 }
 
 // randLen draws a length in [0, 200000], weighted so tiny buffers, the
-// contiguous branch and the strided branch (> 64 KiB) all come up.
+// type detector's every-word branch (at most typeSamples words, 16 KiB)
+// and its strided branch, and looksCSV's head-and-tail split (around
+// maxScanBytes) all come up.
 func randLen(rng *rand.Rand) int {
 	switch rng.Intn(4) {
 	case 0:

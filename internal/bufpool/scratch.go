@@ -29,7 +29,7 @@ type Scratch struct {
 	MTF []byte  // move-to-front output
 	RLE []byte  // zero-run-length output
 
-	// LZ match-search stage (lzma, lzo, brotli, snappy, pithy, quicklz).
+	// LZ match-search stage (lz4, lzma, lzo, brotli, snappy, pithy, quicklz).
 	Head []int32 // hash-table heads
 	Prev []int32 // hash-chain links
 

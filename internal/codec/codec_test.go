@@ -315,8 +315,12 @@ func TestDecompressCorruptInput(t *testing.T) {
 
 // FuzzDecode: whatever bytes reach a decoder FuzzBWTDecode does not cover,
 // with any declared length below 1 MiB, it returns an error or exactly
-// that many bytes, and never panics. Seeds are every such codec's streams
-// of the golden corpus, so mutation starts from inputs that parse.
+// that many bytes, and never panics. Each input is decoded twice: into a
+// nil dst, and into the Compression Manager's buffer shape, an
+// exact-capacity region after a prefix, where a decoder that writes past
+// the region panics on its bounds instead of growing a fresh slice. Seeds
+// are every such codec's streams of the golden corpus, so mutation starts
+// from inputs that parse.
 func FuzzDecode(f *testing.F) {
 	bwt := func(id ID) bool { return id == idBzip2 || id == idBSC }
 	for _, in := range goldenCorpus() {
@@ -333,6 +337,8 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	s := new(bufpool.Scratch)
+	var buf []byte
+	const prefix = 7
 	f.Fuzz(func(t *testing.T, id uint8, data []byte, srcLen uint32) {
 		c, err := ByID(ID(id))
 		if err != nil || bwt(c.ID()) {
@@ -342,6 +348,11 @@ func FuzzDecode(f *testing.F) {
 		out, err := DecompressWith(s, c, nil, data, n)
 		if err == nil && len(out) != n {
 			t.Fatalf("%s: accepted %d input bytes and returned %d, want %d", c.Name(), len(data), len(out), n)
+		}
+		buf = bufpool.GrowBytes(&buf, prefix+n)
+		out, err = DecompressWith(s, c, buf[prefix:prefix:prefix+n], data, n)
+		if err == nil && len(out) != n {
+			t.Fatalf("%s: accepted %d input bytes into a region and returned %d, want %d", c.Name(), len(data), len(out), n)
 		}
 	})
 }

@@ -3,6 +3,8 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+
+	"hcompress/internal/bufpool"
 )
 
 // lz4Codec implements the LZ4 block format: token-based sequences of
@@ -30,34 +32,44 @@ func lz4Hash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - lz4HashLog)
 }
 
-func (lz4Codec) Compress(dst, src []byte) ([]byte, error) {
+func (c lz4Codec) Compress(dst, src []byte) ([]byte, error) {
+	s := bufpool.GetScratch()
+	defer bufpool.PutScratch(s)
+	return c.CompressScratch(s, dst, src)
+}
+
+func (lz4Codec) DecompressScratch(_ *bufpool.Scratch, dst, src []byte, srcLen int) ([]byte, error) {
+	return lz4Codec{}.Decompress(dst, src, srcLen)
+}
+
+// CompressScratch keeps its hash table in s.Head. An entry holds the
+// position plus one, so the cleared table reads "empty" everywhere.
+func (lz4Codec) CompressScratch(s *bufpool.Scratch, dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return dst, nil
 	}
-	var table [1 << lz4HashLog]int32
-	for i := range table {
-		table[i] = -1
-	}
+	table := bufpool.GrowI32(&s.Head, 1<<lz4HashLog)
+	clear(table)
 	anchor := 0
 	i := 0
 	limit := len(src) - lz4MFLimit
 	for i < limit {
 		v := binary.LittleEndian.Uint32(src[i:])
 		h := lz4Hash(v)
-		cand := table[h]
-		table[h] = int32(i)
-		if cand < 0 || i-int(cand) > 65535 || binary.LittleEndian.Uint32(src[cand:]) != v {
+		cand := int(table[h]) - 1
+		table[h] = int32(i + 1)
+		if cand < 0 || i-cand > 65535 || binary.LittleEndian.Uint32(src[cand:]) != v {
 			i++
 			continue
 		}
 		// Extend the match forward.
 		maxMatch := len(src) - 5 - i // keep last 5 bytes literal
-		mlen := lzExtendMatch(src, int(cand), i, lz4MinMatch, maxMatch)
+		mlen := lzExtendMatch(src, cand, i, lz4MinMatch, maxMatch)
 		if mlen < lz4MinMatch {
 			i++
 			continue
 		}
-		dst = lz4EmitSequence(dst, src[anchor:i], i-int(cand), mlen)
+		dst = lz4EmitSequence(dst, src[anchor:i], i-cand, mlen)
 		i += mlen
 		anchor = i
 	}
@@ -108,44 +120,53 @@ func lz4ExtLen(dst []byte, n int) []byte {
 	return append(dst, byte(n))
 }
 
-// lz4DecPad is the slack appended past the decoded length so the hot loop
-// can copy fixed-size chunks that overshoot a sequence's true length; the
-// junk lands in the pad and is trimmed off the returned slice.
-const lz4DecPad = 16
+// lz4FastIn and lz4FastOut are the input and output slack a sequence
+// needs for the fast path: a 16-byte literal copy (which also covers the
+// offset, since fast literals are at most 14 bytes), then a match of at
+// most 18 bytes moved as two 16-byte chunks from at most 14 bytes on.
+const (
+	lz4FastIn  = 16
+	lz4FastOut = 14 + 32
+)
 
-// Decompress is index-based: dst is pre-extended by srcLen (plus pad) once
-// and both cursors are plain ints, so the sequence loop runs without append
-// bookkeeping or per-match function calls. Short literal runs and matches
-// move as fixed 16- or 8-byte chunks. A stream that would overrun srcLen
-// is rejected at the offending sequence — the same streams the old
-// append-then-check-total loop rejected at the end.
+// Decompress is index-based: dst is extended by exactly srcLen once and
+// both cursors are plain ints, so the sequence loop runs without append
+// bookkeeping or per-match function calls. A sequence whose literal and
+// match nibbles are both below 15 takes the fast path when both cursors
+// have the slack above: fixed-size array moves (register copies, not
+// memmove calls) that may overshoot the sequence's end but never the
+// region, since the junk lands where the next sequences write. Every
+// other sequence (extended lengths, the last ones before either end) is
+// copied exactly. So an exact-capacity region is filled in place. A
+// stream that would overrun srcLen is rejected at the offending sequence.
 func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 	base := len(dst)
-	dst = extendSlice(dst, srcLen+lz4DecPad)
+	dst = extendSlice(dst, srcLen)
 	limit := base + srcLen
 	w := base
 	i := 0
 	for i < len(src) {
 		tok := src[i]
 		i++
-		litLen := int(tok >> 4)
-		if litLen == 15 {
-			var err error
-			litLen, i, err = lz4ReadExtLen(src, i, litLen)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if i+litLen > len(src) {
-			return nil, fmt.Errorf("%w: lz4 literals overrun input", errCorrupt)
-		}
-		if w+litLen > limit {
-			return nil, fmt.Errorf("%w: lz4 literals overrun output", errCorrupt)
-		}
-		if litLen <= 16 && i+16 <= len(src) {
-			copy(dst[w:w+16], src[i:i+16]) // overshoot lands in pad
+		litLen, mlen := int(tok>>4), int(tok&0x0F)
+		fast := litLen < 15 && mlen < 15 && i+lz4FastIn <= len(src) && w+lz4FastOut <= limit
+		if fast {
+			*(*[16]byte)(dst[w:]) = *(*[16]byte)(src[i:])
 		} else {
-			copy(dst[w:], src[i:i+litLen])
+			if litLen == 15 {
+				var err error
+				litLen, i, err = lz4ReadExtLen(src, i, litLen)
+				if err != nil {
+					return nil, err
+				}
+			}
+			if i+litLen > len(src) {
+				return nil, fmt.Errorf("%w: lz4 literals overrun input", errCorrupt)
+			}
+			if w+litLen > limit {
+				return nil, fmt.Errorf("%w: lz4 literals overrun output", errCorrupt)
+			}
+			copy(dst[w:w+litLen], src[i:i+litLen])
 		}
 		w += litLen
 		i += litLen
@@ -157,7 +178,6 @@ func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
-		mlen := int(tok & 0x0F)
 		if mlen == 15 {
 			var err error
 			mlen, i, err = lz4ReadExtLen(src, i, mlen)
@@ -175,22 +195,24 @@ func (lz4Codec) Decompress(dst, src []byte, srcLen int) ([]byte, error) {
 		s := w - offset
 		end := w + mlen
 		switch {
-		case offset >= 8:
-			// 8-byte strides, overshooting into the pad.
+		case fast && offset >= 16:
+			for d := w; d < end; d += 16 {
+				*(*[16]byte)(dst[d:]) = *(*[16]byte)(dst[s:])
+				s += 16
+			}
+		case fast && offset >= 8:
 			for d := w; d < end; d += 8 {
-				copy(dst[d:d+8], dst[s:s+8])
+				*(*[8]byte)(dst[d:]) = *(*[8]byte)(dst[s:])
 				s += 8
 			}
-			w = end
-		case offset >= mlen:
-			copy(dst[w:end], dst[s:s+mlen])
-			w = end
 		default:
-			// Overlapping short-offset run: double the materialized span.
-			for w < end {
-				w += copy(dst[w:end], dst[s:w])
+			// Exact, and overlapping when offset < mlen: each copy
+			// doubles the materialized span.
+			for d := w; d < end; {
+				d += copy(dst[d:end], dst[s:d])
 			}
 		}
+		w = end
 	}
 	if w != limit {
 		return nil, fmt.Errorf("%w: lz4 produced %d bytes, want %d", errCorrupt, w-base, srcLen)

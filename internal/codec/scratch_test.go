@@ -132,3 +132,66 @@ func TestScratchDstOverlap(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeInPlaceAllocFree holds every codec to the Compression
+// Manager's buffer shape: DecompressWith into an exact-capacity region
+// carved out of a larger buffer (buf[p:p:p+n], as decompressSub carves
+// it) must fill that region in place, leaving the bytes before and after
+// it alone. Through one warm Scratch, CompressWith and DecompressWith
+// must then allocate nothing — except zlib's decode, which wraps the
+// standard library's flate reader, and that allocates per block.
+func TestDecodeInPlaceAllocFree(t *testing.T) {
+	const prefix, sentinel, fill = 13, 16, 0xA5
+	s := new(bufpool.Scratch)
+	for _, in := range goldenCorpus() {
+		n := len(in.data)
+		buf := make([]byte, prefix+n+sentinel)
+		for _, c := range All() {
+			name := c.Name() + "/" + in.name
+			comp, err := CompressWith(s, c, nil, in.data)
+			if err != nil {
+				t.Fatalf("%s: compress: %v", name, err)
+			}
+			for i := range buf {
+				buf[i] = fill
+			}
+			region := buf[prefix : prefix : prefix+n]
+			out, err := DecompressWith(s, c, region, comp, n)
+			if err != nil {
+				t.Fatalf("%s: decompress: %v", name, err)
+			}
+			if !bytes.Equal(out, in.data) {
+				t.Fatalf("%s: round-trip mismatch", name)
+			}
+			if n > 0 && &out[0] != &buf[prefix] {
+				t.Errorf("%s: decoded into a fresh slice, not the region", name)
+			}
+			for i, b := range buf {
+				if (i < prefix || i >= prefix+n) && b != fill {
+					t.Fatalf("%s: byte %d outside the region [%d, %d) changed", name, i, prefix, prefix+n)
+				}
+			}
+			if raceDetectorEnabled {
+				continue // -race drops sync.Pool puts at random
+			}
+			cdst := make([]byte, 0, cap(comp))
+			if a := testing.AllocsPerRun(4, func() {
+				if _, err := CompressWith(s, c, cdst, in.data); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Errorf("%s: CompressWith: %.0f allocs/op, want 0", name, a)
+			}
+			if c.ID() == idZlib {
+				continue
+			}
+			if a := testing.AllocsPerRun(4, func() {
+				if _, err := DecompressWith(s, c, region, comp, n); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Errorf("%s: DecompressWith: %.0f allocs/op, want 0", name, a)
+			}
+		}
+	}
+}

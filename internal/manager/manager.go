@@ -1047,8 +1047,10 @@ func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, rs *re
 		if hdr.Offset+hdr.Length > int64(len(resData)) {
 			return fmt.Errorf("manager: sub-task exceeds task bounds")
 		}
-		// Full-slice expression: an overrunning codec reallocates
-		// instead of clobbering the neighbouring region.
+		// Full-slice expression: every shipped codec decodes in place
+		// into this exact-capacity region (TestDecodeInPlaceAllocFree);
+		// one that did not would reallocate instead of clobbering the
+		// neighbouring region.
 		dst = resData[hdr.Offset : hdr.Offset : hdr.Offset+hdr.Length]
 	}
 	c, err := codec.ByID(hdr.Codec)
@@ -1064,8 +1066,8 @@ func (m *Manager) decompressSub(s *bufpool.Scratch, attr analyzer.Result, rs *re
 			return fmt.Errorf("manager: sub-task %d decompressed to %d bytes, want %d", k, len(piece), hdr.Length)
 		}
 		if len(piece) > 0 && &piece[0] != &resData[hdr.Offset] {
-			// The codec outgrew its region transiently and
-			// reallocated; land the piece with one copy.
+			// No shipped codec lands here; the copy guards a codec
+			// that outgrew its region and reallocated.
 			copy(resData[hdr.Offset:hdr.Offset+hdr.Length], piece)
 		}
 	}

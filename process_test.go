@@ -128,12 +128,13 @@ func TestRouterProcessSeriesRegisteredOnce(t *testing.T) {
 		rep.Release()
 	}
 	_, _, _, puts1 := bufpool.Stats()
-	// Each round gives every shard one sub-batch, which fans its analysis
-	// and its codec work through the pool: two jobs per shard per round.
-	// A one-sub-task read runs inline and submits none.
+	// Each round is one job whose items are the shards' sub-batches, and
+	// every sub-batch fans its analysis and its codec work through the
+	// pool: one plus two jobs per shard per round. A one-sub-task read
+	// runs inline and submits none.
 	want := map[string]int64{
 		"hc_bufpool_puts_total": puts1 - puts0,
-		"hc_pool_jobs_total":    2 * rounds * shards,
+		"hc_pool_jobs_total":    rounds * (1 + 2*shards),
 	}
 	var text bytes.Buffer
 	if err := r.WriteMetrics(&text); err != nil {

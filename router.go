@@ -319,9 +319,11 @@ func (r *Router) DecompressBatchContext(ctx context.Context, keys []string) ([]*
 }
 
 // scatter is the body of both batch calls: split items by the shard that
-// owns keyOf(item), run each shard's sub-batch concurrently through run,
-// and reassemble the reports in input order; the error joins every
-// shard's error. A single-shard router hands the batch straight through.
+// owns keyOf(item), run the shards' sub-batches as the items of one job
+// on the pool every shard shares, at ctx's class (the caller helps, and
+// pool workers already carry grown stacks), and reassemble the reports
+// in input order; the error joins every shard's error. A single-shard
+// router hands the batch straight through.
 func scatter[T any](ctx context.Context, r *Router, items []T, keyOf func(T) string,
 	run func(*Shard, context.Context, []T) ([]*Report, error)) ([]*Report, error) {
 	if len(items) == 0 {
@@ -332,29 +334,27 @@ func scatter[T any](ctx context.Context, r *Router, items []T, keyOf func(T) str
 	}
 	byShard := make([][]T, len(r.shards))
 	idx := make([][]int, len(r.shards))
+	var live []int // shards that own at least one item
 	for i, it := range items {
 		s := r.ShardFor(keyOf(it))
+		if len(idx[s]) == 0 {
+			live = append(live, s)
+		}
 		byShard[s] = append(byShard[s], it)
 		idx[s] = append(idx[s], i)
 	}
 	reps := make([]*Report, len(items))
 	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for s := range r.shards {
-		if len(byShard[s]) == 0 {
-			continue
+	// Each item reports into errs, so RunClass's first error is one of them.
+	_ = r.shards[0].pool.RunClass(fanout.ClassOf(ctx), len(live), func(_ *bufpool.Scratch, k int) error {
+		s := live[k]
+		sreps, err := run(r.shards[s], ctx, byShard[s])
+		errs[s] = err
+		for j, rep := range sreps {
+			reps[idx[s][j]] = rep
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sreps, err := run(r.shards[s], ctx, byShard[s])
-			errs[s] = err
-			for j, rep := range sreps {
-				reps[idx[s][j]] = rep
-			}
-		}(s)
-	}
-	wg.Wait()
+		return nil
+	})
 	return reps, errors.Join(errs...)
 }
 

@@ -2,6 +2,7 @@ package hcompress
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -368,7 +369,8 @@ func TestRouterInvalidConfig(t *testing.T) {
 
 // TestRouterConcurrentAggregation is the -race gate for the
 // aggregation paths: readers sweep Status/Health/Stats/Snapshot/Audits
-// while writers mutate every shard through the routed APIs. The
+// while writers mutate every shard through the routed APIs, single-key
+// and batched (one batch caller cancelled mid-stream). The
 // sequential one-shard-at-a-time snapshot rule means no view ever
 // holds two shard locks; the race detector confirms no torn reads.
 func TestRouterConcurrentAggregation(t *testing.T) {
@@ -393,6 +395,43 @@ func TestRouterConcurrentAggregation(t *testing.T) {
 				}
 				if i%4 == 3 {
 					if err := r.Delete(key); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	// Two batch callers scatter across every shard at once, so nested pool
+	// jobs (a shard's sub-batch fanning its own work out) run concurrently.
+	// The second cancels its context while a batch is in flight; from then
+	// on its calls may fail, but only with the cancellation or with the
+	// keys a cancelled write never stored.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			for i := 0; i < 8; i++ {
+				if g == 1 && i == 3 {
+					go cancel()
+				}
+				tasks := make([]Task, 8)
+				keys := make([]string, len(tasks))
+				for j := range tasks {
+					keys[j] = fmt.Sprintf("b%d-%d-%d", g, i, j)
+					tasks[j] = Task{Key: keys[j], Data: data}
+				}
+				_, werr := r.CompressBatchContext(ctx, tasks)
+				reps, rerr := r.DecompressBatchContext(ctx, keys)
+				for _, rep := range reps {
+					if rep != nil {
+						rep.Release()
+					}
+				}
+				for _, err := range []error{werr, rerr} {
+					if err != nil && (g == 0 || !errors.Is(err, context.Canceled) && !errors.Is(err, ErrNotFound)) {
 						t.Error(err)
 						return
 					}
