@@ -1,24 +1,49 @@
-// Package bufpool is the data plane's buffer arena: a size-classed
-// sync.Pool allocator for the byte buffers that flow between codecs, the
-// Compression Manager, and the store, plus the per-worker Scratch that
-// owns every reusable codec work buffer (see scratch.go).
+// Package bufpool is the data plane's buffer arena: two size-classed
+// pools for the byte buffers that flow between codecs, the Compression
+// Manager, and the store, plus the per-worker Scratch that owns every
+// reusable codec work buffer (see scratch.go).
 //
-// The arena serves quarter-step classes from 4 KiB to 1 MiB: 4 KiB, then
+// Both pools serve quarter-step classes from 4 KiB to 1 MiB: 4 KiB, then
 // 1.25x, 1.5x, 1.75x and 2x of each power of two (5, 6, 7, 8, 10, 12,
 // 14, 16 KiB, ...), 33 classes in all. A stored payload is a
 // 4096-aligned piece plus a 20-byte header, so it always lands just past
 // a power of two; with power-of-two classes every 64 KiB piece sat in a
 // 128 KiB buffer, and quarter steps cap that internal waste at 25 %.
 // Requests above the largest class fall through to a plain make (counted
-// as "outsize") and are dropped on Put, so the pool never retains
+// as "outsize") and are dropped on Put, so neither pool retains
 // pathological buffers. Requests below 4 KiB round up to the smallest
 // class.
 //
-// The arena is process-global, like sync.Pool itself: buffers released by
-// one client are reusable by another, and idle classes are reclaimed by
-// the garbage collector through the usual sync.Pool victim mechanism.
-// Hit/miss/outsize counters are kept in atomics and optionally mirrored
-// into a telemetry registry via SetTelemetry.
+// The two pools differ in where their memory lives, and the ownership
+// rule decides which one a buffer comes from:
+//
+//   - Get serves the heap arena, a sync.Pool per class. It is for
+//     buffers that can reach a caller (a read's reassembly buffer, a
+//     read-cache entry, a durable backend's peek buffer): returning them
+//     with Put is optional, and one that is never returned is ordinary
+//     garbage.
+//   - GetResident serves the resident pool (resident.go): off-heap
+//     chunks, mmap'd outside the race detector. It is for the stored
+//     payloads a tier keeps, which only the store holds and which always
+//     come back through Put; a buffer that is never returned is never
+//     freed.
+//
+// The split is about what sets the process's memory, not class waste. A
+// store full of payloads on the heap is live heap, and the collector
+// lets the heap grow to twice the live heap before it runs (GOGC=100),
+// so every stored byte held about one more byte of headroom; off the heap
+// a stored byte costs one byte, and a freed payload's memory is reused or
+// unmapped at once instead of after the next collection.
+//
+// Put takes a buffer from either pool and routes it by address, so no
+// free site needs to know where a buffer came from. Both pools are
+// process-global, like sync.Pool itself: buffers released by one client
+// are reusable by another. Idle heap classes are reclaimed by the garbage
+// collector through the usual sync.Pool victim mechanism; an idle
+// resident chunk is unmapped, keeping at most one spare per class.
+// Hit/miss/outsize/put counters cover both pools; they are kept in
+// atomics and optionally mirrored into a telemetry registry via
+// SetTelemetry.
 package bufpool
 
 import (
@@ -130,8 +155,9 @@ func Get(n int) []byte {
 	return make([]byte, n, classSize(ci))
 }
 
-// Put returns buf to the arena. Only buffers whose capacity is exactly a
-// class size are pooled (anything the arena handed out qualifies); other
+// Put returns buf to the pool it came from: a buffer from GetResident
+// goes back to its chunk, any other buffer whose capacity is exactly a
+// class size to the heap arena (anything Get handed out qualifies); other
 // buffers — including oversize ones — are left to the garbage collector.
 // buf must not be used after Put.
 func Put(buf []byte) {
@@ -148,6 +174,10 @@ func Put(buf []byte) {
 	p := unsafe.Pointer(&buf[:c][0])
 	if debugging() {
 		debugPut(p)
+	}
+	if ch := residentChunk(uintptr(p)); ch != nil {
+		putResident(ch, uintptr(p), ci)
+		return
 	}
 	classes[ci].Put(p)
 }

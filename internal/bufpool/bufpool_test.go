@@ -196,3 +196,148 @@ func TestScratchGrowRetainsCapacity(t *testing.T) {
 		t.Fatal("grow length contract violated")
 	}
 }
+
+// residentOut reads the resident pool's outstanding bytes and the chunks
+// class ci has mapped.
+func residentOut(ci int) (int64, int) {
+	out, mapped := Resident()
+	return out, mapped[ci]
+}
+
+func TestResidentGetPut(t *testing.T) {
+	out0, _ := Resident()
+	hit0, miss0, _, put0 := Stats()
+	for _, n := range []int{1, minClass + 1, 64<<10 + 20, maxClass} {
+		buf := GetResident(n)
+		if len(buf) != n || cap(buf) != classSize(classFor(n)) {
+			t.Fatalf("GetResident(%d): len %d cap %d, want cap %d", n, len(buf), cap(buf), classSize(classFor(n)))
+		}
+		if out, _ := Resident(); out != out0+int64(cap(buf)) {
+			t.Fatalf("GetResident(%d): outstanding %d, want %d", n, out-out0, cap(buf))
+		}
+		buf[0], buf[n-1] = 1, 2
+		Put(buf)
+		if out, _ := Resident(); out != out0 {
+			t.Fatalf("Put after GetResident(%d): outstanding %d, want 0", n, out-out0)
+		}
+	}
+	hit1, miss1, _, put1 := Stats()
+	if got := (hit1 - hit0) + (miss1 - miss0); got != 4 {
+		t.Errorf("hits+misses moved by %d, want 4", got)
+	}
+	if put1-put0 != 4 {
+		t.Errorf("puts moved by %d, want 4", put1-put0)
+	}
+	if big := GetResident(maxClass + 1); len(big) != maxClass+1 {
+		t.Fatalf("outsize GetResident: len %d", len(big))
+	}
+}
+
+// TestResidentChunksUnmapWhenFree fills one class across several chunks
+// and returns every buffer: the class must keep exactly one spare chunk,
+// and a recycled slot must be served again (a hit).
+func TestResidentChunksUnmapWhenFree(t *testing.T) {
+	const n = 64<<10 + 20 // the 80 KiB class
+	ci := classFor(n)
+	out0, mapped0 := residentOut(ci)
+	per := chunkSize / classSize(ci)
+	bufs := make([][]byte, 3*per+1)
+	seen := map[*byte]bool{}
+	for i := range bufs {
+		bufs[i] = GetResident(n)
+		p := &bufs[i][0]
+		if seen[p] {
+			t.Fatalf("buffer %d handed out twice", i)
+		}
+		seen[p] = true
+		bufs[i][0], bufs[i][n-1] = byte(i), byte(i)
+	}
+	if _, mapped := residentOut(ci); mapped < mapped0+3 {
+		t.Fatalf("%d buffers of %d per chunk mapped %d chunks", len(bufs), per, mapped-mapped0)
+	}
+	for i, b := range bufs {
+		if b[0] != byte(i) || b[n-1] != byte(i) {
+			t.Fatalf("buffer %d overwritten by a neighbour", i)
+		}
+	}
+	for _, b := range bufs {
+		Put(b)
+	}
+	out, mapped := residentOut(ci)
+	if out != out0 {
+		t.Fatalf("outstanding %d after every Put", out-out0)
+	}
+	if mapped != 1 {
+		t.Fatalf("class keeps %d chunks with every buffer free, want one spare", mapped)
+	}
+	hit0, _, _, _ := Stats()
+	Put(GetResident(n))
+	if hit1, _, _, _ := Stats(); hit1 != hit0+1 {
+		t.Fatal("GetResident after Put was not served from a recycled slot")
+	}
+}
+
+func TestResidentRefusesDoubleAndForeignPut(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	buf := GetResident(2 * minClass)
+	Put(buf)
+	mustPanic("double Put", func() { Put(buf) })
+
+	held := GetResident(2 * minClass)
+	// A tail with a class-sized capacity is not a buffer the pool handed out.
+	mustPanic("foreign Put", func() { Put(held[minClass:]) })
+	Put(held)
+
+	SetDebug(true)
+	defer SetDebug(false)
+	again := GetResident(2 * minClass)
+	Put(again)
+	mustPanic("double Put under SetDebug", func() { Put(again) })
+}
+
+func TestConcurrentResidentAndHeap(t *testing.T) {
+	out0, _ := Resident()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			sizes := []int{1 << 12, 64<<10 + 20, 9000, 1 << 20}
+			var kept [][]byte
+			for i := 0; i < 300; i++ {
+				n := sizes[(seed+i)%len(sizes)]
+				get := Get
+				if i%2 == 0 {
+					get = GetResident
+				}
+				buf := get(n)
+				buf[0], buf[n-1] = byte(seed), byte(seed)
+				kept = append(kept, buf)
+				if len(kept) > 8 {
+					b := kept[0]
+					if b[0] != byte(seed) || b[len(b)-1] != byte(seed) {
+						t.Errorf("buffer overwritten while held")
+						return
+					}
+					Put(b)
+					kept = kept[1:]
+				}
+			}
+			for _, b := range kept {
+				Put(b)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if out, _ := Resident(); out != out0 {
+		t.Fatalf("outstanding %d after every Put", out-out0)
+	}
+}

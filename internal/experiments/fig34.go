@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hcompress/internal/analyzer"
+	"hcompress/internal/bufpool"
 	"hcompress/internal/codec"
 	"hcompress/internal/core"
 	"hcompress/internal/manager"
@@ -117,6 +118,9 @@ func Fig3Anatomy(o Fig3Options) (Table, error) {
 			}
 		}
 		wA.feedback += time.Since(t0).Seconds()
+		for _, b := range blobs { // the store copied them; the pool takes them back
+			bufpool.Put(b)
+		}
 
 		// --- read path, stage by stage ---
 		ioStart = now

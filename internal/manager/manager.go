@@ -52,8 +52,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Oracle interface {
 	// Compress produces the stored payload for piece (nil in modeled
 	// mode), its stored size, and the compression time in seconds. A
-	// non-nil payload is an arena buffer whose ownership transfers to
-	// the caller (the manager hands it to Store.PutOwned).
+	// non-nil payload is a pooled buffer whose ownership transfers to
+	// the caller (the manager hands it to Store.PutOwned); a caller that
+	// keeps it must return it with bufpool.Put.
 	Compress(s *bufpool.Scratch, attr analyzer.Result, c codec.Codec, piece []byte, pieceLen int64, hdr Header) (payload []byte, stored int64, secs float64, err error)
 	// Decompress recovers the piece (nil in modeled mode) from payload
 	// and returns the decompression time in seconds. When dst is
@@ -67,8 +68,11 @@ type RealOracle struct{}
 
 // Compress implements Oracle. The compressed stream is built in the
 // scratch's Comp buffer (reused across calls by the same worker); only
-// the returned payload — header plus stream, in one arena buffer the
-// caller takes ownership of — is a fresh allocation, and a pooled one.
+// the returned payload — header plus stream, in one buffer the caller
+// takes ownership of — is a fresh allocation, and a pooled one. The
+// payload is what a tier keeps, so it comes from the resident pool, off
+// the garbage-collected heap; the caller must return it with bufpool.Put
+// (the store does so once it drops the payload).
 func (RealOracle) Compress(s *bufpool.Scratch, _ analyzer.Result, c codec.Codec, piece []byte, pieceLen int64, hdr Header) ([]byte, int64, float64, error) {
 	if s == nil {
 		s = bufpool.GetScratch()
@@ -83,7 +87,7 @@ func (RealOracle) Compress(s *bufpool.Scratch, _ analyzer.Result, c codec.Codec,
 	s.Comp = comp // retain the (possibly grown) buffer for the next call
 	hdr.Stored = int64(len(comp))
 	hdr.CRC = crc32.Checksum(comp, castagnoli)
-	payload := bufpool.Get(HeaderSize + len(comp))
+	payload := bufpool.GetResident(HeaderSize + len(comp))
 	if _, err := hdr.Encode(payload[:0]); err != nil {
 		bufpool.Put(payload)
 		return nil, 0, 0, err
@@ -794,33 +798,42 @@ func (m *Manager) ExecuteWrites(ctx context.Context, now float64, reqs []WriteRe
 
 // publish enters a call's placed writes — every request still without an
 // error, with its directory entry at the same index of metas — in the
-// directory, in request order, under one acquisition of m.mu.
+// directory, in request order, under one acquisition of m.mu. An
+// overwrite placed its sub-tasks over the old ones key for key; when the
+// old write had more, the surplus sub-tasks are deleted here, as Delete
+// would, or they would hold their tier's capacity and memory until Close.
 func (m *Manager) publish(reqs []WriteReq, metas []*taskMeta) {
 	n := 0
+	var surplus []subMeta
 	m.mu.Lock()
 	for i := range reqs {
 		r := &reqs[i]
 		if r.Err != nil {
 			continue
 		}
-		if _, existed := m.tasks[r.Key]; !existed {
-			if _, lingering := m.inOrder[r.Key]; lingering {
-				// Rewrite of a deleted key whose order slot has not been
-				// compacted away yet: reuse the slot instead of appending
-				// a duplicate.
-				if m.dead > 0 {
-					m.dead--
-				}
-			} else {
-				m.order = append(m.order, r.Key)
-				m.inOrder[r.Key] = struct{}{}
+		if old, existed := m.tasks[r.Key]; existed {
+			if k := len(metas[i].subs); len(old.subs) > k {
+				surplus = append(surplus, old.subs[k:]...)
 			}
+		} else if _, lingering := m.inOrder[r.Key]; lingering {
+			// Rewrite of a deleted key whose order slot has not been
+			// compacted away yet: reuse the slot instead of appending a
+			// duplicate.
+			if m.dead > 0 {
+				m.dead--
+			}
+		} else {
+			m.order = append(m.order, r.Key)
+			m.inOrder[r.Key] = struct{}{}
 		}
 		m.tasks[r.Key] = metas[i]
 		n++
 	}
 	m.mu.Unlock()
 	m.tm.writes.Add(int64(n))
+	for _, sm := range surplus {
+		_ = m.st.Delete(sm.key) // ErrNotFound only: nothing left to free
+	}
 }
 
 // putSub places one sub-task payload with the full fault discipline:

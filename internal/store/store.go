@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,6 +70,10 @@ type Blob struct {
 	ref    *backend.Ref
 	handle backend.Handle
 	has    bool
+	// held is the capacity of the buffer a resident backend keeps for
+	// the blob (0 when the backend is not resident or holds nothing);
+	// hold keeps the tier's resident gauge in step with it.
+	held int64
 }
 
 // Release returns a Peek'd blob's pin on its payload. For arena-owned
@@ -99,6 +104,7 @@ type tierMetrics struct {
 	deletes   *telemetry.Counter
 	evictions *telemetry.Counter
 	usedGauge *telemetry.Gauge
+	resident  *telemetry.Gauge     // Σ held over the tier's blobs; resident backends only
 	putSecs   *telemetry.Histogram // modeled (virtual) seconds per put
 	getSecs   *telemetry.Histogram // modeled (virtual) seconds per read
 }
@@ -136,6 +142,7 @@ type Store struct {
 
 	closeOnce sync.Once
 	closeErr  error
+	cleanup   runtime.Cleanup // closeResident for a store that is never closed
 }
 
 // Options are the store's construction-time settings, accepted by Open.
@@ -232,7 +239,20 @@ func Open(h tier.Hierarchy, opts Options) (*Store, error) {
 	}
 	sort.Strings(s.recovered)
 	s.registerMetrics(opts.Telemetry)
+	s.cleanup = runtime.AddCleanup(s, closeResident, s.be)
 	return s, nil
+}
+
+// closeResident closes the resident backends of a store that became
+// unreachable without Close. Their payloads are pool buffers outside the
+// garbage-collected heap (bufpool.GetResident), so nothing else would
+// ever return them.
+func closeResident(bes []backend.TierBackend) {
+	for _, be := range bes {
+		if be.Resident() {
+			_ = be.Close() // a resident backend's Close only releases references
+		}
+	}
 }
 
 // Recovered returns the keys of every payload re-admitted from durable
@@ -265,7 +285,7 @@ func (s *Store) registerMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	for _, ts := range s.tiers {
+	for i, ts := range s.tiers {
 		l := telemetry.L("tier", ts.spec.Name)
 		ts.tm = tierMetrics{
 			puts:      reg.Counter("hc_tier_put_ops_total", "sub-task writes placed per tier", l),
@@ -279,6 +299,10 @@ func (s *Store) registerMetrics(reg *telemetry.Registry) {
 				telemetry.SecondsBuckets, l, telemetry.L("op", "put")),
 			getSecs: reg.Histogram("hc_tier_io_seconds", "modeled seconds per tier I/O (queueing included)",
 				telemetry.SecondsBuckets, l, telemetry.L("op", "get")),
+		}
+		if s.be[i].Resident() {
+			ts.tm.resident = reg.Gauge("hc_tier_resident_bytes",
+				"capacity of the payload buffers a resident tier keeps in process memory", l)
 		}
 		reg.Gauge("hc_tier_capacity_bytes", "configured capacity per tier", l).
 			Set(float64(ts.spec.Capacity))
@@ -309,7 +333,21 @@ func (s *Store) dropPayload(b *Blob) {
 	if b.has {
 		s.be[b.Tier].Delete(b.handle)
 		b.has = false
+		s.hold(b, b.Tier, 0)
 	}
+}
+
+// hold records that tier t's backend now keeps held bytes of buffer for
+// b, moving the resident gauges from b's current tier. The caller owns b
+// (it is unpublished, unreachable, or guarded by s.mu).
+func (s *Store) hold(b *Blob, t int, held int64) {
+	if b.held != 0 {
+		s.tiers[b.Tier].tm.resident.Add(-float64(b.held))
+	}
+	if held != 0 {
+		s.tiers[t].tm.resident.Add(float64(held))
+	}
+	b.held = held
 }
 
 // restoreOld re-admits a displaced blob after a failed overwrite: its
@@ -345,12 +383,14 @@ func (s *Store) Put(now float64, t int, key string, data []byte, size int64) (en
 
 // PutOwned is Put for arena-owned payloads: on success the store takes
 // ownership of data — storing it without Put's defensive copy and
-// recycling it into the buffer arena once the blob is deleted,
-// overwritten, or the store is reset (and no Peek pin remains; a durable
-// backend recycles it as soon as the bytes are journaled). On error,
+// returning it with bufpool.Put once the blob is deleted, overwritten,
+// or the store is reset or closed (and no Peek pin remains; a durable
+// backend returns it as soon as the bytes are journaled). On error,
 // ownership stays with the caller so spill/retry paths can reuse the
-// same buffer. data must come from the bufpool arena and must not be
-// touched by the caller after a successful PutOwned.
+// same buffer. data must come from bufpool — GetResident, for a payload
+// a resident tier keeps — and must not be touched by the caller after a
+// successful PutOwned. A store dropped without Close still returns the
+// payloads its resident backends keep, once it is unreachable.
 func (s *Store) PutOwned(now float64, t int, key string, data []byte, size int64) (end float64, err error) {
 	return s.put(now, t, key, data, size, true)
 }
@@ -435,6 +475,9 @@ func (s *Store) put(now float64, t int, key string, data []byte, size int64, own
 			return now, fmt.Errorf("store: put %q on %s: %w", key, ts.spec.Name, perr)
 		}
 		b.handle, b.has = h, true
+		if s.be[t].Resident() { // it retained r, so r's buffer is still valid
+			s.hold(b, t, int64(cap(r.Data())))
+		}
 	} else if owned && data != nil {
 		// Retention off: the payload is consumed here, so the arena
 		// buffer can go straight back.
@@ -680,11 +723,16 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 	lo.mu.Unlock()
 	// Payload handoff outside the tier locks but still under the
 	// directory lock, so no reader sees the blob between backends.
+	held := blob.held
 	if blob.has && s.be[srcIdx] != s.be[dst] {
 		ref, merr := s.be[srcIdx].MoveOut(readEnd, blob.handle)
 		var perr error
 		var h backend.Handle
 		if merr == nil {
+			held = 0
+			if s.be[dst].Resident() {
+				held = int64(cap(ref.Data()))
+			}
 			h, perr = s.be[dst].Put(end, key, ref)
 			if perr != nil {
 				// Re-admit the payload where it was; an in-memory or
@@ -695,10 +743,12 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 				} else {
 					ref.Release()
 					blob.has = false
+					s.hold(blob, srcIdx, 0)
 				}
 			}
 		} else if errors.Is(merr, backend.ErrUnknownHandle) {
 			blob.has = false
+			s.hold(blob, srcIdx, 0)
 		} else {
 			perr = merr
 		}
@@ -719,6 +769,9 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 		if merr == nil {
 			blob.handle = h
 		}
+	}
+	if blob.has {
+		s.hold(blob, dst, held)
 	}
 	blob.Tier = dst
 	return end, nil
@@ -813,13 +866,15 @@ func (s *Store) Reset() {
 // Open). The store must not be used afterwards. Idempotent.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
+		s.cleanup.Stop()
 		s.mu.Lock()
 		s.blobs = make(map[string]*Blob)
 		s.mu.Unlock()
-		for _, be := range s.be {
+		for i, be := range s.be {
 			if err := be.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
+			s.tiers[i].tm.resident.Set(0)
 		}
 	})
 	return s.closeErr

@@ -28,6 +28,7 @@ import (
 // that stay exported without a non-test use from another package.
 var surfaceIdentAllow = map[string]string{
 	"hcompress/internal/bufpool.SetDebug": "test-only switch for the arena's double-put guard; the guard is safety code that tests in other packages turn on",
+	"hcompress/internal/bufpool.Resident": "test-only reading of the resident pool's outstanding bytes and mapped chunks; the store and root leak-accounting tests compare it with what the tiers report holding",
 }
 
 // surfaceFieldAllow lists option fields that no non-test code sets; an
