@@ -32,15 +32,19 @@
 // store full of payloads on the heap is live heap, and the collector
 // lets the heap grow to twice the live heap before it runs (GOGC=100),
 // so every stored byte held about one more byte of headroom; off the heap
-// a stored byte costs one byte, and a freed payload's memory is reused or
-// unmapped at once instead of after the next collection.
+// a stored byte costs one byte, and a freed payload's memory is reused at
+// once instead of after the next collection. Idle slots give their pages
+// back to the operating system once a chunk's idle bytes reach its
+// handed-out bytes (and at least 256 KiB or two slots; Linux only), so a
+// store that shrinks does not keep its peak memory.
 //
 // Put takes a buffer from either pool and routes it by address, so no
 // free site needs to know where a buffer came from. Both pools are
 // process-global, like sync.Pool itself: buffers released by one client
 // are reusable by another. Idle heap classes are reclaimed by the garbage
-// collector through the usual sync.Pool victim mechanism; an idle
-// resident chunk is unmapped, keeping at most one spare per class.
+// collector through the usual sync.Pool victim mechanism; a resident
+// chunk with every slot idle is unmapped, keeping at most one spare per
+// class.
 // Hit/miss/outsize/put counters cover both pools; they are kept in
 // atomics and optionally mirrored into a telemetry registry via
 // SetTelemetry.

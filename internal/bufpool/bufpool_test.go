@@ -277,6 +277,79 @@ func TestResidentChunksUnmapWhenFree(t *testing.T) {
 	}
 }
 
+// TestResidentShrinkReleasesPages fills four classes across several
+// chunks, touching every byte, and returns seven buffers in eight, then
+// the rest. Each chunk's idle slots must keep fewer bytes than the
+// release threshold, max(releaseMin, two slots, its handed-out bytes),
+// and where the kernel can tell (mincore), the chunk's resident pages
+// must stay within its handed-out bytes plus that threshold, plus a page
+// either side of each slot out or idle. The buffers still out must keep
+// their bytes.
+func TestResidentShrinkReleasesPages(t *testing.T) {
+	sizes := []int{5000, 20<<10 + 20, 64<<10 + 20, 256<<10 + 20}
+	type class struct {
+		ci   int
+		bufs [][]byte
+	}
+	var cls []class
+	for _, n := range sizes {
+		ci := classFor(n)
+		bufs := make([][]byte, 3*chunkSize/classSize(ci))
+		for i := range bufs {
+			bufs[i] = GetResident(n)
+			for j := range bufs[i] {
+				bufs[i][j] = byte(i)
+			}
+		}
+		cls = append(cls, class{ci, bufs})
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, cl := range cls {
+			size := classSize(cl.ci)
+			rc := &resClasses[cl.ci]
+			rc.mu.Lock()
+			chunks := append([]*chunk(nil), rc.partial...)
+			if rc.spare != nil {
+				chunks = append(chunks, rc.spare)
+			}
+			for _, c := range chunks {
+				used := int(c.used) * size
+				limit := max(releaseMin, 2*size, used)
+				if idle := len(c.free) * size; idle >= limit {
+					t.Errorf("%s: %d KiB class: a chunk keeps %d idle bytes, limit %d", step, size>>10, idle, limit)
+				}
+				res, ok := residentBytes(c.mem)
+				if slack := 2 * pageSize * (int(c.used) + len(c.free)); ok && res > used+limit+slack {
+					t.Errorf("%s: %d KiB class: a chunk with %d bytes out keeps %d resident, bound %d",
+						step, size>>10, used, res, used+limit+slack)
+				}
+			}
+			rc.mu.Unlock()
+		}
+	}
+	for _, cl := range cls {
+		for i, b := range cl.bufs {
+			if i%8 != 0 {
+				Put(b)
+			}
+		}
+	}
+	check("one in eight out")
+	for _, cl := range cls {
+		for i := 0; i < len(cl.bufs); i += 8 {
+			b := cl.bufs[i]
+			for j := range b {
+				if b[j] != byte(i) {
+					t.Fatalf("%d KiB class: buffer %d lost its bytes to a release", classSize(cl.ci)>>10, i)
+				}
+			}
+			Put(b)
+		}
+	}
+	check("all returned")
+}
+
 func TestResidentRefusesDoubleAndForeignPut(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

@@ -1,6 +1,8 @@
 package bufpool
 
 import (
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -12,11 +14,24 @@ import (
 // class. A buffer's chunk is therefore its address with the low
 // chunkShift bits cleared, which is how Put tells a resident buffer from
 // a heap one in O(1).
+//
+// A returned slot keeps its pages, so the next Get of its class reuses
+// them without a page fault. Once a chunk's idle slots hold at least
+// max(releaseMin, two slots, the chunk's handed-out bytes), their pages
+// go back to the operating system (releasePages), so a shrinking store
+// does not keep its peak memory: a chunk keeps resident at most its
+// handed-out bytes plus that much, and a page at each slot edge. The
+// class's spare chunk follows the same rule.
 
 const (
 	chunkShift = 22
 	chunkSize  = 1 << chunkShift // 4 MiB; the largest class fits four times
+	releaseMin = 256 << 10       // idle bytes a chunk may keep before it releases pages
 )
+
+// pageSize is the unit releasePages works in; a chunk's window is
+// aligned to it because chunkSize is a multiple of every page size.
+var pageSize = os.Getpagesize()
 
 // chunk is one mapped window holding slots of class ci.
 type chunk struct {
@@ -27,7 +42,8 @@ type chunk struct {
 	slots int32    // chunkSize / classSize(ci)
 	fresh int32    // slots [fresh, slots) were never handed out
 	used  int32    // slots handed out and not yet returned
-	free  []int32  // returned slots, reused last-in first-out
+	free  []int32  // returned slots whose pages are still resident, reused first
+	clean []int32  // returned slots whose pages were released
 	out   []uint64 // bitmap of handed-out slots: refuses a double or foreign Put
 	pos   int      // index in the class's partial list; -1 when full or spare
 }
@@ -141,10 +157,14 @@ func newChunk(raw []byte, ci int) *chunk {
 }
 
 // take hands out one slot, reporting whether it was never used before.
+// A slot whose pages are still resident goes first.
 func (c *chunk) take() (slot int32, fresh bool) {
 	if k := len(c.free); k > 0 {
 		slot = c.free[k-1]
 		c.free = c.free[:k-1]
+	} else if k := len(c.clean); k > 0 {
+		slot = c.clean[k-1]
+		c.clean = c.clean[:k-1]
 	} else {
 		slot, fresh = c.fresh, true
 		c.fresh++
@@ -195,6 +215,9 @@ func putResident(c *chunk, addr uintptr, ci int) {
 	c.out[slot/64] &^= bit
 	c.free = append(c.free, slot)
 	c.used--
+	if idle := len(c.free) * size; idle >= max(releaseMin, 2*size, int(c.used)*size) {
+		c.release(size)
+	}
 	var drop *chunk
 	switch {
 	case c.used == 0:
@@ -215,6 +238,38 @@ func putResident(c *chunk, addr uintptr, ci int) {
 		unregister(drop)
 		unmapChunk(drop.raw)
 	}
+}
+
+// release gives the pages of c's idle slots back to the operating system
+// and moves the slots to the clean list. Each idle slot is widened to the
+// run of returned or never-used slots around it, so a page that straddles
+// two such slots is released as well; only pages wholly inside a run
+// are, so no handed-out slot loses a byte. Caller holds the class lock,
+// so no slot of a run can be handed out meanwhile.
+func (c *chunk) release(size int) {
+	slices.Sort(c.free)
+	isOut := func(s int32) bool { return c.out[s/64]&(1<<(s%64)) != 0 }
+	done := int32(-1) // slots below done are inside a released run
+	for _, s := range c.free {
+		if s < done {
+			continue
+		}
+		lo, hi := s, s+1
+		for lo > 0 && !isOut(lo-1) {
+			lo--
+		}
+		for hi < c.slots && !isOut(hi) {
+			hi++
+		}
+		start := (int(lo)*size + pageSize - 1) &^ (pageSize - 1)
+		end := (int(hi) * size) &^ (pageSize - 1)
+		if start < end {
+			releasePages(c.mem[start:end])
+		}
+		done = hi
+	}
+	c.clean = append(c.clean, c.free...)
+	c.free = c.free[:0]
 }
 
 // register and unregister publish a new registry with c added or

@@ -85,12 +85,20 @@ func Fig3Anatomy(o Fig3Options) (Table, error) {
 		wA.selection += time.Since(t0).Seconds()
 
 		var blobs [][]byte
+		// The payloads are resident pool buffers, which only Put frees:
+		// they go back on every path, the store having copied them.
+		putBlobs := func() {
+			for _, b := range blobs {
+				bufpool.Put(b)
+			}
+		}
 		var hdrs []manager.Header
 		t0 = time.Now()
 		for _, p := range preps {
 			hdr := manager.Header{Offset: p.sub.Offset, Length: p.sub.Length, Codec: p.sub.Codec}
 			payload, _, _, err := oracle.Compress(nil, attr, p.c, data[p.sub.Offset:p.sub.Offset+p.sub.Length], p.sub.Length, hdr)
 			if err != nil {
+				putBlobs()
 				return Table{}, err
 			}
 			hdr.Stored = int64(len(payload)) - manager.HeaderSize
@@ -103,6 +111,7 @@ func Fig3Anatomy(o Fig3Options) (Table, error) {
 		for k, p := range preps {
 			end, err := st.Put(now, p.sub.Tier, fmt.Sprintf("%s#%d", key, k), blobs[k], int64(len(blobs[k])))
 			if err != nil {
+				putBlobs()
 				return Table{}, err
 			}
 			now = end
@@ -118,9 +127,7 @@ func Fig3Anatomy(o Fig3Options) (Table, error) {
 			}
 		}
 		wA.feedback += time.Since(t0).Seconds()
-		for _, b := range blobs { // the store copied them; the pool takes them back
-			bufpool.Put(b)
-		}
+		putBlobs()
 
 		// --- read path, stage by stage ---
 		ioStart = now

@@ -195,6 +195,16 @@ type taskMeta struct {
 	size int64
 }
 
+// placing tracks the writes to one key that may have put sub-tasks in
+// the store but are not yet published. Sub-task store keys are shared by
+// every write to a task key (subKey), so a piece is surplus — placed by
+// an older or failed write and named by no directory entry — only once
+// no write to the key is still placing.
+type placing struct {
+	n  int // writes still placing
+	hi int // sub-task indices [0, hi) may hold pieces: the most any entry or write of the run had
+}
+
 // Result reports one executed task with the paper's Fig. 3 time anatomy.
 type Result struct {
 	End       float64 // virtual completion time
@@ -258,6 +268,7 @@ type Manager struct {
 	order   []string            // write order, oldest first (drain/demotion policy)
 	inOrder map[string]struct{} // keys present in order (deleted keys linger until compaction)
 	dead    int                 // order entries whose key has been deleted
+	placing map[string]placing  // keys with writes between beginPlacing and publish
 
 	demoteCur []int // per-source-tier cursor into order for DemoteSlice
 
@@ -349,6 +360,7 @@ func New(st *store.Store, pred *predictor.CCP, o Options) *Manager {
 		pool:         o.Pool,
 		tasks:        make(map[string]*taskMeta),
 		inOrder:      make(map[string]struct{}),
+		placing:      make(map[string]placing),
 		demoteNotify: o.DemoteNotify,
 		tm:           newMgrMetrics(o.Telemetry),
 	}
@@ -766,6 +778,7 @@ func (m *Manager) ExecuteWrites(ctx context.Context, now float64, reqs []WriteRe
 	// its own, so a live entry never keeps its call's other entries alive.
 	subRes := make([]SubResult, total)
 	metas := make([]*taskMeta, len(reqs))
+	m.beginPlacing(reqs, metas)
 	var fb fbRun
 	for i := range reqs {
 		r := &reqs[i]
@@ -789,51 +802,89 @@ func (m *Manager) ExecuteWrites(ctx context.Context, now float64, reqs []WriteRe
 			r.Err = err
 			continue
 		}
-		metas[i] = &taskMeta{subs: make([]subMeta, 0, len(span))}
 		r.Res, r.Err = m.placeTask(now, r, span, metas[i], subRes[r.off:r.off:r.off+len(span)], &fb)
 	}
 	m.publish(reqs, metas)
 	fb.flush(m.pred)
 }
 
-// publish enters a call's placed writes — every request still without an
-// error, with its directory entry at the same index of metas — in the
-// directory, in request order, under one acquisition of m.mu. An
-// overwrite placed its sub-tasks over the old ones key for key; when the
-// old write had more, the surplus sub-tasks are deleted here, as Delete
-// would, or they would hold their tier's capacity and memory until Close.
-func (m *Manager) publish(reqs []WriteReq, metas []*taskMeta) {
-	n := 0
-	var surplus []subMeta
+// beginPlacing gives every request still without an error its directory
+// entry, at the same index of metas, and registers it as placing under
+// its key, before any of its sub-tasks reach the store. publish ends the
+// registration.
+func (m *Manager) beginPlacing(reqs []WriteReq, metas []*taskMeta) {
+	for i := range reqs {
+		if r := &reqs[i]; r.Err == nil {
+			metas[i] = &taskMeta{subs: make([]subMeta, 0, len(r.Schema.SubTasks))}
+		}
+	}
 	m.mu.Lock()
 	for i := range reqs {
-		r := &reqs[i]
-		if r.Err != nil {
+		if metas[i] != nil {
+			p := m.placing[reqs[i].Key]
+			p.n++
+			m.placing[reqs[i].Key] = p
+		}
+	}
+	m.mu.Unlock()
+}
+
+// publish enters a call's placed writes — every request still without an
+// error, with its directory entry at the same index of metas — in the
+// directory, in request order, under one acquisition of m.mu, and ends
+// the placing registration of every request beginPlacing registered.
+//
+// An overwrite placed its sub-tasks over the old ones key for key; when
+// the old write had more, the surplus sub-tasks would hold their tier's
+// capacity and memory until Close. They are deleted once the last write
+// placing under the key is published, under m.mu, so no write that has
+// begun placing can own one of them and none can begin meanwhile.
+func (m *Manager) publish(reqs []WriteReq, metas []*taskMeta) {
+	n := 0
+	m.mu.Lock()
+	for i := range reqs {
+		r, meta := &reqs[i], metas[i]
+		if meta == nil {
+			continue // never registered
+		}
+		p := m.placing[r.Key]
+		old, existed := m.tasks[r.Key]
+		if existed {
+			p.hi = max(p.hi, len(old.subs))
+		}
+		p.hi = max(p.hi, len(meta.subs)) // a failed write's placed prefix too
+		if r.Err == nil {
+			switch _, lingering := m.inOrder[r.Key]; {
+			case existed: // an overwrite keeps the key's order slot
+			case lingering:
+				// Rewrite of a deleted key whose order slot has not been
+				// compacted away yet: reuse the slot instead of appending
+				// a duplicate.
+				if m.dead > 0 {
+					m.dead--
+				}
+			default:
+				m.order = append(m.order, r.Key)
+				m.inOrder[r.Key] = struct{}{}
+			}
+			m.tasks[r.Key] = meta
+			n++
+		}
+		if p.n--; p.n > 0 {
+			m.placing[r.Key] = p
 			continue
 		}
-		if old, existed := m.tasks[r.Key]; existed {
-			if k := len(metas[i].subs); len(old.subs) > k {
-				surplus = append(surplus, old.subs[k:]...)
-			}
-		} else if _, lingering := m.inOrder[r.Key]; lingering {
-			// Rewrite of a deleted key whose order slot has not been
-			// compacted away yet: reuse the slot instead of appending a
-			// duplicate.
-			if m.dead > 0 {
-				m.dead--
-			}
-		} else {
-			m.order = append(m.order, r.Key)
-			m.inOrder[r.Key] = struct{}{}
+		delete(m.placing, r.Key)
+		lo := 0
+		if cur, ok := m.tasks[r.Key]; ok {
+			lo = len(cur.subs)
 		}
-		m.tasks[r.Key] = metas[i]
-		n++
+		for k := lo; k < p.hi; k++ {
+			_ = m.st.Delete(subKey(r.Key, k)) // ErrNotFound only: nothing left to free
+		}
 	}
 	m.mu.Unlock()
 	m.tm.writes.Add(int64(n))
-	for _, sm := range surplus {
-		_ = m.st.Delete(sm.key) // ErrNotFound only: nothing left to free
-	}
 }
 
 // putSub places one sub-task payload with the full fault discipline:
@@ -1305,19 +1356,28 @@ func (m *Manager) ReadData(ctx context.Context, now float64, key string) (data [
 // then the list is compacted in one pass — so the drain/demotion scan
 // and the slice itself stay proportional to the live task count under
 // churn instead of growing forever.
+//
+// The sub-tasks are deleted under m.mu, like publish's surplus, so a
+// write to the key that begins placing cannot lose a piece to them. A
+// write already placing under the key may have put pieces over them:
+// they are left to that write's publish, which deletes every piece its
+// key's directory entry does not name.
 func (m *Manager) Delete(key string) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	meta, ok := m.tasks[key]
-	if ok {
-		delete(m.tasks, key)
-		m.dead++
-		if m.dead*2 > len(m.order) && len(m.order) >= 16 {
-			m.compactOrderLocked()
-		}
-	}
-	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("manager: unknown task %q: %w", key, hcerr.ErrNotFound)
+	}
+	delete(m.tasks, key)
+	m.dead++
+	if m.dead*2 > len(m.order) && len(m.order) >= 16 {
+		m.compactOrderLocked()
+	}
+	if p, busy := m.placing[key]; busy {
+		p.hi = max(p.hi, len(meta.subs))
+		m.placing[key] = p
+		return nil
 	}
 	for _, sm := range meta.subs {
 		if err := m.st.Delete(sm.key); err != nil {

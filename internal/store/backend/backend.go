@@ -170,6 +170,13 @@ type TierBackend interface {
 	Close() error
 }
 
+// Holder is implemented by a backend that keeps payloads in process
+// memory and reports how much: Held is the summed capacity of the payload
+// buffers it retains, size-class rounding included.
+type Holder interface {
+	Held() int64
+}
+
 // Mem is the default in-memory backend: payloads live in a handle-keyed
 // map exactly as they used to live inside the store's blob directory,
 // preserving byte-identical behavior — copied payloads are GC-managed
@@ -180,6 +187,7 @@ type Mem struct {
 	m    map[Handle]*Ref
 	next uint64
 	used int64
+	held int64 // Σ cap of the retained payload buffers
 }
 
 // NewMem creates an in-memory backend.
@@ -204,6 +212,7 @@ func (b *Mem) Put(_ float64, _ string, r *Ref) (Handle, error) {
 	h := Handle(b.next)
 	b.m[h] = r
 	b.used += r.Len()
+	b.held += int64(cap(r.Data()))
 	b.mu.Unlock()
 	return h, nil
 }
@@ -229,6 +238,7 @@ func (b *Mem) MoveOut(_ float64, h Handle) (*Ref, error) {
 	if ok {
 		delete(b.m, h)
 		b.used -= r.Len()
+		b.held -= int64(cap(r.Data()))
 	}
 	b.mu.Unlock()
 	if !ok {
@@ -244,6 +254,7 @@ func (b *Mem) Delete(h Handle) {
 	if ok {
 		delete(b.m, h)
 		b.used -= r.Len()
+		b.held -= int64(cap(r.Data()))
 	}
 	b.mu.Unlock()
 	r.Release()
@@ -254,6 +265,13 @@ func (b *Mem) Used() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.used
+}
+
+// Held implements Holder.
+func (b *Mem) Held() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.held
 }
 
 // Len implements TierBackend.
@@ -273,7 +291,7 @@ func (b *Mem) Close() error {
 	b.mu.Lock()
 	old := b.m
 	b.m = make(map[Handle]*Ref)
-	b.used = 0
+	b.used, b.held = 0, 0
 	b.mu.Unlock()
 	for _, r := range old {
 		r.Release()

@@ -44,6 +44,7 @@ type Backend struct {
 	m           map[backend.Handle]*backend.Ref
 	next        uint64
 	used        int64
+	held        int64   // Σ cap of the retained payload buffers
 	byteSeconds float64 // ∫ used dt on the virtual clock
 	egressBytes int64
 	lastNow     float64
@@ -102,6 +103,7 @@ func (b *Backend) Put(now float64, _ string, r *backend.Ref) (backend.Handle, er
 	h := backend.Handle(b.next)
 	b.m[h] = r
 	b.used += r.Len()
+	b.held += int64(cap(r.Data()))
 	b.mu.Unlock()
 	return h, nil
 }
@@ -132,6 +134,7 @@ func (b *Backend) MoveOut(now float64, h backend.Handle) (*backend.Ref, error) {
 	if ok {
 		delete(b.m, h)
 		b.used -= r.Len()
+		b.held -= int64(cap(r.Data()))
 		b.egressBytes += r.Len()
 	}
 	b.mu.Unlock()
@@ -150,6 +153,7 @@ func (b *Backend) Delete(h backend.Handle) {
 	if ok {
 		delete(b.m, h)
 		b.used -= r.Len()
+		b.held -= int64(cap(r.Data()))
 	}
 	b.mu.Unlock()
 	r.Release()
@@ -160,6 +164,13 @@ func (b *Backend) Used() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.used
+}
+
+// Held implements backend.Holder.
+func (b *Backend) Held() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.held
 }
 
 // Len implements backend.TierBackend.
@@ -177,7 +188,7 @@ func (b *Backend) Close() error {
 	b.mu.Lock()
 	old := b.m
 	b.m = make(map[backend.Handle]*backend.Ref)
-	b.used = 0
+	b.used, b.held = 0, 0
 	b.mu.Unlock()
 	for _, r := range old {
 		r.Release()

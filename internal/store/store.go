@@ -70,10 +70,6 @@ type Blob struct {
 	ref    *backend.Ref
 	handle backend.Handle
 	has    bool
-	// held is the capacity of the buffer a resident backend keeps for
-	// the blob (0 when the backend is not resident or holds nothing);
-	// hold keeps the tier's resident gauge in step with it.
-	held int64
 }
 
 // Release returns a Peek'd blob's pin on its payload. For arena-owned
@@ -104,7 +100,6 @@ type tierMetrics struct {
 	deletes   *telemetry.Counter
 	evictions *telemetry.Counter
 	usedGauge *telemetry.Gauge
-	resident  *telemetry.Gauge     // Σ held over the tier's blobs; resident backends only
 	putSecs   *telemetry.Histogram // modeled (virtual) seconds per put
 	getSecs   *telemetry.Histogram // modeled (virtual) seconds per read
 }
@@ -300,9 +295,13 @@ func (s *Store) registerMetrics(reg *telemetry.Registry) {
 			getSecs: reg.Histogram("hc_tier_io_seconds", "modeled seconds per tier I/O (queueing included)",
 				telemetry.SecondsBuckets, l, telemetry.L("op", "get")),
 		}
-		if s.be[i].Resident() {
-			ts.tm.resident = reg.Gauge("hc_tier_resident_bytes",
-				"capacity of the payload buffers a resident tier keeps in process memory", l)
+		if h, ok := s.be[i].(backend.Holder); ok {
+			// Read from the backend, which alone knows what it keeps; the
+			// closure holds the backend, not the store, so a registry
+			// outliving the store does not keep it from its cleanup.
+			reg.GaugeFunc("hc_tier_resident_bytes",
+				"capacity of the payload buffers a resident tier keeps in process memory",
+				func() float64 { return float64(h.Held()) }, l)
 		}
 		reg.Gauge("hc_tier_capacity_bytes", "configured capacity per tier", l).
 			Set(float64(ts.spec.Capacity))
@@ -333,21 +332,7 @@ func (s *Store) dropPayload(b *Blob) {
 	if b.has {
 		s.be[b.Tier].Delete(b.handle)
 		b.has = false
-		s.hold(b, b.Tier, 0)
 	}
-}
-
-// hold records that tier t's backend now keeps held bytes of buffer for
-// b, moving the resident gauges from b's current tier. The caller owns b
-// (it is unpublished, unreachable, or guarded by s.mu).
-func (s *Store) hold(b *Blob, t int, held int64) {
-	if b.held != 0 {
-		s.tiers[b.Tier].tm.resident.Add(-float64(b.held))
-	}
-	if held != 0 {
-		s.tiers[t].tm.resident.Add(float64(held))
-	}
-	b.held = held
 }
 
 // restoreOld re-admits a displaced blob after a failed overwrite: its
@@ -475,9 +460,6 @@ func (s *Store) put(now float64, t int, key string, data []byte, size int64, own
 			return now, fmt.Errorf("store: put %q on %s: %w", key, ts.spec.Name, perr)
 		}
 		b.handle, b.has = h, true
-		if s.be[t].Resident() { // it retained r, so r's buffer is still valid
-			s.hold(b, t, int64(cap(r.Data())))
-		}
 	} else if owned && data != nil {
 		// Retention off: the payload is consumed here, so the arena
 		// buffer can go straight back.
@@ -723,16 +705,11 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 	lo.mu.Unlock()
 	// Payload handoff outside the tier locks but still under the
 	// directory lock, so no reader sees the blob between backends.
-	held := blob.held
 	if blob.has && s.be[srcIdx] != s.be[dst] {
 		ref, merr := s.be[srcIdx].MoveOut(readEnd, blob.handle)
 		var perr error
 		var h backend.Handle
 		if merr == nil {
-			held = 0
-			if s.be[dst].Resident() {
-				held = int64(cap(ref.Data()))
-			}
 			h, perr = s.be[dst].Put(end, key, ref)
 			if perr != nil {
 				// Re-admit the payload where it was; an in-memory or
@@ -743,12 +720,10 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 				} else {
 					ref.Release()
 					blob.has = false
-					s.hold(blob, srcIdx, 0)
 				}
 			}
 		} else if errors.Is(merr, backend.ErrUnknownHandle) {
 			blob.has = false
-			s.hold(blob, srcIdx, 0)
 		} else {
 			perr = merr
 		}
@@ -769,9 +744,6 @@ func (s *Store) Move(now float64, key string, dst int) (end float64, err error) 
 		if merr == nil {
 			blob.handle = h
 		}
-	}
-	if blob.has {
-		s.hold(blob, dst, held)
 	}
 	blob.Tier = dst
 	return end, nil
@@ -870,11 +842,10 @@ func (s *Store) Close() error {
 		s.mu.Lock()
 		s.blobs = make(map[string]*Blob)
 		s.mu.Unlock()
-		for i, be := range s.be {
+		for _, be := range s.be {
 			if err := be.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
-			s.tiers[i].tm.resident.Set(0)
 		}
 	})
 	return s.closeErr

@@ -65,6 +65,7 @@ func (c *Counter) Value() int64 {
 // Gauge is a float64 that can move both ways.
 type Gauge struct {
 	bits   atomic.Uint64
+	fn     atomic.Pointer[func() float64] // GaugeFunc's source; nil for a set gauge
 	labels []Label
 }
 
@@ -93,6 +94,9 @@ func (g *Gauge) Add(v float64) {
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
+	}
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return math.Float64frombits(g.bits.Load())
 }
@@ -307,6 +311,16 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.lookup(name, help, gaugeKind, labels, func() any {
 		return &Gauge{labels: labels}
 	}).(*Gauge)
+}
+
+// GaugeFunc registers the gauge series for (name, labels) as fn's result,
+// read whenever the series is: for a value another component already
+// keeps. Registering the series again replaces fn. No-op on nil registry.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	r.Gauge(name, help, labels...).fn.Store(&fn)
 }
 
 // Histogram returns the histogram series for (name, labels) with the

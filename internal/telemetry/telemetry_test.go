@@ -61,6 +61,29 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+func TestGaugeFuncReadsItsSource(t *testing.T) {
+	r := New()
+	v := 3.0
+	r.GaugeFunc("hc_test_held", "a read-through gauge", func() float64 { return v }, L("tier", "ram"))
+	v = 4
+	if got := r.Snapshot().Gauges[`hc_test_held{tier="ram"}`]; got != 4 {
+		t.Fatalf("snapshot reads %g, want the source's current 4", got)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `hc_test_held{tier="ram"} 4`) {
+		t.Fatalf("exposition lacks the read-through value:\n%s", b.String())
+	}
+	r.GaugeFunc("hc_test_held", "a read-through gauge", func() float64 { return 9 }, L("tier", "ram"))
+	if got := r.Snapshot().Gauges[`hc_test_held{tier="ram"}`]; got != 9 {
+		t.Fatalf("re-registered gauge reads %g, want the new source's 9", got)
+	}
+	var off *Registry
+	off.GaugeFunc("hc_test_held", "h", func() float64 { return 1 }) // no-op, no panic
+}
+
 func TestKindMismatchPanics(t *testing.T) {
 	r := New()
 	r.Counter("hc_x", "h")

@@ -1,6 +1,7 @@
 package hcompress
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -312,5 +313,38 @@ func TestOverwriteFreesSurplusSubTasks(t *testing.T) {
 	}
 	if n := c.st.Len(); n != 0 {
 		t.Fatalf("Delete left %d blobs", n)
+	}
+}
+
+// TestBatchOverwritesOneKeyTwice writes one key twice in one batch, first
+// small then large, over an older large write of the key: the batch's
+// last write must read back whole, and only its sub-tasks may stay in
+// the store.
+func TestBatchOverwritesOneKeyTwice(t *testing.T) {
+	c := newClient(t, Config{Tiers: leakTiers()})
+	if _, err := c.Compress(Task{Key: "x", Data: stats.GenBuffer(stats.TypeFloat, stats.Gamma, 1<<20, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	large := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 1<<20, 3)
+	reps, err := c.CompressBatch([]Task{
+		{Key: "x", Data: stats.GenBuffer(stats.TypeFloat, stats.Gamma, 4<<10, 2)},
+		{Key: "x", Data: large},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps[1].SubTasks) < 2 {
+		t.Fatalf("a 1 MiB task over a 256 KiB RAM tier took %d sub-task, want several", len(reps[1].SubTasks))
+	}
+	got, err := c.Decompress("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, large) {
+		t.Fatal("x does not read back as the batch's last write")
+	}
+	got.Release()
+	if n := c.st.Len(); n != len(reps[1].SubTasks) {
+		t.Fatalf("the store holds %d blobs, want the last write's %d", n, len(reps[1].SubTasks))
 	}
 }
