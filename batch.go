@@ -87,7 +87,8 @@ func batchErr(i int, key string, err error) error {
 // fanned across the pool) → plan (HCDP engine, one schema per task, all
 // against one clock reading) → execute (the manager's single codec
 // fan-out and serial replay) → rescue (the replan/degrade ladder, per
-// failed task) → invalidate → report → stage/trace/slow-op telemetry.
+// failed task) → refresh the read cache → report → stage/trace/slow-op
+// telemetry.
 // Concurrent callers only synchronize on the component each stage
 // actually touches.
 //
@@ -165,12 +166,11 @@ func (c *Shard) compress(ctx context.Context, label string, ops []writeOp) error
 		done++
 		maxEnd = max(maxEnd, r.Res.End)
 		if c.cache != nil {
-			// Strict invalidation on overwrite: drop any cached payload for
-			// this key and revoke in-flight fills that may carry the old bytes.
-			c.cache.Invalidate(o.Key)
+			c.refreshCache(r)
 		}
 		o.rep = &reps[i]
 		c.report(o.rep, o.Key, r.Size, r.Attr, r.Res, start)
+		o.rep.version = r.Res.Version
 		o.rep.PredictedSeconds = r.Schema.PredTime
 		o.rep.Degraded = o.degraded
 		if timed {

@@ -140,7 +140,7 @@ func printCacheStats(st hcompress.CacheStats) {
 	fmt.Printf("  %-22s %d entries, %d / %d bytes\n", "size", st.Entries, st.Bytes, st.Capacity)
 	fmt.Printf("  %-22s %d / %d (ratio %.3f)\n", "hits / misses", st.Hits, st.Misses, hitRatio)
 	fmt.Printf("  %-22s %d admitted, %d rejected by the touch gate\n", "admissions", st.Admissions, st.Rejects)
-	fmt.Printf("  %-22s %d evicted, %d invalidated\n", "evictions", st.Evictions, st.Invalidations)
+	fmt.Printf("  %-22s %d evicted, %d invalidated, %d refreshed\n", "evictions", st.Evictions, st.Invalidations, st.Refreshes)
 	fmt.Printf("  %-22s %d issued, %d used, %d failed, %d cancelled\n",
 		"prefetch", st.PrefetchIssued, st.PrefetchUsed, st.PrefetchFailed, st.PrefetchCancelled)
 }

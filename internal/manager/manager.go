@@ -193,6 +193,7 @@ type taskMeta struct {
 	subs []subMeta
 	attr analyzer.Result
 	size int64
+	ver  uint64 // the directory version publish stamped; 0 for a recovered task
 }
 
 // placing tracks the writes to one key that may have put sub-tasks in
@@ -217,6 +218,11 @@ type Result struct {
 	// point of view); subtract to get pure transfer time.
 	Retries   int
 	RetrySecs float64
+	// Version is the directory version publish stamped on a write
+	// (writes only). Versions grow with every publish, so of two writes
+	// to one key the later-published has the larger; Published tells
+	// whether the directory still names it.
+	Version uint64
 	// Data is the reassembled task (reads, real mode only). It is an
 	// arena buffer whose ownership transfers to the caller; return it
 	// with bufpool.Put when finished (Report.Release at the API layer)
@@ -269,6 +275,7 @@ type Manager struct {
 	inOrder map[string]struct{} // keys present in order (deleted keys linger until compaction)
 	dead    int                 // order entries whose key has been deleted
 	placing map[string]placing  // keys with writes between beginPlacing and publish
+	pubs    uint64              // writes published so far: the last directory version stamped
 
 	demoteCur []int // per-source-tier cursor into order for DemoteSlice
 
@@ -867,6 +874,8 @@ func (m *Manager) publish(reqs []WriteReq, metas []*taskMeta) {
 				m.order = append(m.order, r.Key)
 				m.inOrder[r.Key] = struct{}{}
 			}
+			m.pubs++
+			meta.ver, r.Res.Version = m.pubs, m.pubs
 			m.tasks[r.Key] = meta
 			n++
 		}
@@ -1398,6 +1407,15 @@ func (m *Manager) TaskInfo(key string) (size int64, attr analyzer.Result, ok boo
 		return 0, analyzer.Result{}, false
 	}
 	return meta.size, meta.attr, true
+}
+
+// Published reports whether key's directory entry is still the one
+// published with version ver: no later write or delete replaced it.
+func (m *Manager) Published(key string, ver uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	meta, ok := m.tasks[key]
+	return ok && meta.ver == ver
 }
 
 // Tasks reports the number of tasks tracked.

@@ -80,6 +80,69 @@ func TestZipfReplayHitRate(t *testing.T) {
 	}
 }
 
+// refresh is one overwrite's cache step the way the shard issues it,
+// published as version ver: a resident key gets a fresh block-sized
+// payload, any other key is left alone.
+func refresh(c *Cache, key string, ver uint64, block int) {
+	f := c.BeginRefresh(key, ver)
+	if f == nil {
+		return
+	}
+	data := bufpool.Get(block)
+	if !c.CommitRefresh(f, data, Meta{Size: int64(block)}) {
+		bufpool.Put(data)
+	}
+}
+
+// TestZipfReplayRefreshHitRate is TestZipfReplayHitRate with every 20th
+// op an overwrite's refresh instead of an invalidation: the Zipf-chosen
+// overwrites land on the hot set, and a refreshed entry stays resident,
+// so the hot key is not re-admitted at the cost of another entry on its
+// next read.
+func TestZipfReplayRefreshHitRate(t *testing.T) {
+	const (
+		nKeys  = 1024
+		block  = 64 << 10
+		blocks = 32
+		ops    = 200000
+	)
+	for seed := int64(1); seed <= 3; seed++ {
+		keys := make([]string, nKeys)
+		for i, p := range rand.New(rand.NewSource(seed)).Perm(nKeys) {
+			keys[i] = fmt.Sprintf("blk-%d", p)
+		}
+		reads := workload.NewZipf(nKeys, 0.99, seed)
+		writes := workload.NewZipf(nKeys, 0.99, seed+100)
+		c := New(blocks*block, 2, 256)
+		for op := 1; op <= ops; op++ {
+			if op%20 == 0 {
+				refresh(c, keys[writes.Next()], uint64(op), block)
+				continue
+			}
+			read(c, keys[reads.Next()], block)
+		}
+		st := c.Stats()
+		hitRatio := float64(st.Hits) / float64(st.Hits+st.Misses)
+		admitFrac := float64(st.Admissions) / float64(st.Misses)
+		evictFrac := float64(st.Evictions) / float64(st.Admissions)
+		t.Logf("seed %d: hit ratio %.3f, admissions/misses %.3f, evictions/admissions %.3f, refreshes %d",
+			seed, hitRatio, admitFrac, evictFrac, st.Refreshes)
+		if hitRatio < 0.52 {
+			t.Errorf("seed %d: hit ratio %.3f, want >= 0.52", seed, hitRatio)
+		}
+		if admitFrac > 0.10 {
+			t.Errorf("seed %d: admissions = %.3f of misses, want <= 0.10", seed, admitFrac)
+		}
+		if evictFrac > 0.15 {
+			t.Errorf("seed %d: evictions = %.3f of admissions, want <= 0.15", seed, evictFrac)
+		}
+		if st.Invalidations != 0 {
+			t.Errorf("seed %d: %d same-size refreshes fell back to invalidation", seed, st.Invalidations)
+		}
+		c.InvalidateAll()
+	}
+}
+
 // prefetch drains the queued readahead the way the shard's worker does
 // and reports how many fills committed.
 func prefetch(c *Cache, block int) (committed int) {

@@ -24,6 +24,14 @@
 // flight aborts it — stale bytes can never re-enter the cache after an
 // overwrite.
 //
+// An overwrite refreshes rather than invalidates: a resident key gets the
+// written bytes in place of the old ones (BeginRefresh, CommitRefresh),
+// so the writes that land on hot keys do not keep evicting the hot set.
+// A write is not a read: it neither feeds the touch filter nor moves the
+// entry in the LRU order, and a key that is not resident stays uncached.
+// Refresh tokens carry the directory version their write published, so
+// of two overwrites whose cache steps cross, the later-published one wins.
+//
 // The prefetcher's one job is sequential readahead, which demand reads
 // cannot do: accesses to keys ending in a decimal index ("blk-17") are
 // tracked as ascending runs per key prefix, and a run of minRun keys
@@ -90,6 +98,10 @@ type Fill struct {
 	by       string
 	prefetch bool
 	aborted  bool
+	// ver is a refresh's directory version, 0 for a read's fill. A
+	// refresh revokes pending fills of lower versions and yields to a
+	// pending refresh of a higher one.
+	ver uint64
 }
 
 // Stats is a point-in-time counter snapshot (Shard.CacheStats surface).
@@ -98,12 +110,15 @@ type Stats struct {
 	Bytes    int64
 	Capacity int64
 
-	Hits          int64
-	Misses        int64
+	Hits   int64
+	Misses int64
+	// Admissions counts every payload that entered the cache: demand
+	// and readahead fills, and refreshes, which Refreshes counts alone.
 	Admissions    int64
 	Rejects       int64 // fills refused: under MinTouches reads, or outranked by the LRU victim
 	Evictions     int64
 	Invalidations int64
+	Refreshes     int64 // overwrites whose bytes replaced a resident entry's
 
 	PrefetchIssued    int64
 	PrefetchUsed      int64
@@ -114,7 +129,7 @@ type Stats struct {
 // metrics is the optional telemetry surface; all fields are nil-safe.
 type metrics struct {
 	hits, misses, admissions, rejects    *telemetry.Counter
-	evictions, invalidations             *telemetry.Counter
+	evictions, invalidations, refreshes  *telemetry.Counter
 	pfIssued, pfUsed, pfFailed, pfCancel *telemetry.Counter
 	bytes, entries                       *telemetry.Gauge
 }
@@ -202,10 +217,11 @@ func (c *Cache) SetTelemetry(reg *telemetry.Registry) {
 	c.tm = metrics{
 		hits:          reg.Counter("hc_cache_hits_total", "Read-cache hits."),
 		misses:        reg.Counter("hc_cache_misses_total", "Read-cache misses."),
-		admissions:    reg.Counter("hc_cache_admissions_total", "Payloads admitted into the read cache."),
+		admissions:    reg.Counter("hc_cache_admissions_total", "Payloads admitted into the read cache, refreshes included."),
 		rejects:       reg.Counter("hc_cache_rejects_total", "Fills rejected by the frequency admission gate."),
 		evictions:     reg.Counter("hc_cache_evictions_total", "Entries evicted to make room."),
-		invalidations: reg.Counter("hc_cache_invalidations_total", "Entries invalidated by overwrite/delete/demotion/health flip."),
+		invalidations: reg.Counter("hc_cache_invalidations_total", "Entries invalidated by delete/demotion/health flip, or by an overwrite that could not refresh them."),
+		refreshes:     reg.Counter("hc_cache_refreshes_total", "Resident entries whose bytes an overwrite replaced."),
 		pfIssued:      reg.Counter("hc_prefetch_issued_total", "Prefetch fills started."),
 		pfUsed:        reg.Counter("hc_prefetch_used_total", "Prefetched entries that served a demand hit."),
 		pfFailed:      reg.Counter("hc_prefetch_failed_total", "Prefetch fills that failed."),
@@ -348,7 +364,7 @@ func (c *Cache) Commit(f *Fill, data []byte, meta Meta) (release func(), ok bool
 		c.mu.Unlock()
 		return nil, false
 	}
-	if v := c.outranking(need, c.reads(f.by)); v != nil {
+	if v := c.outranking(need, c.reads(f.by), nil); v != nil {
 		// The victim earned its place: it stays, as if read, so the next
 		// newcomer meets the next LRU entry.
 		c.lruFront(v)
@@ -417,10 +433,85 @@ func (c *Cache) unpend(f *Fill) {
 	}
 }
 
+// BeginRefresh opens the cache's half of an overwrite of key that the
+// manager published with directory version ver. It revokes every pending
+// fill of key that may carry older bytes — demand and readahead fills,
+// refreshes of lower versions — and returns a refresh token when key is
+// resident, nil when it is not or when a refresh of a later write is
+// already pending. With a token, the caller checks that ver is still the
+// key's published version and only then commits: a later write's refresh
+// or invalidation revokes the token, but one that ran before BeginRefresh
+// shows only in the directory.
+func (c *Cache) BeginRefresh(key string, ver uint64) *Fill {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fills := c.pending[key]
+	for _, f := range fills {
+		if f.ver > ver {
+			return nil
+		}
+	}
+	for _, f := range fills {
+		f.aborted = true
+	}
+	if c.entries[key] == nil {
+		return nil
+	}
+	f := &Fill{key: key, ver: ver}
+	c.pending[key] = append(fills, f)
+	return f
+}
+
+// CommitRefresh completes a refresh: data (an arena buffer the caller
+// filled) takes the place of key's resident entry, at the entry's place
+// in the LRU order, and ok reports that the cache took ownership of it.
+// Pins on the replaced entry keep its buffer. A revoked token, or an
+// entry that left meanwhile, changes nothing. When data cannot take the
+// entry's place — it would not fit, or an entry it would evict has more
+// recent reads than key — the entry is invalidated instead.
+func (c *Cache) CommitRefresh(f *Fill, data []byte, meta Meta) (ok bool) {
+	c.mu.Lock()
+	c.unpend(f)
+	old := c.entries[f.key]
+	if f.aborted || old == nil {
+		c.mu.Unlock()
+		return false
+	}
+	need := int64(cap(data)) - int64(cap(old.data))
+	if int64(cap(data)) > c.capacity || c.outranking(need, c.reads(f.key), old) != nil {
+		c.removeLocked(old)
+		c.st.Invalidations++
+		c.setGauges()
+		c.mu.Unlock()
+		c.tm.invalidations.Inc()
+		return false
+	}
+	for c.used+need > c.capacity {
+		v := c.tail
+		if v == old {
+			v = old.prev
+		}
+		c.evictLocked(v)
+	}
+	e := &entry{key: f.key, data: data, meta: meta, prefetched: old.prefetched}
+	e.refs.Store(1) // the cache's reference
+	c.entries[f.key] = e
+	c.lruReplace(old, e)
+	c.used += need
+	old.unref()
+	c.st.Admissions++
+	c.st.Refreshes++
+	c.setGauges()
+	c.mu.Unlock()
+	c.tm.admissions.Inc()
+	c.tm.refreshes.Inc()
+	return true
+}
+
 // Invalidate drops key's resident entry (outstanding pins keep the buffer
 // alive; the cache's own reference is released) and revokes any pending
 // fills so an in-flight read of the old bytes cannot re-insert them.
-// Called on overwrite, delete, and demotion.
+// Called on delete and demotion.
 func (c *Cache) Invalidate(key string) {
 	c.mu.Lock()
 	e := c.entries[key]
@@ -460,10 +551,14 @@ func (c *Cache) InvalidateAll() {
 
 // outranking returns the first of the LRU victims that admitting need
 // bytes would evict with more recent reads than score, or nil when the
-// newcomer may displace them all. Caller holds c.mu.
-func (c *Cache) outranking(need int64, score uint32) *entry {
+// newcomer may displace them all. skip, the entry a refresh replaces, is
+// never a victim. Caller holds c.mu.
+func (c *Cache) outranking(need int64, score uint32, skip *entry) *entry {
 	free := c.capacity - c.used
 	for v := c.tail; v != nil && free < need; v = v.prev {
+		if v == skip {
+			continue
+		}
 		if c.reads(v.key) > score {
 			return v
 		}
@@ -516,6 +611,22 @@ func (c *Cache) lruUnlink(e *entry) {
 		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
+}
+
+// lruReplace puts e at old's place in the LRU list.
+func (c *Cache) lruReplace(old, e *entry) {
+	e.prev, e.next = old.prev, old.next
+	if e.prev != nil {
+		e.prev.next = e
+	} else {
+		c.head = e
+	}
+	if e.next != nil {
+		e.next.prev = e
+	} else {
+		c.tail = e
+	}
+	old.prev, old.next = nil, nil
 }
 
 func (c *Cache) lruFront(e *entry) {

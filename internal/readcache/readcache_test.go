@@ -149,6 +149,158 @@ func TestPinSurvivesInvalidation(t *testing.T) {
 	release() // and a second call must not double-free (debug mode panics)
 }
 
+// refreshWith runs one overwrite's cache step for key, published as
+// version ver, and reports whether payload replaced the resident entry.
+func refreshWith(c *Cache, key string, ver uint64, payload []byte) bool {
+	f := c.BeginRefresh(key, ver)
+	if f == nil {
+		return false
+	}
+	data := bufpool.Get(len(payload))
+	copy(data, payload)
+	if !c.CommitRefresh(f, data, Meta{Size: int64(len(payload))}) {
+		bufpool.Put(data)
+		return false
+	}
+	return true
+}
+
+// TestRefreshReplacesInPlace: a refresh swaps the bytes of a resident
+// entry without counting a read or moving it in the LRU order, and a pin
+// on the old bytes keeps them.
+func TestRefreshReplacesInPlace(t *testing.T) {
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	const size = 4096
+	c := New(2*size, 1, 16)
+	fill(t, c, "a", bytes.Repeat([]byte("a"), size))
+	old, _, release, ok := c.Get("a")
+	if !ok {
+		t.Fatal("miss after fill")
+	}
+	fill(t, c, "b", bytes.Repeat([]byte("b"), size)) // a is now the LRU entry
+	reads := c.reads("a")
+	if !refreshWith(c, "a", 1, bytes.Repeat([]byte("A"), size)) {
+		t.Fatal("refresh of a resident key did not commit")
+	}
+	if !bytes.Equal(old, bytes.Repeat([]byte("a"), size)) {
+		t.Fatal("pinned bytes changed under refresh")
+	}
+	release()
+	if c.tail.key != "a" || c.reads("a") != reads {
+		t.Errorf("refresh moved the entry (tail %q) or counted a read (%d → %d)", c.tail.key, reads, c.reads("a"))
+	}
+	if !bytes.Equal(c.entries["a"].data, bytes.Repeat([]byte("A"), size)) {
+		t.Error("entry does not hold the refreshed bytes")
+	}
+	st := c.Stats()
+	if st.Refreshes != 1 || st.Admissions != 3 || st.Entries != 2 || st.Bytes != 2*size || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want Refreshes=1 Admissions=3 Entries=2 Bytes=%d", st, 2*size)
+	}
+}
+
+// TestRefreshNeverAllocates: a write to a key the cache does not hold
+// leaves it uncached, counts no read, and still revokes the pending fill
+// that may carry the old bytes.
+func TestRefreshNeverAllocates(t *testing.T) {
+	c := New(1<<20, 1, 16)
+	c.Get("k")
+	f := c.BeginFill("k")
+	if f == nil {
+		t.Fatal("BeginFill refused")
+	}
+	if c.BeginRefresh("k", 1) != nil {
+		t.Fatal("refresh opened for a key that is not resident")
+	}
+	data := bufpool.Get(64)
+	if _, ok := c.Commit(f, data, Meta{Size: 64}); ok {
+		t.Fatal("a fill revoked by an overwrite committed")
+	}
+	bufpool.Put(data)
+	if st := c.Stats(); st.Entries != 0 || st.Refreshes != 0 || c.reads("k") != 1 {
+		t.Fatalf("stats = %+v, reads %d: want no entry, no refresh, one read", st, c.reads("k"))
+	}
+}
+
+// TestRefreshVersionOrder: a refresh revokes pending refreshes of lower
+// versions and yields to a pending one of a higher version.
+func TestRefreshVersionOrder(t *testing.T) {
+	c := New(1<<20, 1, 16)
+	fill(t, c, "k", []byte("v0"))
+	f2 := c.BeginRefresh("k", 2)
+	if f2 == nil {
+		t.Fatal("refresh of a resident key refused")
+	}
+	if c.BeginRefresh("k", 1) != nil {
+		t.Fatal("an older write's refresh opened beside a newer one's")
+	}
+	f3 := c.BeginRefresh("k", 3)
+	if f3 == nil {
+		t.Fatal("a newer write's refresh refused")
+	}
+	for _, r := range []struct {
+		f    *Fill
+		want bool
+	}{{f2, false}, {f3, true}} {
+		data := bufpool.Get(2)
+		copy(data, fmt.Sprintf("v%d", r.f.ver))
+		if ok := c.CommitRefresh(r.f, data, Meta{Size: 2}); ok != r.want {
+			t.Fatalf("CommitRefresh(v%d) = %v, want %v", r.f.ver, ok, r.want)
+		} else if !ok {
+			bufpool.Put(data)
+		}
+	}
+	if got := string(c.entries["k"].data); got != "v3" {
+		t.Fatalf("entry holds %q, want v3", got)
+	}
+}
+
+// TestRefreshFallsBackToInvalidation: a refreshed payload that would have
+// to evict an entry read more often than its key, or that exceeds the
+// capacity, invalidates the entry instead.
+func TestRefreshFallsBackToInvalidation(t *testing.T) {
+	const size = 4096
+	c := New(2*size, 1, 16)
+	fill(t, c, "hot", bytes.Repeat([]byte("h"), size))
+	for i := 0; i < 3; i++ {
+		_, _, release, _ := c.Get("hot")
+		release()
+	}
+	fill(t, c, "k", bytes.Repeat([]byte("k"), size))
+	if refreshWith(c, "k", 1, bytes.Repeat([]byte("K"), 2*size)) {
+		t.Fatal("a refresh evicted an entry with more reads")
+	}
+	if refreshWith(c, "hot", 2, bytes.Repeat([]byte("H"), 3*size)) {
+		t.Fatal("a refresh larger than the cache committed")
+	}
+	st := c.Stats()
+	if st.Entries != 0 || st.Invalidations != 2 || st.Refreshes != 0 || st.Bytes != 0 {
+		t.Fatalf("stats = %+v, want both entries invalidated", st)
+	}
+}
+
+// TestRefreshGrowsByEvictingColderEntries: a refreshed payload larger
+// than the old one evicts LRU entries with no more reads than its key,
+// never the entry it replaces.
+func TestRefreshGrowsByEvictingColderEntries(t *testing.T) {
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	const size = 4096
+	c := New(3*size, 1, 16)
+	for _, key := range []string{"k", "c1", "c2"} { // k is the LRU entry
+		fill(t, c, key, bytes.Repeat([]byte(key[:1]), size))
+	}
+	if !refreshWith(c, "k", 1, bytes.Repeat([]byte("K"), 2*size)) {
+		t.Fatal("a growing refresh did not commit")
+	}
+	if resident(c, "c1") || !resident(c, "k") || !resident(c, "c2") {
+		t.Errorf("resident k=%v c1=%v c2=%v, want k and c2", resident(c, "k"), resident(c, "c1"), resident(c, "c2"))
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Bytes != 3*size || st.Refreshes != 1 {
+		t.Errorf("stats = %+v, want one eviction and a full cache", st)
+	}
+}
+
 func TestInvalidateAllPurges(t *testing.T) {
 	c := New(1<<20, 1, 16)
 	for i := 0; i < 4; i++ {

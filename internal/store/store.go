@@ -54,6 +54,19 @@ import (
 // It is the canonical hcerr sentinel, so errors.Is matches across layers.
 var ErrNoCapacity = hcerr.ErrNoCapacity
 
+// capacityError is a Put's capacity miss. The manager spills on it and
+// drops it, so its message is formatted only when something reads it.
+type capacityError struct {
+	tier            string
+	used, cap, size int64
+}
+
+func (e *capacityError) Error() string {
+	return fmt.Sprintf("%v: %s (%d used, %d cap, %d requested)", ErrNoCapacity, e.tier, e.used, e.cap, e.size)
+}
+
+func (e *capacityError) Unwrap() error { return ErrNoCapacity }
+
 // errNotFound is returned when a key is absent.
 var errNotFound = hcerr.ErrNotFound
 
@@ -300,7 +313,7 @@ func (s *Store) registerMetrics(reg *telemetry.Registry) {
 			// closure holds the backend, not the store, so a registry
 			// outliving the store does not keep it from its cleanup.
 			reg.GaugeFunc("hc_tier_resident_bytes",
-				"capacity of the payload buffers a resident tier keeps in process memory",
+				"capacity of the payload slots a resident tier holds; untouched slot tails and idle pooled slots make it neither a floor nor a ceiling of RSS",
 				func() float64 { return float64(h.Held()) }, l)
 		}
 		reg.Gauge("hc_tier_capacity_bytes", "configured capacity per tier", l).
@@ -417,8 +430,7 @@ func (s *Store) put(now float64, t int, key string, data []byte, size int64, own
 		if hadOld { // roll back: restore the old blob and its allocation
 			s.restoreOld(old)
 		}
-		return now, fmt.Errorf("%w: %s (%d used, %d cap, %d requested)",
-			ErrNoCapacity, ts.spec.Name, used, cap, size)
+		return now, &capacityError{ts.spec.Name, used, cap, size}
 	}
 	ts.used += size
 	end = ts.res.Acquire(now, size)

@@ -103,6 +103,24 @@ func TestCapacityEnforced(t *testing.T) {
 	}
 }
 
+// TestCapacityMissMessage: a capacity miss formats its message only when
+// read, and the text is the one a fmt.Errorf wrap of ErrNoCapacity gave.
+func TestCapacityMissMessage(t *testing.T) {
+	h := testHier()
+	s, _ := Open(h, Options{})
+	if _, err := s.Put(0, 0, "a", nil, 900); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Put(0, 0, "b", nil, 200)
+	want := fmt.Sprintf("%v: %s (900 used, %d cap, 200 requested)", ErrNoCapacity, h.Tiers[0].Name, h.Tiers[0].Capacity)
+	if !errors.Is(err, ErrNoCapacity) || err.Error() != want {
+		t.Fatalf("err = %v, want %q matching ErrNoCapacity", err, want)
+	}
+	if got := fmt.Errorf("placing: %w", err).Error(); got != "placing: "+want {
+		t.Fatalf("wrapped text = %q", got)
+	}
+}
+
 func TestOverwriteReleasesOldAllocation(t *testing.T) {
 	s, _ := Open(testHier(), Options{})
 	s.Put(0, 0, "k", nil, 800)

@@ -11,6 +11,7 @@ import (
 	"context"
 
 	"hcompress/internal/bufpool"
+	"hcompress/internal/manager"
 	"hcompress/internal/readcache"
 	"hcompress/internal/telemetry"
 )
@@ -105,6 +106,35 @@ func (c *Shard) prefetchOne(ctx context.Context, key string) {
 		DataType: attr.Type.String(), Distribution: attr.Dist.String(),
 	}); !ok {
 		bufpool.Put(data) // aborted mid-read or no room: the bytes never cache
+	}
+}
+
+// refreshCache is a successful write's read-cache step. A resident key
+// gets the written bytes in place of the old ones, so an overwrite of a
+// hot key keeps it hot instead of costing its next read a miss; a key
+// the cache does not hold stays uncached. Either way every fill that may
+// carry older bytes is revoked. The swap commits only while the
+// directory still names this write: two overwrites of one key can reach
+// this step in the opposite order to their publishes, and the cache must
+// end up with the bytes of the later-published one. A batch that writes
+// a key twice therefore refreshes with its last write only. The copy is
+// the cache's own, because the caller owns r.Data.
+func (c *Shard) refreshCache(r *manager.WriteReq) {
+	f := c.cache.BeginRefresh(r.Key, r.Res.Version)
+	if f == nil {
+		return
+	}
+	if !c.mgr.Published(r.Key, r.Res.Version) {
+		c.cache.Abort(f, false)
+		return
+	}
+	buf := bufpool.Get(len(r.Data))
+	copy(buf, r.Data)
+	if !c.cache.CommitRefresh(f, buf, readcache.Meta{
+		Size: r.Size, Stored: r.Res.Stored,
+		DataType: r.Attr.Type.String(), Distribution: r.Attr.Dist.String(),
+	}) {
+		bufpool.Put(buf)
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"hcompress/internal/bufpool"
+	"hcompress/internal/manager"
+	"hcompress/internal/readcache"
 	"hcompress/internal/stats"
 )
 
@@ -101,8 +103,9 @@ func TestCacheAdmissionRejectsSingleTouch(t *testing.T) {
 	rep.Release()
 }
 
-// TestCacheInvalidationOnOverwrite: an overwrite must strictly invalidate
-// — the next read returns the new bytes via the store, never stale cache.
+// TestCacheInvalidationOnOverwrite: an overwrite must never leave the old
+// bytes in the cache — it refreshes a resident entry with the written
+// bytes, so the next read hits and returns them.
 func TestCacheInvalidationOnOverwrite(t *testing.T) {
 	c := newClient(t, cacheConfig())
 	oldData := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 64<<10, 1)
@@ -120,20 +123,20 @@ func TestCacheInvalidationOnOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep = readRep(t, c, "k")
-	if rep.CacheHit {
-		t.Error("read after overwrite must miss (entry invalidated)")
+	if !rep.CacheHit {
+		t.Error("read after overwrite must hit (entry refreshed)")
 	}
 	if !bytes.Equal(rep.Data, newData) {
 		t.Error("read after overwrite returned stale bytes")
 	}
 	rep.Release()
-	// And the batch write path invalidates the same way.
+	// And the batch write path refreshes the same way.
 	readRep(t, c, "k").Release() // re-warm
 	if _, err := c.CompressBatch([]Task{{Key: "k", Data: oldData}}); err != nil {
 		t.Fatal(err)
 	}
 	rep = readRep(t, c, "k")
-	if rep.CacheHit || !bytes.Equal(rep.Data, oldData) {
+	if !rep.CacheHit || !bytes.Equal(rep.Data, oldData) {
 		t.Errorf("read after batch overwrite: hit=%v, stale=%v", rep.CacheHit, !bytes.Equal(rep.Data, oldData))
 	}
 	rep.Release()
@@ -324,6 +327,262 @@ func TestCacheReadWriteRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRefreshedHitReportsWriteMeta: a hit on an entry an overwrite
+// refreshed reports what a read through the store reports for that write:
+// size, stored bytes, type, distribution and ratio.
+func TestRefreshedHitReportsWriteMeta(t *testing.T) {
+	c := newClient(t, cacheConfig())
+	oldData := stats.GenBuffer(stats.TypeFloat, stats.Gamma, 64<<10, 1)
+	newData := stats.GenBuffer(stats.TypeText, stats.Uniform, 48<<10, 2)
+	for _, data := range [][]byte{oldData, newData} {
+		if _, err := c.Compress(Task{Key: "k", Data: data}); err != nil {
+			t.Fatal(err)
+		}
+		readRep(t, c, "k").Release() // the first pass warms, the second refreshes
+	}
+	hit := readRep(t, c, "k")
+	defer hit.Release()
+	if !hit.CacheHit || !bytes.Equal(hit.Data, newData) {
+		t.Fatalf("read after overwrite: hit=%v, new bytes=%v", hit.CacheHit, bytes.Equal(hit.Data, newData))
+	}
+	c.cache.Invalidate("k")
+	miss := readRep(t, c, "k")
+	defer miss.Release()
+	if miss.CacheHit {
+		t.Fatal("read after Invalidate must miss")
+	}
+	if hit.OriginalBytes != miss.OriginalBytes || hit.StoredBytes != miss.StoredBytes ||
+		hit.DataType != miss.DataType || hit.Distribution != miss.Distribution || hit.Ratio != miss.Ratio {
+		t.Errorf("refreshed hit attribution differs from the store's:\nhit  %+v\nmiss %+v", hit, miss)
+	}
+}
+
+// TestBatchWritingKeyTwiceRefreshesLast: a batch that writes a cached key
+// twice leaves the cache with its last write, refreshed once.
+func TestBatchWritingKeyTwiceRefreshesLast(t *testing.T) {
+	c := newClient(t, cacheConfig())
+	v := [3][]byte{}
+	for i := range v {
+		v[i] = stats.GenBuffer(stats.TypeFloat, stats.Gamma, 16<<10, int64(i+1))
+	}
+	if _, err := c.Compress(Task{Key: "k", Data: v[0]}); err != nil {
+		t.Fatal(err)
+	}
+	readRep(t, c, "k").Release()
+	before := c.CacheStats()
+	if _, err := c.CompressBatch([]Task{{Key: "k", Data: v[1]}, {Key: "k", Data: v[2]}}); err != nil {
+		t.Fatal(err)
+	}
+	rep := readRep(t, c, "k")
+	defer rep.Release()
+	if !rep.CacheHit || !bytes.Equal(rep.Data, v[2]) {
+		t.Fatalf("read after batch: hit=%v, last write's bytes=%v", rep.CacheHit, bytes.Equal(rep.Data, v[2]))
+	}
+	if st := c.CacheStats(); st.Refreshes-before.Refreshes != 1 {
+		t.Errorf("refreshes = %d, want 1", st.Refreshes-before.Refreshes)
+	}
+}
+
+// TestCacheRefreshFollowsPublishOrder: whatever order overwrites of one
+// key reach the read cache in, a hit returns the bytes of the write the
+// manager's directory names. Four interleavings are forced, then
+// concurrent writers, readers and fills held open across overwrites run
+// until quiesce, and the cache is checked against the directory's
+// version (not against a store read).
+func TestCacheRefreshFollowsPublishOrder(t *testing.T) {
+	const size = 8 << 10
+	gen := func(i int) []byte { return stats.GenBuffer(stats.TypeFloat, stats.Gamma, size, int64(i+1)) }
+	write := func(t *testing.T, c *Client, key string, data []byte) *Report {
+		t.Helper()
+		rep, err := c.Compress(Task{Key: key, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	// mustHit reads key and fails unless the cache serves want.
+	mustHit := func(t *testing.T, c *Client, key string, want []byte) {
+		t.Helper()
+		rep := readRep(t, c, key)
+		defer rep.Release()
+		if !rep.CacheHit || !bytes.Equal(rep.Data, want) {
+			t.Fatalf("read %q: hit=%v, want's bytes=%v", key, rep.CacheHit, bytes.Equal(rep.Data, want))
+		}
+	}
+
+	t.Run("older write arrives late", func(t *testing.T) {
+		c := newClient(t, cacheConfig())
+		a, b := gen(0), gen(1)
+		write(t, c, "k", gen(2))
+		readRep(t, c, "k").Release()
+		repA := write(t, c, "k", a)
+		write(t, c, "k", b)
+		// A's cache step, run only now: it must neither bring back A's
+		// bytes nor drop B's entry.
+		c.refreshCache(&manager.WriteReq{Key: "k", Data: a, Size: size, Res: manager.Result{Version: repA.version}})
+		mustHit(t, c, "k", b)
+	})
+
+	t.Run("older write arrives during a newer refresh", func(t *testing.T) {
+		c := newClient(t, cacheConfig())
+		a, b := gen(0), gen(1)
+		write(t, c, "k", gen(2))
+		readRep(t, c, "k").Release()
+		repA := write(t, c, "k", a)
+		repB := write(t, c, "k", b)
+		f := c.cache.BeginRefresh("k", repB.version) // B's step, between its check and its commit
+		if f == nil {
+			t.Fatal("B's refresh did not open")
+		}
+		c.refreshCache(&manager.WriteReq{Key: "k", Data: a, Size: size, Res: manager.Result{Version: repA.version}})
+		buf := bufpool.Get(size)
+		copy(buf, b)
+		if !c.cache.CommitRefresh(f, buf, readcache.Meta{Size: size}) {
+			bufpool.Put(buf)
+			t.Error("an older write's late step revoked the newer write's refresh")
+		}
+		mustHit(t, c, "k", b)
+	})
+
+	t.Run("refresh held open across a later write", func(t *testing.T) {
+		c := newClient(t, cacheConfig())
+		a, b := gen(0), gen(1)
+		repA := write(t, c, "k", a)
+		readRep(t, c, "k").Release()
+		f := c.cache.BeginRefresh("k", repA.version) // A's step, stalled before its commit
+		if f == nil || !c.mgr.Published("k", repA.version) {
+			t.Fatal("A's refresh did not open")
+		}
+		write(t, c, "k", b)
+		buf := bufpool.Get(size)
+		copy(buf, a)
+		if c.cache.CommitRefresh(f, buf, readcache.Meta{Size: size}) {
+			t.Error("a refresh revoked by a later write committed")
+		} else {
+			bufpool.Put(buf)
+		}
+		mustHit(t, c, "k", b)
+	})
+
+	t.Run("fill held open across a write", func(t *testing.T) {
+		c := newClient(t, cacheConfig())
+		a, b := gen(0), gen(1)
+		write(t, c, "k", a)
+		c.cache.Get("k") // the miss that admits the fill
+		f := c.cache.BeginFill("k")
+		old, stored, attr, err := c.mgr.ReadData(context.Background(), 0, "k")
+		if f == nil || err != nil {
+			t.Fatalf("fill did not open: %v", err)
+		}
+		write(t, c, "k", b)
+		if release, ok := c.cache.Commit(f, old, readcache.Meta{
+			Size: size, Stored: stored, DataType: attr.Type.String(), Distribution: attr.Dist.String(),
+		}); ok {
+			release()
+			t.Error("a fill of the old bytes committed after the write")
+		} else {
+			bufpool.Put(old)
+		}
+		if st := c.CacheStats(); st.Entries != 0 {
+			t.Errorf("a write of an uncached key cached it: %+v", st)
+		}
+		readRep(t, c, "k").Release()
+		mustHit(t, c, "k", b)
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		c := newClient(t, cacheConfig())
+		const writers, readers, iters = 3, 3, 60
+		contents := make([][]byte, writers*iters)
+		for i := range contents {
+			contents[i] = gen(i)
+		}
+		var mu sync.Mutex
+		byVersion := map[uint64][]byte{}
+		for round := 0; round < 4; round++ {
+			key := fmt.Sprintf("k%d", round)
+			rep := write(t, c, key, contents[0])
+			byVersion[rep.version] = contents[0]
+			readRep(t, c, key).Release()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						data := contents[w*iters+i]
+						rep, err := c.Compress(Task{Key: key, Data: data})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						byVersion[rep.version] = data
+						mu.Unlock()
+					}
+				}(w)
+			}
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						if r == 0 && i%4 == 0 {
+							// A demand fill held open across whatever writes
+							// land while it reads and yields.
+							c.cache.Get(key)
+							if f := c.cache.BeginFill(key); f != nil {
+								data, stored, attr, err := c.mgr.ReadData(context.Background(), 0, key)
+								if err != nil {
+									c.cache.Abort(f, false)
+									t.Error(err)
+									return
+								}
+								runtime.Gosched()
+								if release, ok := c.cache.Commit(f, data, readcache.Meta{
+									Size: size, Stored: stored, DataType: attr.Type.String(), Distribution: attr.Dist.String(),
+								}); ok {
+									release()
+								} else {
+									bufpool.Put(data)
+								}
+							}
+							continue
+						}
+						rep, err := c.Decompress(key)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						rep.Release()
+					}
+				}(r)
+			}
+			wg.Wait()
+
+			var want []byte
+			for v, data := range byVersion {
+				if c.mgr.Published(key, v) {
+					want = data
+				}
+			}
+			if want == nil {
+				t.Fatalf("%s: the directory names none of the writes' versions", key)
+			}
+			rep = readRep(t, c, key)
+			if rep.CacheHit && !bytes.Equal(rep.Data, want) {
+				t.Errorf("%s: the cache serves bytes other than the directory's write", key)
+			}
+			rep.Release()
+		}
+		st := c.CacheStats()
+		t.Logf("refreshes %d, invalidations %d, hits %d, misses %d", st.Refreshes, st.Invalidations, st.Hits, st.Misses)
+		if st.Refreshes == 0 {
+			t.Error("no overwrite refreshed a resident entry")
+		}
+	})
 }
 
 // TestSequentialPrefetchWarmsCache: reading a run of sequential keys must

@@ -557,6 +557,7 @@ func (r *Router) CacheStats() CacheStats {
 		agg.Rejects += st.Rejects
 		agg.Evictions += st.Evictions
 		agg.Invalidations += st.Invalidations
+		agg.Refreshes += st.Refreshes
 		agg.PrefetchIssued += st.PrefetchIssued
 		agg.PrefetchUsed += st.PrefetchUsed
 		agg.PrefetchFailed += st.PrefetchFailed

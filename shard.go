@@ -108,6 +108,9 @@ type Report struct {
 	// have dropped it, so Release can never double-free a buffer the
 	// cache still serves (or that an invalidation already freed).
 	release func()
+	// version is the directory version a write published (zero on
+	// reads), which tests compare the read cache's contents against.
+	version uint64
 }
 
 // Release returns the report's Data buffer to the internal buffer arena
@@ -257,8 +260,11 @@ func newShard(cfg Config, h tier.Hierarchy, label string, sd *seed.Seed, pred *p
 		capBytes := int64(cfg.ReadCacheFraction * float64(h.Tiers[0].Capacity))
 		c.cache = readcache.New(capBytes, minTouches, prefetchRuns)
 		c.cache.SetTelemetry(reg)
-		// Demoted keys leave the cache: their cached meta (and the hot-set
-		// premise that put them there) is stale once the demoter cools them.
+		// Demoted keys leave the cache. A Move changes no byte and none of
+		// the cached Meta, so this is policy, not correctness: the demoter
+		// cools an overfull tier by moving its oldest writes down, and the
+		// cache takes the same premise, that a key cooled down the
+		// hierarchy is no longer worth DRAM.
 		demoteNotify = func(keys []string) {
 			for _, k := range keys {
 				c.cache.Invalidate(k)
